@@ -21,7 +21,7 @@ from .forge import (
     pick_parameters,
     verify_certificate,
 )
-from .laurent import Fp, LaurentSeries, monomial, parse_series, series_make, wp
+from .laurent import LaurentSeries, monomial, parse_series, series_make, wp
 from .ramcalc import (
     BreakMultiset,
     compose_disjoint,
@@ -40,7 +40,6 @@ __all__ = [
     "BreakMultiset",
     "BreakOutcome",
     "Certificate",
-    "Fp",
     "LaurentSeries",
     "P3Parameters",
     "as_reduce_F",

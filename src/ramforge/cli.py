@@ -1,9 +1,9 @@
 """Command-line front end: build, inspect, and verify certificates and groups.
 
-Exit codes are stable: 0 success, 2 bad arguments or parse failure,
-3 internal verification mismatch, 4 precision exhaustion, 5 materialization
-limit exceeded, 6 unrealizable break multiset.  stdout carries only the
-artifact; diagnostics go to stderr.
+Exit codes are stable: 0 success, 2 bad arguments, unreadable input file or
+parse failure, 3 internal verification mismatch, 4 precision exhaustion,
+5 materialization limit exceeded, 6 unrealizable break multiset.  stdout
+carries only the artifact; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_LIMIT
     if isinstance(exc, UnrealizableMultisetError):
         return EXIT_UNREALIZABLE
-    if isinstance(exc, (ParameterError, ParseError, ValueError)):
+    if isinstance(exc, (ParameterError, ParseError, ValueError, OSError)):
         return EXIT_USAGE
     raise exc
 

@@ -7,6 +7,20 @@ exact zero.  Arithmetic propagates precision by the usual rules (min for
 addition, min over cross terms for multiplication), so results are always
 sound: a coefficient is stored only if it is exactly determined.
 
+Storage is dense: ``coeffs`` is the tuple of coefficients, reduced into
+[0, p), from exponent ``val`` (the valuation, whose coefficient is nonzero)
+up to the last nonzero one below ``prec``, interior zeros included.  The
+zero-up-to-precision series has ``val`` None and empty ``coeffs``.
+Arithmetic works on these tuples directly: addition, subtraction and
+negation are slice arithmetic over the union of the two windows, clipped at
+the smaller precision.  Multiplication is Kronecker substitution: both
+operands, truncated to the product window, are packed into one integer each
+with fixed-width byte slots wide enough that no slot of the product can
+overflow; one big-integer multiply (Karatsuba in CPython) gives the product,
+whose slots below the product's precision are unpacked and reduced mod p.
+See D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44 (2009).
+
 All values are immutable and operations are pure functions, so series can
 be shared freely between threads.
 
@@ -19,7 +33,9 @@ meaning pi^-1 + 2 + pi^3, exponent:coefficient pairs in ascending order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from array import array
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import InsufficientPrecisionError, ParameterError, ParseError
@@ -47,79 +63,52 @@ def require_odd_prime(p: int) -> None:
         raise ParameterError("p > 2 required")
 
 
-@dataclass(frozen=True)
-class Fp:
-    """A residue in the prime field F_p, p an odd prime."""
-
-    p: int
-    value: int
-
-    def __post_init__(self):
-        require_odd_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ParameterError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Fp(self.p, self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Fp(self.p, self.value - v)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Fp(self.p, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fp(self.p, -self.value)
-
-    def __pow__(self, k: int):
-        return Fp(self.p, pow(self.value, k, self.p))
-
-    def inverse(self) -> "Fp":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return Fp(self.p, pow(self.value, -1, self.p))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        if isinstance(other, Fp):
-            return self.p == other.p and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __str__(self):
-        return str(self.value)
+# array typecode for each native unsigned item width in bytes, narrowest first
+_SLOT_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
-def _coeff_int(c, p: int) -> int:
-    if isinstance(c, Fp):
-        if c.p != p:
-            raise ParameterError(f"modulus mismatch: {p} vs {c.p}")
-        return c.value
-    return int(c) % p
+def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int, p: int) -> list[int]:
+    """Coefficients 0..n-1 (fewer if the product is shorter) of the product
+    of the coefficient sequences ``a`` and ``b``, entries in [0, p), mod p.
+
+    Every slot of the product is a sum of at most min(len) terms below p^2,
+    so slots of ``width`` bytes with 8*width >= bitlen(min(len)*(p-1)^2)
+    never carry into each other.
+    """
+    bits = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    width = next((w for w in _SLOT_CODES if 8 * w >= bits), None)
+    if width is None:  # slots wider than any array item (p around 2^31 and up)
+        width = (bits + 7) // 8
+        x = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
+        y = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
+        out = (x * y).to_bytes((len(a) + len(b)) * width, "little")
+        return [int.from_bytes(out[i : i + width], "little") % p
+                for i in range(0, min(n, len(a) + len(b)) * width, width)]
+    code = _SLOT_CODES[width]
+    x = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
+    y = int.from_bytes(array(code, b).tobytes(), sys.byteorder)
+    out = (x * y).to_bytes((len(a) + len(b)) * width, sys.byteorder)
+    return [c % p for c in memoryview(out).cast(code)[:n]]
+
+
+def _from_dense(p: int, val: int, coeffs: Sequence[int], prec: int) -> "LaurentSeries":
+    """The series with coefficients ``coeffs`` (already in [0, p)) from
+    exponent ``val`` on: entries at or above ``prec`` are dropped and zeros
+    at both ends trimmed.  ``p`` is taken as already checked."""
+    coeffs = coeffs[: max(prec - val, 0)]
+    # first nonzero from each end, found at C speed: cancellation in a
+    # sum can leave long runs of zeros
+    lo = next(compress(count(), coeffs), None)
+    s = object.__new__(LaurentSeries)
+    s.p = p
+    s.prec = prec
+    if lo is None:
+        s.val = None
+        s.coeffs = ()
+    else:
+        s.val = val + lo
+        s.coeffs = tuple(coeffs[lo : len(coeffs) - next(compress(count(), reversed(coeffs)))])
+    return s
 
 
 class LaurentSeries:
@@ -140,7 +129,7 @@ class LaurentSeries:
             e = int(e)
             if e >= prec:
                 continue
-            c = (data.get(e, 0) + _coeff_int(c, p)) % p
+            c = (data.get(e, 0) + int(c)) % p
             if c:
                 data[e] = c
             else:
@@ -196,48 +185,65 @@ class LaurentSeries:
         if other.p != self.p:
             raise ParameterError(f"modulus mismatch: {self.p} vs {other.p}")
 
-    def __add__(self, other):
-        if isinstance(other, int) or isinstance(other, Fp):
-            other = LaurentSeries(self.p, [(0, _coeff_int(other, self.p))], self.prec)
-        self._check_compatible(other)
-        prec = min(self.prec, other.prec)
-        return LaurentSeries(self.p, list(self.pairs()) + list(other.pairs()), prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentSeries(self.p, [(e, self.p - c) for e, c in self.pairs()], self.prec)
-
-    def __sub__(self, other):
-        if isinstance(other, int) or isinstance(other, Fp):
-            other = LaurentSeries(self.p, [(0, _coeff_int(other, self.p))], self.prec)
-        self._check_compatible(other)
-        return self + (-other)
-
     def _val_floor(self) -> int:
         # Lower bound for the valuation: exact for nonzero, prec for zero.
         return self.prec if self.val is None else self.val
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fp)):
-            c = _coeff_int(other, self.p)
-            return LaurentSeries(self.p, [(e, cc * c) for e, cc in self.pairs()], self.prec)
+    def _addsub(self, other, sign: int) -> "LaurentSeries":
+        """self + sign*other, over the union of the two coefficient windows
+        clipped at the smaller precision."""
+        p = self.p
+        if isinstance(other, int):
+            other = _from_dense(p, 0, (other % p,), self.prec)
         self._check_compatible(other)
-        prec = min(self._val_floor() + other.prec, other._val_floor() + self.prec)
-        acc: dict[int, int] = {}
-        for e1, c1 in self.pairs():
-            for e2, c2 in other.pairs():
-                e = e1 + e2
-                if e < prec:
-                    acc[e] = (acc.get(e, 0) + c1 * c2) % self.p
-        return LaurentSeries(self.p, acc.items(), prec)
+        prec = min(self.prec, other.prec)
+        va, vb = self._val_floor(), other._val_floor()
+        a = self.coeffs[: max(prec - va, 0)]
+        b = other.coeffs[: max(prec - vb, 0)]
+        # an empty side must not widen the window
+        if not a:
+            va = vb
+        if not b:
+            vb = va
+        lo = min(va, vb)
+        out = [0] * (max(va + len(a), vb + len(b)) - lo)
+        out[va - lo : va - lo + len(a)] = a
+        i, j = vb - lo, vb - lo + len(b)
+        out[i:j] = [(x + sign * y) % p for x, y in zip(out[i:j], b)]
+        return _from_dense(p, lo, out, prec)
+
+    def __add__(self, other):
+        return self._addsub(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._addsub(other, self.p - 1)
+
+    def __neg__(self):
+        p = self.p
+        return _from_dense(p, self._val_floor(), [(-c) % p for c in self.coeffs], self.prec)
+
+    def __mul__(self, other):
+        p = self.p
+        if isinstance(other, int):
+            c = other % p
+            return _from_dense(p, self._val_floor(), [x * c % p for x in self.coeffs], self.prec)
+        self._check_compatible(other)
+        va, vb = self._val_floor(), other._val_floor()
+        prec = min(va + other.prec, vb + self.prec)
+        n = prec - va - vb
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        if not a or not b:
+            return _from_dense(p, 0, (), prec)
+        return _from_dense(p, va + vb, _kronecker_mul(a, b, n, p), prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = LaurentSeries(self.p, [(0, 1)], self.prec - self._val_floor())
+        out = _from_dense(self.p, 0, (1,), self.prec - self._val_floor())
         base = self
         for _ in range(k):
             out = out * base
@@ -256,14 +262,14 @@ class LaurentSeries:
         for k in range(1, n):
             s = sum(u[j] * inv[k - j] for j in range(1, k + 1)) % self.p
             inv[k] = (-lead_inv * s) % self.p
-        prec = self.prec - 2 * self.val
-        return LaurentSeries(self.p, [(-self.val + i, c) for i, c in enumerate(inv)], prec)
+        return _from_dense(self.p, -self.val, inv, self.prec - 2 * self.val)
 
     def frobenius(self) -> "LaurentSeries":
         """The p-power map: exponents multiply by p, coefficients are fixed."""
-        return LaurentSeries(
-            self.p, [(self.p * e, c) for e, c in self.pairs()], self.p * self.prec
-        )
+        p = self.p
+        out = [0] * (p * (len(self.coeffs) - 1) + 1)
+        out[::p] = self.coeffs
+        return _from_dense(p, p * self._val_floor(), out, p * self.prec)
 
     def wp(self) -> "LaurentSeries":
         """Artin-Schreier image x^p - x (additive in characteristic p)."""
@@ -271,14 +277,7 @@ class LaurentSeries:
 
     def shift(self, k: int) -> "LaurentSeries":
         """Exact multiplication by pi^k."""
-        return LaurentSeries(self.p, [(e + k, c) for e, c in self.pairs()], self.prec + k)
-
-    def with_precision(self, prec: int) -> "LaurentSeries":
-        if prec > self.prec:
-            raise InsufficientPrecisionError(
-                f"cannot raise precision from {self.prec} to {prec}"
-            )
-        return LaurentSeries(self.p, self.pairs(), prec)
+        return _from_dense(self.p, self._val_floor() + k, self.coeffs, self.prec + k)
 
     # -- comparison / io ----------------------------------------------------
 
@@ -289,9 +288,9 @@ class LaurentSeries:
         if self.p != other.p:
             return False
         w = min(self.prec, other.prec)
-        a = {e: c for e, c in self.pairs() if e < w}
-        b = {e: c for e, c in other.pairs() if e < w}
-        return a == b
+        a = _from_dense(self.p, self._val_floor(), self.coeffs, w)
+        b = _from_dense(other.p, other._val_floor(), other.coeffs, w)
+        return a.val == b.val and a.coeffs == b.coeffs
 
     __hash__ = None
 
@@ -316,11 +315,10 @@ def series_make(p: int, val: int, coeffs: Sequence, prec: int) -> LaurentSeries:
     require_odd_prime(p)
     if prec <= val and coeffs:
         raise ParameterError(f"prec must exceed val, got val={val} prec={prec}")
-    reduced = [_coeff_int(c, p) for c in coeffs]
+    reduced = [int(c) % p for c in coeffs]
     if reduced and reduced[0] == 0:
         raise ParameterError("leading coefficient reduces to 0 mod p")
-    s = LaurentSeries(p, [(val + i, c) for i, c in enumerate(reduced)], prec)
-    return s
+    return _from_dense(p, val, reduced, prec)
 
 
 def monomial(p: int, coeff, exp: int, prec: int) -> LaurentSeries:

@@ -118,6 +118,11 @@ class TestGroupCommand:
         code, _, err = run(["group", "classify", "--kind", "H"])
         assert code == EXIT_USAGE
 
+    def test_missing_table(self, tmp_path):
+        code, out, err = run(["group", "basics", "--table", f"@{tmp_path / 'absent.table'}"])
+        assert code == EXIT_USAGE
+        assert not out and "absent.table" in err
+
 
 class TestBreaksCommand:
     def test_tolower(self):
@@ -188,6 +193,11 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out.count("verified") == 2
 
+    def test_missing_file(self, tmp_path):
+        code, out, err = run(["verify", str(tmp_path / "absent.cert")])
+        assert code == EXIT_USAGE
+        assert not out and "absent.cert" in err
+
     def test_nothing_to_verify(self):
         code, _, _ = run(["verify"])
         assert code == EXIT_USAGE
@@ -201,5 +211,6 @@ class TestExitCodes:
         assert _exit_code_for(MaterializationLimitError("x")) == EXIT_LIMIT
         assert _exit_code_for(UnrealizableMultisetError("x")) == EXIT_UNREALIZABLE
         assert _exit_code_for(ValueError("x")) == EXIT_USAGE
+        assert _exit_code_for(FileNotFoundError("x")) == EXIT_USAGE
         with pytest.raises(KeyError):
             _exit_code_for(KeyError("unmapped"))

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramforge.errors import ParameterError, ParseError
 from ramforge.laurent import (
     INF,
-    Fp,
     LaurentSeries,
     monomial,
     parse_series,
@@ -25,24 +26,6 @@ def rand_nonzero(rng, p, **kw):
         s = rand_series(rng, p, **kw)
         if not s.is_zero():
             return s
-
-
-class TestFp:
-    def test_arith(self):
-        a = Fp(5, 3)
-        assert a + 4 == 2
-        assert a * 2 == 1
-        assert (-a).value == 2
-        assert a.inverse() * a == 1
-        assert Fp(5, 4) ** 2 == 1
-
-    def test_bad_modulus(self):
-        with pytest.raises(ParameterError):
-            Fp(4, 1)
-        with pytest.raises(ParameterError):
-            Fp(2, 1)
-        with pytest.raises(ParameterError):
-            Fp(5, 1) + Fp(7, 1)
 
 
 class TestMake:
@@ -134,6 +117,16 @@ class TestPrecision:
         prod = z * b
         assert prod.is_zero() and prod.prec == 4 + 3
 
+    def test_make_drops_beyond_precision(self):
+        s = series_make(3, 0, [1, 2, 1, 0], 2)
+        assert (s.val, s.coeffs, s.prec) == (0, (1, 2), 2)
+
+    def test_eq_on_common_window(self):
+        a = LaurentSeries(3, [(0, 1)], 5)
+        b = LaurentSeries(3, [(0, 1), (5, 1)], 10)
+        assert a == b and b == a
+        assert a != LaurentSeries(3, [(0, 1), (4, 1)], 10)
+
     def test_inverse_relative_precision(self):
         a = LaurentSeries(3, [(-2, 1), (0, 1)], 10)  # 12 known coefficients
         inv = a.inverse()
@@ -218,3 +211,118 @@ class TestText:
         for bad in ("junk", "p=3 : 0:1", "p=3 prec=x : 0:1", "p=4 prec=9 : 0:1"):
             with pytest.raises((ParseError, ParameterError)):
                 parse_series(bad)
+
+
+# -- differential tests against a schoolbook / dict reference ---------------
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def ref_terms(s):
+    return {} if s.val is None else {s.val + i: c for i, c in enumerate(s.coeffs) if c}
+
+
+def ref_val_floor(s):
+    return s.prec if s.val is None else s.val
+
+
+def ref_normal(p, terms, prec):
+    """(val, coeffs, prec) of the exponent -> coefficient map ``terms``."""
+    kept = {e: c % p for e, c in terms.items() if e < prec and c % p}
+    if not kept:
+        return (None, (), prec)
+    lo, hi = min(kept), max(kept)
+    return (lo, tuple(kept.get(e, 0) for e in range(lo, hi + 1)), prec)
+
+
+def ref_mul(a, b):
+    prec = min(ref_val_floor(a) + b.prec, ref_val_floor(b) + a.prec)
+    acc = {}
+    for e1, c1 in ref_terms(a).items():
+        for e2, c2 in ref_terms(b).items():
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return ref_normal(a.p, acc, prec)
+
+
+def ref_add(a, b, sign=1):
+    acc = dict(ref_terms(a))
+    for e, c in ref_terms(b).items():
+        acc[e] = acc.get(e, 0) + sign * c
+    return ref_normal(a.p, acc, min(a.prec, b.prec))
+
+
+def key(s):
+    return (s.val, s.coeffs, s.prec)
+
+
+@st.composite
+def series_pair(draw):
+    """Two series over one F_p: lengths from 0 to a few hundred, zero,
+    sparse and dense coefficients, negative valuations, and precision
+    anywhere from below the valuation to past the last coefficient."""
+    p = draw(st.sampled_from(PRIMES))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def one():
+        val = draw(st.integers(-60, 30))
+        n = draw(st.one_of(st.integers(0, 6), st.integers(7, 60), st.integers(61, 300)))
+        density = draw(st.sampled_from((0.0, 0.1, 1.0)))
+        coeffs = [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
+        prec = val + n + draw(st.integers(-n - 3, 8))
+        pairs = [(val + i, c) for i, c in enumerate(coeffs)]
+        s = LaurentSeries(p, pairs, prec)
+        assert key(s) == ref_normal(p, dict(pairs), prec)
+        return s
+
+    return one(), one()
+
+
+class TestDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(series_pair())
+    def test_mul(self, ab):
+        a, b = ab
+        assert key(a * b) == ref_mul(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_pair())
+    def test_add_sub_neg(self, ab):
+        a, b = ab
+        assert key(a + b) == ref_add(a, b)
+        assert key(a - b) == ref_add(a, b, -1)
+        assert key(-a) == ref_add(zero(a.p, a.prec), a, -1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(series_pair(), st.integers(-40, 40), st.integers(-50, 50))
+    def test_scalar_shift_frobenius_eq(self, ab, k, c):
+        a, b = ab
+        p = a.p
+        terms = ref_terms(a)
+        assert key(a * c) == ref_normal(p, {e: x * c for e, x in terms.items()}, a.prec)
+        assert key(a + c) == ref_normal(p, {**terms, 0: terms.get(0, 0) + c}, a.prec)
+        assert key(a.shift(k)) == ref_normal(p, {e + k: x for e, x in terms.items()}, a.prec + k)
+        assert key(a.frobenius()) == ref_normal(p, {p * e: x for e, x in terms.items()}, p * a.prec)
+        w = min(a.prec, b.prec)
+        assert (a == b) == (ref_normal(p, terms, w)[:2] == ref_normal(p, ref_terms(b), w)[:2])
+
+    def test_wide_slots(self):
+        # (p-1)^2 needs more than 64 bits: slots wider than any array item.
+        p = 2**31 - 1
+        rng = random.Random(13)
+        for n in (1, 2, 17, 90):
+            a = LaurentSeries(p, [(i - 5, rng.randrange(p)) for i in range(n)], n)
+            b = LaurentSeries(p, [(i + 2, rng.randrange(p)) for i in range(n)], n + 9)
+            assert key(a * b) == ref_mul(a, b)
+
+    def test_matches_sympy_gf_mul(self):
+        galoistools = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+
+        rng = random.Random(14)
+        for p in PRIMES:
+            for n, m in ((1, 1), (3, 40), (64, 64), (257, 400)):
+                f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 2)] + [1] * (n > 1)
+                g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(m - 2)] + [1] * (m > 1)
+                prod = series_make(p, 0, f, n + m) * series_make(p, 0, g, n + m)
+                want = galoistools.gf_mul(f[::-1], g[::-1], p, ZZ)[::-1]
+                assert (prod.val, prod.coeffs) == (0, tuple(int(c) for c in want))
