@@ -44,6 +44,7 @@ from .pgroups import (
     make_group,
     minimal_nonabelian_quotient,
     parse_group_descriptor,
+    perm_order,
 )
 from .ramcalc import (
     BreakMultiset,
@@ -852,7 +853,7 @@ def derive_chat(
         order = None  # established by the burnside check below
     burn = burnside_action_check(P, alpha, m)
     if order is None:
-        order = _perm_order(perm)
+        order = perm_order(perm)
     steps.append(
         Step(
             2,
@@ -976,22 +977,6 @@ def derive_chat(
         verified=verified,
         witness=witness,
     )
-
-
-def _perm_order(perm: list[int]) -> int:
-    order = 1
-    seen = [False] * len(perm)
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        length = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        order = order * length // gcd(order, length)
-    return order
 
 
 # -- parsing and verification -----------------------------------------------

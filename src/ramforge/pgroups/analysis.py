@@ -2,10 +2,17 @@
 subgroups, minimal-nonabelian recognition and classification, central
 products, and the prime-to-p automorphism triviality check.
 
-Everything here is exhaustive over materialized index tables, which keeps
-the checks independent of the normal-form constructions they are applied
-to: a constructed group is never trusted to have the properties its
-construction was aiming for.
+Everything here runs on materialized index tables, which keeps the checks
+independent of the normal-form constructions they are applied to: a
+constructed group is never trusted to have the properties its construction
+was aiming for.  Properties decided by a generating set are computed from
+the table's generators: the center (elements commuting with every
+generator), commutativity, [G, G] and Phi(G) (normal closures of the
+generator commutators, and of those with the generator p-th powers),
+conjugacy classes (orbits under conjugation by the generators) and the
+homomorphism check of an automorphism.  Element orders, exponents, the
+p-th power conditions of the structural checks and the quotient scans
+remain exhaustive over all elements.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .base import (
     PGroup,
     QuotientGroup,
     SubgroupGroup,
+    closure,
     tables,
 )
 
@@ -38,49 +46,56 @@ def element_order_idx(t: GroupTables, g: int) -> int:
 
 def is_abelian(G: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
     t = tables(G, limit)
+    gens = t.gens
     return all(
-        t.mul[a][b] == t.mul[b][a] for a in range(t.n) for b in range(a + 1, t.n)
+        t.mul[a][b] == t.mul[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :]
     )
 
 
 def center_idx(t: GroupTables) -> list[int]:
-    out = []
-    for a in range(t.n):
-        row = t.mul[a]
-        if all(row[b] == t.mul[b][a] for b in range(t.n)):
-            out.append(a)
-    return out
+    """Elements commuting with every generator."""
+    cols = [(s, t.mul[s]) for s in t.gens]
+    return [a for a, row in enumerate(t.mul) if all(row[s] == rs[a] for s, rs in cols)]
 
 
-def closure_idx(t: GroupTables, gens) -> list[int]:
-    seen = {t.e}
-    frontier = [t.e]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = t.mul[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+def closure_idx(t: GroupTables, gens, start=None) -> list[int]:
+    """Sorted elements of ``start`` (default the identity) right-multiplied
+    by products of ``gens``: the subgroup <start, gens> when ``start`` is a
+    normal subgroup or lies in <gens>."""
+    mul = t.mul
+    return sorted(closure(start or [t.e], list(gens), lambda x, g: mul[x][g]))
+
+
+def normal_closure_idx(t: GroupTables, xs) -> list[int]:
+    """The smallest normal subgroup containing ``xs``: a subgroup is normal
+    when its generators' conjugates by the group generators stay inside."""
+    gens = [x for x in dict.fromkeys(xs) if x != t.e]
+    span = set(closure_idx(t, gens))
+    queue = list(gens)
+    while queue:
+        x = queue.pop()
+        for s in t.gens:
+            y = t.conj(x, s)
+            if y not in span:
+                gens.append(y)
+                queue.append(y)
+                span = set(closure_idx(t, gens, span))
+    return sorted(span)
 
 
 def commutator_subgroup_idx(t: GroupTables) -> list[int]:
-    gens = {t.commutator(a, b) for a in range(t.n) for b in range(t.n)}
-    gens.discard(t.e)
-    return closure_idx(t, gens)
+    """[G, G]: the normal closure of the commutators of generators."""
+    return normal_closure_idx(t, (t.commutator(a, b) for a in t.gens for b in t.gens))
 
 
 def frattini_idx(t: GroupTables) -> list[int]:
-    """Phi(G) = G^p [G, G] for a p-group."""
-    p = t.group.p
-    gens = {t.power(a, p) for a in range(t.n)}
-    gens |= {t.commutator(a, b) for a in range(t.n) for b in range(t.n)}
-    gens.discard(t.e)
-    return closure_idx(t, gens)
+    """Phi(G) = G^p [G, G] for a p-group: the normal closure of the
+    generators' p-th powers and commutators (the quotient by it is
+    generated by commuting elements of order p, hence elementary)."""
+    powers = [t.power(a, t.p) for a in t.gens]
+    return normal_closure_idx(
+        t, powers + [t.commutator(a, b) for a in t.gens for b in t.gens]
+    )
 
 
 def exponent_idx(t: GroupTables) -> int:
@@ -184,9 +199,9 @@ def check_abcd(G: PGroup, limit: int = DEFAULT_LIMIT) -> AbcdResult:
         except ParameterError:
             r = -1
         elementary = all(t.power(g, p) in zset for g in range(t.n))
+        # g outside the center fails to commute with some generator
         radical_trivial = all(
-            g in zset
-            or any(t.commutator(g, h) != t.e for h in range(t.n))
+            g in zset or any(t.commutator(g, s) != t.e for s in t.gens)
             for g in range(t.n)
         )
         if r >= 2 and r % 2 == 0 and elementary and radical_trivial:
@@ -203,7 +218,7 @@ def check_abcd(G: PGroup, limit: int = DEFAULT_LIMIT) -> AbcdResult:
 
 
 def _central_order_p_subgroups(t: GroupTables) -> list[list[int]]:
-    p = t.group.p
+    p = t.p
     z = center_idx(t)
     seen = set()
     out = []
@@ -366,12 +381,14 @@ def build_A1d_via_Gd(p: int, d: int, limit: int = DEFAULT_LIMIT) -> PGroup:
 
 
 def conjugacy_classes_idx(t: GroupTables) -> list[frozenset[int]]:
+    """Classes in order of their least element; each is the orbit of that
+    element under conjugation by the generators."""
     seen = set()
     out = []
     for g in range(t.n):
         if g in seen:
             continue
-        cls = frozenset(t.conj(g, h) for h in range(t.n))
+        cls = frozenset(closure([g], t.gens, t.conj))
         seen |= cls
         out.append(cls)
     return out
@@ -390,7 +407,7 @@ def _normal_subgroups_avoiding(t: GroupTables, forbidden: frozenset[int]) -> lis
         for cls in classes:
             if cls <= cur:
                 continue
-            closed = frozenset(closure_idx(t, set(cur) | set(cls)))
+            closed = frozenset(closure_idx(t, cls, cur))
             if closed in seen:
                 continue
             seen.add(closed)
@@ -465,6 +482,23 @@ def automorphism_from_generator_images(G: PGroup, images: dict, limit: int = DEF
     return phi
 
 
+def perm_order(perm: list[int]) -> int:
+    """The order of a permutation of 0..n-1: the lcm of its cycle lengths."""
+    order = 1
+    seen = [False] * len(perm)
+    for s in range(len(perm)):
+        if seen[s]:
+            continue
+        length = 0
+        x = s
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        order = order * length // gcd(order, length)
+    return order
+
+
 def burnside_action_check(
     P: PGroup, alpha: dict, m: int, limit: int = DEFAULT_LIMIT
 ) -> BurnsideResult:
@@ -481,24 +515,14 @@ def burnside_action_check(
     if set(alpha) != set(elems) or set(alpha.values()) != set(elems):
         raise ParameterError("alpha is not a bijection on the group")
     perm = [idx[alpha[g]] for g in elems]
-    for a in range(t.n):
-        pa = perm[a]
-        for b in range(t.n):
-            if perm[t.mul[a][b]] != t.mul[pa][perm[b]]:
+    # a bijection with alpha(a s) = alpha(a) alpha(s) for every generator s
+    # fixes the identity, so by induction on word length it is multiplicative
+    for s in t.gens:
+        ps = perm[s]
+        for a in range(t.n):
+            if perm[t.mul[a][s]] != t.mul[perm[a]][ps]:
                 raise ParameterError("alpha is not a homomorphism")
-    # order of the permutation must divide m
-    order = 1
-    seen = [False] * t.n
-    for s in range(t.n):
-        if seen[s]:
-            continue
-        length = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        order = order * length // gcd(order, length)
+    order = perm_order(perm)
     if m % order:
         raise ParameterError(f"alpha has order {order}, which does not divide m = {m}")
     nontrivial_group = any(perm[g] != g for g in range(t.n))

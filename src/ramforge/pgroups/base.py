@@ -1,15 +1,18 @@
 """Core finite p-group machinery: normal-form groups, products, subgroups,
 quotients, Cayley-table groups, and lazy materialization to index tables.
 
-Every group exposes a deterministic element order; all searches and
-constructions derive their results from that order, never from timing, so
-repeated runs give identical answers.
+Every group exposes a deterministic element order and a generating set;
+all searches and constructions derive their results from that order, never
+from timing, so repeated runs give identical answers.  Orders are known in
+closed form before any element is enumerated, and `tables` builds the
+multiplication table from one law-computed row per generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from ..errors import (
     InternalCheckError,
@@ -23,9 +26,13 @@ DEFAULT_LIMIT = 10000
 
 
 class PGroup:
-    """A finite p-group over hashable normal-form elements."""
+    """A finite p-group over hashable normal-form elements.
+
+    Subclasses set ``p`` and ``_order`` in ``__init__``.
+    """
 
     p: int
+    _order: int
 
     def identity(self):
         raise NotImplementedError
@@ -34,6 +41,10 @@ class PGroup:
         raise NotImplementedError
 
     def inv(self, a):
+        raise NotImplementedError
+
+    def generators(self) -> list:
+        """Elements that generate the group."""
         raise NotImplementedError
 
     def _element_list(self) -> list:
@@ -53,7 +64,7 @@ class PGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements())
+        return self._order
 
     def index_map(self) -> dict:
         cached = getattr(self, "_index_map", None)
@@ -68,13 +79,19 @@ class PGroup:
 
 @dataclass
 class GroupTables:
-    """Materialized index tables: everything analysis needs, as plain ints."""
+    """Materialized index tables: everything analysis needs, as plain ints.
 
-    group: PGroup
+    ``mul[a]`` is the row of ``a`` (a tuple); ``gens`` are the indices of
+    the group's generators, without the identity or repeats.  The tables
+    hold no reference to their group, so a dropped group frees them at once.
+    """
+
+    p: int
     n: int
     e: int
-    mul: list[list[int]]
+    mul: list[tuple[int, ...]]
     inv: list[int]
+    gens: tuple[int, ...]
 
     def conj(self, g: int, h: int) -> int:
         """h^-1 g h"""
@@ -95,8 +112,36 @@ class GroupTables:
         return out
 
 
+def closure(start, gens, mul, limit: int | None = None) -> set:
+    """The elements reached from ``start`` by right multiplication by
+    ``gens`` under ``mul``; from the identity this is the subgroup the
+    generators generate, from a normal subgroup N it is N<gens>."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    if limit is not None and len(seen) >= limit:
+                        raise MaterializationLimitError(
+                            f"subgroup closure exceeded limit {limit}"
+                        )
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
-    """Materialize multiplication/inverse index tables (cached on the group)."""
+    """Materialize multiplication/inverse index tables (cached on the group).
+
+    The group law is called only for the generator rows (k * n products)
+    and the inverses; every other row is composed from those breadth-first
+    from the identity, so the table agrees with the law whenever the law is
+    associative.
+    """
     n = G.order
     if n > limit:
         raise MaterializationLimitError(
@@ -107,13 +152,28 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
         return cached
     elems = G.elements()
     idx = G.index_map()
-    mul = [[idx[G.mul(a, b)] for b in elems] for a in elems]
-    inv = [idx[G.inv(a)] for a in elems]
     e = idx[G.identity()]
+    gens = tuple(s for s in dict.fromkeys(idx[g] for g in G.generators()) if s != e)
+    # gather[s] maps the row of a to the row of a s, since (a s) b = a (s b)
+    gather = {s: itemgetter(*[idx[G.mul(elems[s], b)] for b in elems]) for s in gens}
+    mul: list = [None] * n
+    mul[e] = tuple(range(n))
+
+    def right_mul(a: int, s: int) -> int:
+        c = mul[a][s]
+        if mul[c] is None:
+            mul[c] = gather[s](mul[a])
+        return c
+
+    if len(closure([e], gens, right_mul)) != n:
+        raise InternalCheckError(
+            f"generators of {G.descriptor()} do not reach every element"
+        )
+    inv = [idx[G.inv(a)] for a in elems]
     for a in range(n):
         if mul[a][inv[a]] != e or mul[inv[a]][a] != e or mul[a][e] != a:
             raise InternalCheckError(f"group tables inconsistent at element {a}")
-    t = GroupTables(G, n, e, mul, inv)
+    t = GroupTables(G.p, n, e, mul, inv, gens)
     G._tables = t
     return t
 
@@ -148,6 +208,7 @@ class HGroup(PGroup):
         self.d = d
         self.zmod = p**d
         self.shift = p ** (d - 1)
+        self._order = p ** (2 * n + d)
 
     def identity(self):
         return ((0,) * self.n, (0,) * self.n, 0)
@@ -165,6 +226,11 @@ class HGroup(PGroup):
     def _element_list(self):
         vecs = list(product(range(self.p), repeat=self.n))
         return [(a, b, c) for a in vecs for b in vecs for c in range(self.zmod)]
+
+    def generators(self) -> list:
+        xs = [self.gen_x(i) for i in range(self.n)]
+        ys = [self.gen_y(i) for i in range(self.n)]
+        return xs + ys + [self.gen_z()]
 
     def descriptor(self) -> str:
         return f"kind=H p={self.p} n={self.n} d={self.d}"
@@ -198,6 +264,7 @@ class AGroup(PGroup):
         self.d = d
         self.x1mod = p ** (d + 1)
         self.shift = p**d
+        self._order = p ** (2 * n + d)
 
     def identity(self):
         return (0, (0,) * (self.n - 1), (0,) * self.n)
@@ -220,6 +287,10 @@ class AGroup(PGroup):
         rests = list(product(range(self.p), repeat=self.n - 1))
         bvecs = list(product(range(self.p), repeat=self.n))
         return [(a1, r, b) for a1 in range(self.x1mod) for r in rests for b in bvecs]
+
+    def generators(self) -> list:
+        # z = x_1^p, so the x_i and y_i suffice
+        return [self.gen_x(i) for i in range(self.n)] + [self.gen_y(i) for i in range(self.n)]
 
     def descriptor(self) -> str:
         return f"kind=A p={self.p} n={self.n} d={self.d}"
@@ -248,6 +319,7 @@ class CyclicPGroup(PGroup):
         self.p = p
         self.k = k
         self.mod = p**k
+        self._order = self.mod
 
     def identity(self):
         return 0
@@ -260,6 +332,9 @@ class CyclicPGroup(PGroup):
 
     def _element_list(self):
         return list(range(self.mod))
+
+    def generators(self) -> list:
+        return [self.gen()]
 
     def descriptor(self) -> str:
         return f"kind=C p={self.p} k={self.k}"
@@ -277,6 +352,7 @@ class DirectProductGroup(PGroup):
         self.p = g1.p
         self.g1 = g1
         self.g2 = g2
+        self._order = g1.order * g2.order
 
     def identity(self):
         return (self.g1.identity(), self.g2.identity())
@@ -286,6 +362,10 @@ class DirectProductGroup(PGroup):
 
     def inv(self, a):
         return (self.g1.inv(a[0]), self.g2.inv(a[1]))
+
+    def generators(self) -> list:
+        e1, e2 = self.g1.identity(), self.g2.identity()
+        return [(g, e2) for g in self.g1.generators()] + [(e1, h) for h in self.g2.generators()]
 
     def _element_list(self):
         return [(a, b) for a in self.g1.elements() for b in self.g2.elements()]
@@ -301,8 +381,10 @@ class SubgroupGroup(PGroup):
         self.p = parent.p
         self.parent = parent
         idx = parent.index_map()
-        closure = _closure_elements(parent, list(gens), limit)
-        self._sorted = sorted(closure, key=lambda g: idx[g])
+        self._gens = list(gens)
+        members = closure([parent.identity()], self._gens, parent.mul, limit)
+        self._sorted = sorted(members, key=lambda g: idx[g])
+        self._order = len(self._sorted)
 
     def identity(self):
         return self.parent.identity()
@@ -313,32 +395,14 @@ class SubgroupGroup(PGroup):
     def inv(self, a):
         return self.parent.inv(a)
 
+    def generators(self) -> list:
+        return list(self._gens)
+
     def _element_list(self):
         return list(self._sorted)
 
     def descriptor(self) -> str:
         return f"subgroup(order={len(self._sorted)}) of {self.parent.descriptor()}"
-
-
-def _closure_elements(G: PGroup, gens: list, limit: int) -> set:
-    e = G.identity()
-    seen = {e}
-    frontier = [e]
-    gens = [g for g in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in seen:
-                    if len(seen) >= limit:
-                        raise MaterializationLimitError(
-                            f"subgroup closure exceeded limit {limit}"
-                        )
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 class QuotientGroup(PGroup):
@@ -382,6 +446,7 @@ class QuotientGroup(PGroup):
                     raise ParameterError("subgroup is not normal")
         self._cosets = cosets
         self._coset_of = coset_of
+        self._order = len(cosets)
         self._rep = [min(c, key=lambda x: idx[x]) for c in cosets]
 
     def identity(self):
@@ -396,6 +461,9 @@ class QuotientGroup(PGroup):
         ra = self._rep[self._coset_of[next(iter(a))]]
         return self._cosets[self._coset_of[self.parent.inv(ra)]]
 
+    def generators(self) -> list:
+        return [self._cosets[self._coset_of[g]] for g in self.parent.generators()]
+
     def _element_list(self):
         return list(self._cosets)
 
@@ -409,8 +477,12 @@ class TableGroup(PGroup):
     """A group given by an explicit Cayley table of 0-based indices.
 
     Used for foreign groups fed to the CLI; the constructor checks the
-    group axioms exhaustively (closure, identity, inverses, associativity),
-    so an invalid table is rejected rather than silently accepted.
+    group axioms (closure, identity, inverses, associativity), so an
+    invalid table is rejected rather than silently accepted.
+    Associativity is Light's test: x (a y) = (x a) y for every x, y and
+    every a in a generating set, which holds for all a exactly when it
+    holds for the generators (the elements passing it are closed under
+    products).
     """
 
     def __init__(self, p: int, table: list[list[int]]):
@@ -423,39 +495,51 @@ class TableGroup(PGroup):
             m //= p
         if m != 1:
             raise ParameterError(f"order {n} is not a power of p = {p}")
-        for row in table:
-            for x in row:
-                if not 0 <= x < n:
-                    raise ParameterError(f"table entry {x} out of range")
-        ident = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                ident = e
-                break
+        rows = [tuple(row) for row in table]
+        for row in rows:
+            if min(row) < 0 or max(row) >= n:
+                bad = next(x for x in row if not 0 <= x < n)
+                raise ParameterError(f"table entry {bad} out of range")
+        identity_row = tuple(range(n))
+        ident = next(
+            (e for e in range(n) if rows[e] == identity_row and all(rows[x][e] == x for x in range(n))),
+            None,
+        )
         if ident is None:
             raise ParameterError("table has no identity element")
-        inverse = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == ident and table[b][a] == ident:
-                    inverse[a] = b
-                    break
-            if inverse[a] is None:
+        # The first right inverse must also be a left inverse: when another
+        # two-sided inverse exists the table is not associative anyway.
+        inverse = []
+        for a, row in enumerate(rows):
+            b = row.index(ident) if ident in row else None
+            if b is None or rows[b][a] != ident:
                 raise ParameterError(f"element {a} has no inverse")
-        for a in range(n):
-            ta = table[a]
-            for b in range(n):
-                tab = table[ta[b]]
-                tb = table[b]
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        raise ParameterError(
-                            f"table is not associative at ({a}, {b}, {c})"
-                        )
+            inverse.append(b)
+        # greedy generating set, in index order; every element is a product
+        # e s_1 s_2 ... of the chosen generators
+        gens: list[int] = []
+        span = {ident}
+        for g in range(n):
+            if len(span) == n:
+                break
+            if g not in span:
+                gens.append(g)
+                span = closure(span, gens, lambda x, s: rows[x][s])
+        for a in gens:
+            row_a = rows[a]
+            gather = itemgetter(*row_a)
+            for x, row_x in enumerate(rows):
+                if gather(row_x) != rows[row_x[a]]:
+                    y = next(y for y in range(n) if row_x[row_a[y]] != rows[row_x[a]][y])
+                    raise ParameterError(
+                        f"table is not associative at ({x}, {a}, {y})"
+                    )
         self.p = p
-        self._table = table
+        self._table = rows
         self._inv_list = inverse
         self._ident = ident
+        self._gens = gens
+        self._order = n
 
     def identity(self):
         return self._ident
@@ -465,6 +549,9 @@ class TableGroup(PGroup):
 
     def inv(self, a):
         return self._inv_list[a]
+
+    def generators(self) -> list:
+        return list(self._gens)
 
     def _element_list(self):
         return list(range(len(self._table)))

@@ -3,8 +3,13 @@
 Cheap invariants (order profile, center / commutator / Frattini sizes,
 abelian type) reject most non-isomorphic pairs outright; otherwise a
 backtracking search maps a Burnside-minimal generating sequence of one
-group into the other, growing a partial isomorphism whose consistency is
-checked by subgroup closure at every step.  Sound and complete for
+group into the other.  Each step rebuilds the partial map on the subgroup
+generated by the chosen generators by right multiplication with the chosen
+(generator, image) pairs only, checking consistency and injectivity; a
+consistent map on a generated subgroup is a homomorphism, so a complete
+one is an isomorphism.  The invariants and per-element signatures are
+exhaustive over the elements; centralizer sizes come from conjugacy
+classes found as orbits under the generators.  Sound and complete for
 materialized groups.
 """
 
@@ -16,6 +21,7 @@ from .analysis import (
     center_idx,
     closure_idx,
     commutator_subgroup_idx,
+    conjugacy_classes_idx,
     element_order_idx,
     exponent_idx,
     frattini_idx,
@@ -25,13 +31,14 @@ from .base import DEFAULT_LIMIT, GroupTables, PGroup, tables
 
 
 def _signatures(t: GroupTables) -> list[tuple[int, int]]:
-    """(element order, centralizer size) per element; isomorphism-invariant."""
-    sig = []
-    for g in range(t.n):
-        row = t.mul[g]
-        cent = sum(1 for h in range(t.n) if row[h] == t.mul[h][g])
-        sig.append((element_order_idx(t, g), cent))
-    return sig
+    """(element order, centralizer size) per element; isomorphism-invariant.
+    The centralizer of g has n / |class of g| elements."""
+    cent = [0] * t.n
+    for cls in conjugacy_classes_idx(t):
+        size = t.n // len(cls)
+        for g in cls:
+            cent[g] = size
+    return [(element_order_idx(t, g), cent[g]) for g in range(t.n)]
 
 
 def _invariants(G: PGroup, limit: int):
@@ -54,47 +61,40 @@ def _minimal_generating_sequence(t: GroupTables) -> list[int]:
     for g in range(t.n):
         if g not in span:
             gens.append(g)
-            span = set(closure_idx(t, set(span) | {g}))
+            span = set(closure_idx(t, gens, span))
             if len(span) == t.n:
                 break
     return gens
 
 
-def _extend_partial(tg: GroupTables, th: GroupTables, phi: dict[int, int], g: int, h: int):
-    """Extend a partial isomorphism by g -> h, closing under products.
+def _extend_partial(tg: GroupTables, th: GroupTables, pairs: list[tuple[int, int]]):
+    """The map on <g_1, ..., g_k> with phi(x g_i) = phi(x) h_i for the
+    ``pairs`` (g_i, h_i), built from the identity.
 
-    Returns the extended map on the generated subgroup, or None if any
-    product is inconsistent or injectivity fails.
+    Returns None if some product is inconsistent or injectivity fails.
     """
-    if g in phi:
-        return phi if phi[g] == h else None
-    phi2 = dict(phi)
-    used = set(phi2.values())
-    if h in used:
-        return None
-    phi2[g] = h
-    used.add(h)
-    frontier = [g]
+    phi = {tg.e: th.e}
+    used = {th.e}
+    frontier = [tg.e]
     while frontier:
-        x = frontier.pop()
-        fx = phi2[x]
-        for y in list(phi2):
-            fy = phi2[y]
-            for prod, img in (
-                (tg.mul[x][y], th.mul[fx][fy]),
-                (tg.mul[y][x], th.mul[fy][fx]),
-            ):
-                known = phi2.get(prod)
-                if known is not None:
-                    if known != img:
+        nxt = []
+        for x in frontier:
+            row_x = tg.mul[x]
+            row_fx = th.mul[phi[x]]
+            for g, h in pairs:
+                y = row_x[g]
+                img = row_fx[h]
+                known = phi.get(y)
+                if known is None:
+                    if img in used:
                         return None
-                elif img in used:
-                    return None
-                else:
-                    phi2[prod] = img
+                    phi[y] = img
                     used.add(img)
-                    frontier.append(prod)
-    return phi2
+                    nxt.append(y)
+                elif known != img:
+                    return None
+        frontier = nxt
+    return phi
 
 
 def is_isomorphic(G: PGroup, H: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
@@ -118,14 +118,16 @@ def is_isomorphic(G: PGroup, H: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
     for h, s in enumerate(sig_h):
         by_sig.setdefault(s, []).append(h)
 
-    def search(phi: dict[int, int], k: int) -> bool:
+    def search(pairs: list[tuple[int, int]], phi: dict[int, int]) -> bool:
+        k = len(pairs)
         if k == len(gens):
             return len(phi) == tg.n
         g = gens[k]
         for h in by_sig.get(sig_g[g], ()):
-            phi2 = _extend_partial(tg, th, phi, g, h)
-            if phi2 is not None and search(phi2, k + 1):
+            pairs2 = pairs + [(g, h)]
+            phi2 = _extend_partial(tg, th, pairs2)
+            if phi2 is not None and search(pairs2, phi2):
                 return True
         return False
 
-    return search({tg.e: th.e}, 0)
+    return search([], {tg.e: th.e})

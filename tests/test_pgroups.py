@@ -1,10 +1,17 @@
+import gc
+import random
+import time
+import weakref
+
 import pytest
 
 from ramforge.errors import InternalCheckError, MaterializationLimitError, ParameterError
+from ramforge.forge import derive_nonint, verify_certificate
 from ramforge.pgroups import (
     CyclicPGroup,
     DirectProductGroup,
     QuotientGroup,
+    SubgroupGroup,
     TableGroup,
     automorphism_from_generator_images,
     build_A1d_via_Gd,
@@ -22,6 +29,7 @@ from ramforge.pgroups import (
     parse_group_descriptor,
     tables,
 )
+from ramforge.pgroups.iso import _extend_partial
 
 
 def H(n, d, p=3):
@@ -30,6 +38,65 @@ def H(n, d, p=3):
 
 def A(n, d, p=3):
     return make_group("A", p, n, d)
+
+
+def law_tables(G):
+    """The n^2 table straight from the group law: the oracle for `tables`."""
+    elems = G.elements()
+    idx = G.index_map()
+    return [[idx[G.mul(a, b)] for b in elems] for a in elems]
+
+
+def relabelled(rows, seed):
+    """The same table with elements renamed by a seeded permutation."""
+    n = len(rows)
+    new = list(range(n))
+    random.Random(seed).shuffle(new)
+    old = [0] * n
+    for o, x in enumerate(new):
+        old[x] = o
+    return [[new[rows[old[a]][old[b]]] for b in range(n)] for a in range(n)]
+
+
+def subgroup_x_z():
+    G = H(1, 2)
+    return SubgroupGroup(G, [G.gen_x(0), G.gen_z()])
+
+
+def quotient_by_center():
+    G = H(1, 1)
+    z = G.gen_z()
+    return QuotientGroup(G, [G.identity(), z, G.mul(z, z)])
+
+
+# Every kind of group `tables` meets, up to order 243.
+TABLE_CASES = {
+    "H(1,1)": lambda: H(1, 1),
+    "H(1,2)": lambda: H(1, 2),
+    "H(2,1)": lambda: H(2, 1),
+    "H(0,2)": lambda: H(0, 2),
+    "H(1,1) p=5": lambda: H(1, 1, p=5),
+    "A(1,1)": lambda: A(1, 1),
+    "A(1,2)": lambda: A(1, 2),
+    "A(2,1)": lambda: A(2, 1),
+    "A(1,3)": lambda: A(1, 3),
+    "C(3,1)": lambda: CyclicPGroup(3, 1),
+    "C(3,4)": lambda: CyclicPGroup(3, 4),
+    "C(5,2)": lambda: CyclicPGroup(5, 2),
+    "H(1,1) x C(3,1)": lambda: DirectProductGroup(H(1, 1), CyclicPGroup(3, 1)),
+    "A(1,1) x C(3,2)": lambda: DirectProductGroup(A(1, 1), CyclicPGroup(3, 2)),
+    "C(3,1) x C(3,1) x C(3,1)": lambda: parse_group_descriptor(
+        "kind=C p=3 k=1 x kind=C p=3 k=1 x kind=C p=3 k=1"
+    ),
+    "subgroup <x, z> of H(1,2)": subgroup_x_z,
+    "H(1,1) / Z": quotient_by_center,
+    "central product H(1,1) * H(1,1)": lambda: central_product(H(1, 1), H(1, 1)),
+    "central product H(0,2) * H(1,1)": lambda: central_product(H(0, 2), H(1, 1)),
+    "A(1,1) via G_d": lambda: build_A1d_via_Gd(3, 1),
+    "A(1,2) via G_d": lambda: build_A1d_via_Gd(3, 2),
+    "table H(1,2)": lambda: TableGroup(3, relabelled(law_tables(H(1, 2)), 1)),
+    "table A(2,1)": lambda: TableGroup(3, relabelled(law_tables(A(2, 1)), 2)),
+}
 
 
 class TestConstruction:
@@ -60,13 +127,14 @@ class TestConstruction:
 
     @pytest.mark.parametrize("G", [H(1, 1), A(1, 1)])
     def test_associativity_exhaustive(self, G):
-        t = tables(G)
-        n = t.n
-        for a in range(n):
-            for b in range(n):
-                ab = t.mul[a][b]
-                for c in range(n):
-                    assert t.mul[ab][c] == t.mul[a][t.mul[b][c]]
+        # the law itself: `tables` composes rows and is associative by
+        # construction, so checking its output would prove nothing
+        elems = G.elements()
+        for a in elems:
+            for b in elems:
+                ab = G.mul(a, b)
+                for c in elems:
+                    assert G.mul(ab, c) == G.mul(a, G.mul(b, c))
 
     @pytest.mark.parametrize("G", [H(1, 1), A(1, 1), A(1, 2)])
     def test_power_collection_identity(self, G):
@@ -81,6 +149,64 @@ class TestConstruction:
                     t.power(t.commutator(b, a), k)
                 ]
                 assert lhs == rhs
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", sorted(TABLE_CASES))
+    def test_matches_law(self, name):
+        G = TABLE_CASES[name]()
+        t = tables(G)
+        assert [list(row) for row in t.mul] == law_tables(G)
+        idx = G.index_map()
+        assert t.inv == [idx[G.inv(g)] for g in G.elements()]
+        assert t.e == idx[G.identity()]
+        assert t.p == G.p and t.n == G.order
+        assert t.e not in t.gens and len(set(t.gens)) == len(t.gens)
+
+    @pytest.mark.parametrize(
+        "G",
+        [H(n, d, p) for p in (3, 5) for n in (0, 1, 2) for d in (1, 2) if p**(2 * n + d) <= 3125]
+        + [A(n, d, p) for p in (3, 5) for n in (1, 2) for d in (1, 2) if p**(2 * n + d) <= 3125]
+        + [CyclicPGroup(p, k) for p in (3, 7) for k in (1, 3)]
+        + [DirectProductGroup(A(1, 1), CyclicPGroup(3, 2)), subgroup_x_z(), quotient_by_center()],
+        ids=repr,
+    )
+    def test_closed_form_order(self, G):
+        assert G.order == len(G._element_list())
+
+    def test_over_limit_refused_before_enumeration(self):
+        G = H(9, 1)  # order 3^19
+        start = time.perf_counter()
+        with pytest.raises(MaterializationLimitError):
+            tables(G)
+        assert time.perf_counter() - start < 1.0
+        assert getattr(G, "_elements", None) is None
+
+    def test_generators_must_generate(self):
+        G = H(1, 1)
+        G.generators = lambda: [G.gen_x(0), G.gen_z()]
+        with pytest.raises(InternalCheckError):
+            tables(G)
+
+    def test_dropped_group_frees_its_tables(self):
+        # the tables hold no reference back to the group, so dropping the
+        # group frees them without the cycle collector
+        gc.disable()
+        try:
+            G = H(1, 1)
+            ref = weakref.ref(tables(G))
+            del G
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_hostile_rank_builds_and_verifies_quickly(self):
+        # group legs of H(9, 1) are over the certificate limit and become
+        # assumptions; closed-form orders decide that without enumeration
+        start = time.perf_counter()
+        text = derive_nonint("H", 3, 9, 1).render()
+        verify_certificate(text)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestBasics:
@@ -246,6 +372,13 @@ class TestBurnside:
         with pytest.raises(ParameterError):
             burnside_action_check(G, {e: e, g1: g1, g2: g1}, 2)
 
+    def test_rejects_map_multiplicative_on_one_generator_only(self):
+        # (a, b, c) -> (a, b, c + b^2) respects the first generator only
+        G = parse_group_descriptor("kind=C p=3 k=1 x kind=C p=3 k=1 x kind=C p=3 k=1")
+        alpha = {((a, b), c): ((a, b), (c + b * b) % 3) for ((a, b), c) in G.elements()}
+        with pytest.raises(ParameterError, match="not a homomorphism"):
+            burnside_action_check(G, alpha, 2)
+
     def test_rejects_p_order(self):
         G = DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1))
         shear = {(a, b): ((a + b) % 3, b) for (a, b) in G.elements()}
@@ -266,6 +399,23 @@ class TestIsomorphism:
         assert not is_isomorphic(
             CyclicPGroup(3, 2), DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1))
         )
+
+    def test_partial_map_consistency(self):
+        # C_3 x C_3 -> C_9 by a -> 1, b -> 3 is injective but not a
+        # homomorphism: 3a = 0 would map to 3
+        tg = tables(DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1)))
+        th = tables(CyclicPGroup(3, 2))
+        a, b = tg.gens
+        assert _extend_partial(tg, th, [(a, 1), (b, 3)]) is None
+
+    def test_partial_map_injectivity(self):
+        G = H(1, 1)
+        t = tables(G)
+        idx = G.index_map()
+        x, y = idx[G.gen_x(0)], idx[G.gen_y(0)]
+        assert _extend_partial(t, t, [(x, x), (y, x)]) is None
+        swap = _extend_partial(t, t, [(x, y), (y, x)])
+        assert swap is not None and sorted(swap.values()) == list(range(t.n))
 
     def test_relabelled_table(self):
         G = H(1, 1)
