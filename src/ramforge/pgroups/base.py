@@ -5,13 +5,18 @@ Every group exposes a deterministic element order and a generating set;
 all searches and constructions derive their results from that order, never
 from timing, so repeated runs give identical answers.  Orders are known in
 closed form before any element is enumerated, and `tables` builds the
-multiplication table from one law-computed row per generator.
+multiplication table from one row per generator.  H, A, C, subgroups and
+explicit tables compute those rows by their law; direct products and
+quotients are index-native: they compose their rows from their parents'
+tables by integer arithmetic, and a quotient checks normality by
+conjugating N by the parent's generators only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+from math import gcd
 from operator import itemgetter
 
 from ..errors import (
@@ -49,6 +54,19 @@ class PGroup:
 
     def _element_list(self) -> list:
         raise NotImplementedError
+
+    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+        """The identity's index, the row ``b -> s b`` of each generator
+        index ``s`` (without the identity or repeats, in generator order),
+        and the inverse of every index: by the group law unless a group
+        can compose them from its parents' tables."""
+        elems = self.elements()
+        idx = self.index_map()
+        e = idx[self.identity()]
+        gens = dict.fromkeys(idx[g] for g in self.generators())
+        gens.pop(e, None)
+        rows = {s: [idx[self.mul(elems[s], b)] for b in elems] for s in gens}
+        return e, rows, [idx[self.inv(a)] for a in elems]
 
     def descriptor(self) -> str:
         raise NotImplementedError
@@ -92,6 +110,25 @@ class GroupTables:
     mul: list[tuple[int, ...]]
     inv: list[int]
     gens: tuple[int, ...]
+    _orders: list[int] | None = field(default=None, init=False, repr=False)
+
+    def orders(self) -> list[int]:
+        """The order of every element, computed once per table.  Each walk
+        along the powers of g fills in those powers too: g^k has order
+        m / gcd(k, m) when g has order m."""
+        if self._orders is None:
+            orders = [0] * self.n
+            for g in range(self.n):
+                if orders[g]:
+                    continue
+                powers = [g]
+                while powers[-1] != self.e:
+                    powers.append(self.mul[powers[-1]][g])
+                m = len(powers)
+                for k, x in enumerate(powers, 1):
+                    orders[x] = m // gcd(k, m)
+            self._orders = orders
+        return self._orders
 
     def conj(self, g: int, h: int) -> int:
         """h^-1 g h"""
@@ -137,10 +174,11 @@ def closure(start, gens, mul, limit: int | None = None) -> set:
 def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     """Materialize multiplication/inverse index tables (cached on the group).
 
-    The group law is called only for the generator rows (k * n products)
-    and the inverses; every other row is composed from those breadth-first
-    from the identity, so the table agrees with the law whenever the law is
-    associative.
+    The group supplies one row per generator and the inverses (by its law,
+    or from its parents' tables); every other row is composed from those
+    breadth-first from the identity, so the table agrees with the law
+    whenever the law is associative.  ``limit`` applies to every table
+    built on the way.
     """
     n = G.order
     if n > limit:
@@ -150,12 +188,10 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     cached = getattr(G, "_tables", None)
     if cached is not None:
         return cached
-    elems = G.elements()
-    idx = G.index_map()
-    e = idx[G.identity()]
-    gens = tuple(s for s in dict.fromkeys(idx[g] for g in G.generators()) if s != e)
+    e, rows, inv = G._generator_rows(limit)
+    gens = tuple(rows)
     # gather[s] maps the row of a to the row of a s, since (a s) b = a (s b)
-    gather = {s: itemgetter(*[idx[G.mul(elems[s], b)] for b in elems]) for s in gens}
+    gather = {s: itemgetter(*row) for s, row in rows.items()}
     mul: list = [None] * n
     mul[e] = tuple(range(n))
 
@@ -169,7 +205,6 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
         raise InternalCheckError(
             f"generators of {G.descriptor()} do not reach every element"
         )
-    inv = [idx[G.inv(a)] for a in elems]
     for a in range(n):
         if mul[a][inv[a]] != e or mul[inv[a]][a] != e or mul[a][e] != a:
             raise InternalCheckError(f"group tables inconsistent at element {a}")
@@ -367,6 +402,19 @@ class DirectProductGroup(PGroup):
         e1, e2 = self.g1.identity(), self.g2.identity()
         return [(g, e2) for g in self.g1.generators()] + [(e1, h) for h in self.g2.generators()]
 
+    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+        # (a, b) has index a n2 + b, and (s1, s2) (x, y) = (s1 x, s2 y)
+        t1 = tables(self.g1, limit)
+        t2 = tables(self.g2, limit)
+        n2 = t2.n
+        pairs = [(s, t2.e) for s in t1.gens] + [(t1.e, s) for s in t2.gens]
+        rows = {
+            s1 * n2 + s2: [x * n2 + y for x in t1.mul[s1] for y in t2.mul[s2]]
+            for s1, s2 in pairs
+        }
+        inv = [a * n2 + b for a in t1.inv for b in t2.inv]
+        return t1.e * n2 + t2.e, rows, inv
+
     def _element_list(self):
         return [(a, b) for a in self.g1.elements() for b in self.g2.elements()]
 
@@ -408,46 +456,52 @@ class SubgroupGroup(PGroup):
 class QuotientGroup(PGroup):
     """G/N for a normal subgroup N, with cosets as frozensets of elements.
 
-    Cosets are ordered by the parent index of their first member, so the
-    element order is deterministic.
+    Cosets are ordered by the parent index of their first member, which is
+    their representative, so the element order is deterministic.  Cosets,
+    the normality check and the quotient's tables all work on the parent's
+    index tables (materialized under ``limit``).  Normality is tested on
+    the parent's generators only: conjugation is a bijection, so s^-1 N s
+    within N gives s^-1 N s = N, and the elements fixing N form a subgroup.
     """
 
-    def __init__(self, parent: PGroup, normal_elements):
+    def __init__(self, parent: PGroup, normal_elements, limit: int = DEFAULT_LIMIT):
         self.p = parent.p
         self.parent = parent
         nset = set(normal_elements)
         if parent.identity() not in nset:
             raise ParameterError("normal subgroup must contain the identity")
         idx = parent.index_map()
-        elems = parent.elements()
-        if not nset <= set(elems):
+        if not nset <= idx.keys():
             raise ParameterError("normal subgroup has elements outside the group")
-        if len(elems) % len(nset):
+        if parent.order % len(nset):
             raise ParameterError("subgroup size does not divide the group order")
-        coset_of: dict = {}
+        t = tables(parent, limit)
+        elems = parent.elements()
+        nidx = {idx[h] for h in nset}
+        coset_id = [-1] * t.n
+        reps: list[int] = []
         cosets: list[frozenset] = []
-        for g in elems:  # ascending parent index
-            if g in coset_of:
+        for g in range(t.n):  # the first unassigned index leads its coset
+            if coset_id[g] >= 0:
                 continue
-            coset = frozenset(parent.mul(g, h) for h in nset)
-            if len(coset) != len(nset):
+            row = t.mul[g]
+            members = {row[h] for h in nidx}
+            if len(members) != len(nidx):
                 raise ParameterError("coset size mismatch: not a subgroup")
-            cid = len(cosets)
-            cosets.append(coset)
-            for x in coset:
-                if x in coset_of:
+            for x in members:
+                if coset_id[x] >= 0:
                     raise ParameterError("cosets overlap: not a subgroup")
-                coset_of[x] = cid
-        # normality: g^-1 N g = N for all g
-        for g in elems:
-            gi = parent.inv(g)
-            for h in nset:
-                if parent.mul(parent.mul(gi, h), g) not in nset:
-                    raise ParameterError("subgroup is not normal")
+                coset_id[x] = len(reps)
+            reps.append(g)
+            cosets.append(frozenset(elems[x] for x in members))
+        if any(t.conj(h, s) not in nidx for s in t.gens for h in nidx):
+            raise ParameterError("subgroup is not normal")
         self._cosets = cosets
-        self._coset_of = coset_of
-        self._order = len(cosets)
-        self._rep = [min(c, key=lambda x: idx[x]) for c in cosets]
+        self._coset_of = {elems[x]: cid for x, cid in enumerate(coset_id)}
+        self._rep = [elems[r] for r in reps]
+        self._coset_idx = coset_id
+        self._rep_idx = reps
+        self._order = len(reps)
 
     def identity(self):
         return self._cosets[self._coset_of[self.parent.identity()]]
@@ -463,6 +517,20 @@ class QuotientGroup(PGroup):
 
     def generators(self) -> list:
         return [self._cosets[self._coset_of[g]] for g in self.parent.generators()]
+
+    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+        # coset c times coset d is the coset of rep(c) rep(d)
+        t = tables(self.parent, limit)
+        cid = self._coset_idx
+        reps = self._rep_idx
+        e = cid[t.e]
+        gens = dict.fromkeys(cid[s] for s in t.gens)
+        gens.pop(e, None)
+        rows = {}
+        for c in gens:
+            row = t.mul[reps[c]]
+            rows[c] = [cid[row[r]] for r in reps]
+        return e, rows, [cid[t.inv[r]] for r in reps]
 
     def _element_list(self):
         return list(self._cosets)

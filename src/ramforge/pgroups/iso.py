@@ -8,9 +8,9 @@ generated by the chosen generators by right multiplication with the chosen
 (generator, image) pairs only, checking consistency and injectivity; a
 consistent map on a generated subgroup is a homomorphism, so a complete
 one is an isomorphism.  The invariants and per-element signatures are
-exhaustive over the elements; centralizer sizes come from conjugacy
-classes found as orbits under the generators.  Sound and complete for
-materialized groups.
+exhaustive over the elements, from one list of element orders per table;
+centralizer sizes come from conjugacy classes found as orbits under the
+generators.  Sound and complete for materialized groups.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .analysis import (
     closure_idx,
     commutator_subgroup_idx,
     conjugacy_classes_idx,
-    element_order_idx,
-    exponent_idx,
     frattini_idx,
     is_abelian,
 )
@@ -38,19 +36,19 @@ def _signatures(t: GroupTables) -> list[tuple[int, int]]:
         size = t.n // len(cls)
         for g in cls:
             cent[g] = size
-    return [(element_order_idx(t, g), cent[g]) for g in range(t.n)]
+    return list(zip(t.orders(), cent))
 
 
 def _invariants(G: PGroup, limit: int):
     t = tables(G, limit)
-    profile = Counter(element_order_idx(t, g) for g in range(t.n))
+    profile = Counter(t.orders())
     return (
         t.n,
         tuple(sorted(profile.items())),
         len(center_idx(t)),
         len(commutator_subgroup_idx(t)),
         len(frattini_idx(t)),
-        exponent_idx(t),
+        max(profile),
         is_abelian(G, limit),
     )
 

@@ -2,6 +2,7 @@ import gc
 import random
 import time
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,7 @@ from ramforge.pgroups import (
     parse_group_descriptor,
     tables,
 )
+from ramforge.pgroups.analysis import _normal_subgroups_avoiding
 from ramforge.pgroups.iso import _extend_partial
 
 
@@ -58,6 +60,40 @@ def relabelled(rows, seed):
     return [[new[rows[old[a]][old[b]]] for b in range(n)] for a in range(n)]
 
 
+def law_quotient(G, N):
+    """G/N the way the law gives it: cosets g N through `G.mul` in element
+    order, each led by its least member, and normality by conjugating N
+    by every element.  The oracle for `QuotientGroup`; None when N is not
+    normal."""
+    nset = set(N)
+    coset_of = {}
+    cosets = []
+    for g in G.elements():
+        if g not in coset_of:
+            coset = frozenset(G.mul(g, h) for h in nset)
+            assert len(coset) == len(nset) and not coset & coset_of.keys()
+            coset_of.update(dict.fromkeys(coset, len(cosets)))
+            cosets.append(coset)
+    if not all(G.mul(G.mul(G.inv(g), h), g) in nset for g in G.elements() for h in nset):
+        return None
+    idx = G.index_map()
+    reps = [min(c, key=idx.__getitem__) for c in cosets]
+    mul = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
+    inv = [coset_of[G.inv(a)] for a in reps]
+    return cosets, coset_of, reps, mul, inv
+
+
+def counting_law(G):
+    """Count calls of G's law from here on."""
+    calls = Counter()
+    for name in ("mul", "inv"):
+        def counted(*args, _law=getattr(G, name), _name=name):
+            calls[_name] += 1
+            return _law(*args)
+        setattr(G, name, counted)
+    return calls
+
+
 def subgroup_x_z():
     G = H(1, 2)
     return SubgroupGroup(G, [G.gen_x(0), G.gen_z()])
@@ -69,7 +105,7 @@ def quotient_by_center():
     return QuotientGroup(G, [G.identity(), z, G.mul(z, z)])
 
 
-# Every kind of group `tables` meets, up to order 243.
+# Every kind of group `tables` meets, up to order 729.
 TABLE_CASES = {
     "H(1,1)": lambda: H(1, 1),
     "H(1,2)": lambda: H(1, 2),
@@ -94,6 +130,9 @@ TABLE_CASES = {
     "central product H(0,2) * H(1,1)": lambda: central_product(H(0, 2), H(1, 1)),
     "A(1,1) via G_d": lambda: build_A1d_via_Gd(3, 1),
     "A(1,2) via G_d": lambda: build_A1d_via_Gd(3, 2),
+    "H(1,2) x C(3,1) x C(3,1)": lambda: parse_group_descriptor(
+        "kind=H p=3 n=1 d=2 x kind=C p=3 k=1 x kind=C p=3 k=1"
+    ),
     "table H(1,2)": lambda: TableGroup(3, relabelled(law_tables(H(1, 2)), 1)),
     "table A(2,1)": lambda: TableGroup(3, relabelled(law_tables(A(2, 1)), 2)),
 }
@@ -162,6 +201,13 @@ class TestTables:
         assert t.e == idx[G.identity()]
         assert t.p == G.p and t.n == G.order
         assert t.e not in t.gens and len(set(t.gens)) == len(t.gens)
+        # index-native rows keep the generators the group reports
+        assert t.gens == tuple(dict.fromkeys(idx[g] for g in G.generators() if idx[g] != t.e))
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CASES))
+    def test_orders_match_powers(self, name):
+        t = tables(TABLE_CASES[name]())
+        assert t.orders() == [element_order_idx(t, g) for g in range(t.n)]
 
     @pytest.mark.parametrize(
         "G",
@@ -463,8 +509,103 @@ class TestQuotientDeterminism:
         G = H(1, 1)
         x = G.gen_x(0)
         sub = [G.identity(), x, G.mul(x, x)]
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="not normal"):
             QuotientGroup(G, sub)
+
+    def test_rejects_non_subgroup(self):
+        G = H(1, 1)
+        x, y = G.gen_x(0), G.gen_y(0)
+        with pytest.raises(ParameterError, match="not a subgroup"):
+            QuotientGroup(G, [G.identity(), x, y])
+        with pytest.raises(ParameterError, match="identity"):
+            QuotientGroup(G, [x, G.mul(x, x), y])
+        with pytest.raises(ParameterError, match="outside"):
+            QuotientGroup(G, [G.identity(), "foreign", 7])
+        with pytest.raises(ParameterError, match="divide"):
+            QuotientGroup(G, [G.identity(), x])
+
+
+# Parents for the quotient differential test: every normal subgroup of each.
+QUOTIENT_PARENTS = {
+    "H(1,1)": lambda: H(1, 1),
+    "H(1,2)": lambda: H(1, 2),
+    "A(1,2)": lambda: A(1, 2),
+    "H(1,1) x C(3,1)": lambda: DirectProductGroup(H(1, 1), CyclicPGroup(3, 1)),
+    "table A(1,2)": lambda: TableGroup(3, relabelled(law_tables(A(1, 2)), 3)),
+}
+
+
+class TestQuotientDifferential:
+    @pytest.mark.parametrize("name", sorted(QUOTIENT_PARENTS))
+    def test_normal_subgroups_match_law(self, name):
+        G = QUOTIENT_PARENTS[name]()
+        t = tables(G)
+        elems = G.elements()
+        # an index outside the group is in no subgroup, so nothing is pruned
+        normals = _normal_subgroups_avoiding(t, frozenset({t.n}))
+        assert len(normals) > 3
+        for sub in normals:
+            N = [elems[i] for i in sorted(sub)]
+            cosets, coset_of, reps, mul, inv = law_quotient(G, N)
+            Q = QuotientGroup(G, N)
+            assert Q.elements() == tuple(cosets)
+            assert Q._rep == reps
+            assert Q._coset_of == coset_of
+            assert Q.order == len(cosets) == t.n // len(N)
+            tq = tables(Q)
+            assert [list(row) for row in tq.mul] == mul == law_tables(Q)
+            assert tq.inv == inv
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENT_PARENTS))
+    def test_normality_matches_law(self, name):
+        # every cyclic subgroup: accepted exactly when the scan over all
+        # elements finds it normal
+        G = QUOTIENT_PARENTS[name]()
+        t = tables(G)
+        elems = G.elements()
+        cyclic = {frozenset(t.power(g, k) for k in range(m)) for g, m in enumerate(t.orders())}
+        verdicts = Counter()
+        for sub in cyclic:
+            N = [elems[i] for i in sorted(sub)]
+            want = law_quotient(G, N)
+            verdicts[want is None] += 1
+            if want is None:
+                with pytest.raises(ParameterError, match="not normal"):
+                    QuotientGroup(G, N)
+            else:
+                assert QuotientGroup(G, N).elements() == tuple(want[0])
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+class TestIndexNative:
+    """Composite groups build their tables from their parents' tables:
+    once those exist, the parents' laws are not called again."""
+
+    def test_quotient_makes_no_parent_law_calls(self):
+        G = H(1, 2)
+        z3 = G.mul(G.gen_z(), G.mul(G.gen_z(), G.gen_z()))
+        N = [G.identity(), z3, G.mul(z3, z3)]
+        tables(G)
+        calls = counting_law(G)
+        Q = QuotientGroup(G, N)
+        tables(Q)
+        assert Q.order == 27
+        assert calls == Counter()
+
+    def test_product_makes_no_factor_law_calls(self):
+        g1, g2 = A(1, 1), H(1, 1)
+        tables(g1)
+        tables(g2)
+        calls1, calls2 = counting_law(g1), counting_law(g2)
+        assert tables(DirectProductGroup(g1, g2)).n == 729
+        assert calls1 == calls2 == Counter()
+
+    def test_limit_reaches_the_parent(self):
+        G = H(1, 2)
+        with pytest.raises(MaterializationLimitError):
+            QuotientGroup(G, [G.identity()], limit=27)
+        with pytest.raises(MaterializationLimitError):
+            tables(DirectProductGroup(H(1, 1), CyclicPGroup(3, 1)), limit=27)
 
 
 class TestDescriptors:
