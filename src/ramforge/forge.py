@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .astower import ASExtension, as_reduce_F, as_reduce_K
@@ -44,7 +45,6 @@ from .pgroups import (
     make_group,
     minimal_nonabelian_quotient,
     parse_group_descriptor,
-    perm_order,
 )
 from .ramcalc import (
     BreakMultiset,
@@ -271,10 +271,7 @@ def pick_parameters(p: int, v) -> tuple[int, int]:
     b = int(v) + 1
     while b <= v or b % p == 0:
         b += 1
-    a = b + 1
-    while a % p == 0 or (a + b) % p == 0:
-        a += 1
-    return b, a
+    return b, _pick_a_above(p, b, b)
 
 
 def _pick_a_above(p: int, b: int, v) -> int:
@@ -501,89 +498,51 @@ def _group_check_steps(
     """Distinctness of the compositum side field and the central-product
     (or fiber-product) form of the target group; machine-checked when the
     ambient orders stay small, recorded as assumptions otherwise."""
-    steps: list[Step] = []
     if kind == "A1d":
-        side = DirectProductGroup(CyclicPGroup(p, d + 1), CyclicPGroup(p, 1))
         target = make_group("A", p, 1, d)
-        side_desc = side.descriptor()
-        if side.order <= CERT_GROUP_LIMIT:
-            if is_isomorphic(side, target, CERT_GROUP_LIMIT):
-                raise InternalCheckError("side field group matches the target group")
-            out = "false"
-        else:
-            assumptions.use("group-distinctness-assumed")
-            out = "assumed-false"
-        steps.append(
-            Step(
-                start,
-                "distinct-side-group",
-                (("lhs", side_desc), ("rhs", target.descriptor())),
-                (("isomorphic", out),),
-            )
+        side = DirectProductGroup(CyclicPGroup(p, d + 1), CyclicPGroup(p, 1))
+        ambient_order = p ** (d + 4)
+        construction = partial(build_A1d_via_Gd, p, d, CERT_GROUP_LIMIT)
+        form_inputs = (("construction", f"fiber-product p={p} d={d}"),)
+    else:
+        target = make_group(kind, p, n, d)
+        base = make_group(kind, p, n - 1, d)
+        h11 = make_group("H", p, 1, 1)
+        side = DirectProductGroup(
+            DirectProductGroup(base, CyclicPGroup(p, 1)), CyclicPGroup(p, 1)
         )
-        if p ** (d + 4) <= CERT_GROUP_LIMIT:
-            q = build_A1d_via_Gd(p, d, CERT_GROUP_LIMIT)
-            if not is_isomorphic(q, target, CERT_GROUP_LIMIT):
-                raise InternalCheckError("fiber-product quotient is not A(1, d)")
-            out = "true"
-        else:
-            assumptions.use("central-product-assumed")
-            out = "assumed-true"
-        steps.append(
-            Step(
-                start + 1,
-                "quotient-group-form",
-                (
-                    ("construction", f"fiber-product p={p} d={d}"),
-                    ("target", target.descriptor()),
-                ),
-                (("isomorphic", out),),
-            )
-        )
-        return steps
+        ambient_order = base.order * h11.order
+        construction = partial(central_product, base, h11, limit=CERT_GROUP_LIMIT)
+        form_inputs = (("left", base.descriptor()), ("right", h11.descriptor()))
 
-    base_group = make_group(kind, p, n - 1, d) if (kind == "A" or n - 1 > 0) else make_group("H", p, 0, d)
-    target = make_group(kind, p, n, d)
-    side = DirectProductGroup(
-        DirectProductGroup(base_group, CyclicPGroup(p, 1)), CyclicPGroup(p, 1)
-    )
     if side.order <= CERT_GROUP_LIMIT:
         if is_isomorphic(side, target, CERT_GROUP_LIMIT):
             raise InternalCheckError("side field group matches the target group")
-        out = "false"
+        distinct = "false"
     else:
         assumptions.use("group-distinctness-assumed")
-        out = "assumed-false"
-    steps.append(
+        distinct = "assumed-false"
+    if ambient_order <= CERT_GROUP_LIMIT:
+        if not is_isomorphic(construction(), target, CERT_GROUP_LIMIT):
+            raise InternalCheckError("group construction does not realize the target group")
+        form = "true"
+    else:
+        assumptions.use("central-product-assumed")
+        form = "assumed-true"
+    return [
         Step(
             start,
             "distinct-side-group",
             (("lhs", side.descriptor()), ("rhs", target.descriptor())),
-            (("isomorphic", out),),
-        )
-    )
-    h11 = make_group("H", p, 1, 1)
-    if base_group.order * h11.order <= CERT_GROUP_LIMIT:
-        q = central_product(base_group, h11, limit=CERT_GROUP_LIMIT)
-        if not is_isomorphic(q, target, CERT_GROUP_LIMIT):
-            raise InternalCheckError("central product does not realize the target group")
-        out = "true"
-    else:
-        assumptions.use("central-product-assumed")
-        out = "assumed-true"
-    steps.append(
+            (("isomorphic", distinct),),
+        ),
         Step(
             start + 1,
             "quotient-group-form",
-            (
-                ("left", base_group.descriptor()),
-                ("right", h11.descriptor()),
-                ("target", target.descriptor()),
-            ),
-            (("isomorphic", out),),
-        )
-    )
-    return steps
+            form_inputs + (("target", target.descriptor()),),
+            (("isomorphic", form),),
+        ),
+    ]
 
 
 def _nonint_steps(
@@ -742,6 +701,31 @@ def _nonint_steps(
     return steps, predicted, p3_verified, witness
 
 
+def _route(
+    kind: str,
+    p: int,
+    n: int,
+    d: int,
+    base: BreakMultiset | None,
+    precision: int,
+) -> tuple[str, P3Parameters | None, BreakMultiset | None]:
+    """The construction for a target of type (kind, n, d), as (kind, tower,
+    base) with one of tower and base set.
+
+    A(1, d) takes the fiber product, kind "A1d".  H(1, 1) is the bare tower
+    above the top break of ``base`` (above 0 without one).  Any other
+    target is the composite over ``base``, synthesized when None.
+    """
+    if kind == "A" and n == 1:
+        kind = "A1d"
+    if kind == "H" and n == 1 and d == 1:
+        v0 = max(base.breaks) if base and base.breaks else 0
+        return kind, P3Parameters.derive(p, *pick_parameters(p, v0)), None
+    if base is None:
+        base = _synth_base(kind, p, n, d, precision)
+    return kind, None, base
+
+
 def derive_nonint(
     kind: str,
     p: int,
@@ -761,17 +745,12 @@ def derive_nonint(
         raise ParameterError(f"kind must be H, A, or A1d, got {kind!r}")
     if kind == "A1d":
         n = 1
-    if kind == "A" and n == 1:
-        kind = "A1d"
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
 
-    if kind == "H" and n == 1 and d == 1:
-        v0 = max(base_breaks.breaks) if base_breaks and base_breaks.breaks else 0
-        b, a = pick_parameters(p, v0)
-        return build_p3_tower(P3Parameters.derive(p, b, a), precision)
-
-    base = base_breaks if base_breaks is not None else _synth_base(kind, p, n, d, precision)
+    kind, tower, base = _route(kind, p, n, d, base_breaks, precision)
+    if tower is not None:
+        return build_p3_tower(tower, precision)
     if base.numbering != "upper" or base.m != 1 or base.p != p:
         raise ParameterError("base breaks must be upper-numbered with m = 1 and matching p")
     assumptions = _Assumptions()
@@ -833,6 +812,10 @@ def derive_chat(
         raise ParameterError(f"m = {m} must be prime to p = {p}")
     perm = _action_to_perm(P, action)
     action_text = "trivial" if perm is None else "perm " + ",".join(map(str, perm))
+    elems = P.elements()
+    images = elems if perm is None else [elems[i] for i in perm]
+    burn = burnside_action_check(P, dict(zip(elems, images)), m)
+    nontrivial = burn.nontrivial_on_group
     assumptions = _Assumptions()
     steps = [
         Step(
@@ -840,32 +823,19 @@ def derive_chat(
             "coprime-check",
             (("m", str(m)), ("p", str(p))),
             (("gcd", "1"),),
-        )
-    ]
-    elems = P.elements()
-    if perm is None:
-        alpha = {g: g for g in elems}
-        nontrivial = False
-        order = 1
-    else:
-        alpha = {g: elems[perm[i]] for i, g in enumerate(elems)}
-        nontrivial = any(perm[i] != i for i in range(len(perm)))
-        order = None  # established by the burnside check below
-    burn = burnside_action_check(P, alpha, m)
-    if order is None:
-        order = perm_order(perm)
-    steps.append(
+        ),
         Step(
             2,
             "action-check",
             (("action", action_text),),
             (
                 ("automorphism", "true"),
-                ("order", str(order)),
+                ("order", str(burn.order)),
                 ("nontrivial", "true" if nontrivial else "false"),
             ),
-        )
-    )
+        ),
+    ]
+    predicted = verified = witness = None
 
     if nontrivial:
         steps.append(
@@ -896,73 +866,58 @@ def derive_chat(
                 ),
             )
         )
-        return Certificate(
-            kind="chat",
-            params=(
-                ("group", group_descriptor),
-                ("m", str(m)),
-                ("action", action_text),
-                ("precision", str(precision)),
-            ),
-            steps=tuple(steps),
-            assumptions=assumptions.tuple(),
-            predicted=None,
-            verified=None,
-            witness=None,
-        )
-
-    if is_abelian(P):
-        raise ParameterError(
-            "trivial action with abelian wild part gives an abelian group; "
-            "all upper breaks are integral"
-        )
-    steps.append(
-        Step(
-            3,
-            "wild-part-nonabelian",
-            (("group", group_descriptor),),
-            (("nonabelian", "true"),),
-        )
-    )
-    kernel, quotient, cls = minimal_nonabelian_quotient(P)
-    idx = P.index_map()
-    kernel_text = ",".join(str(idx[g]) for g in kernel)
-    steps.append(
-        Step(
-            4,
-            "minimal-quotient",
-            (("group", group_descriptor),),
-            (
-                ("kernel_order", str(len(kernel))),
-                ("kernel", kernel_text),
-                ("quotient", f"kind={cls.kind} p={p} n={cls.n} d={cls.d}"),
-            ),
-        )
-    )
-    if cls.kind == "H" and cls.n == 1 and cls.d == 1:
-        b, a = pick_parameters(p, 0)
-        params = P3Parameters.derive(p, b, a)
-        sub_steps, predicted, verified, witness = _p3_steps(
-            params, precision, None, 5, assumptions
-        )
     else:
-        kind = "A1d" if (cls.kind == "A" and cls.n == 1) else cls.kind
-        base = _synth_base(kind, p, cls.n, cls.d, precision)
-        sub_steps, predicted, verified, witness = _nonint_steps(
-            kind, p, cls.n, cls.d, base, precision, 5, assumptions
+        if is_abelian(P):
+            raise ParameterError(
+                "trivial action with abelian wild part gives an abelian group; "
+                "all upper breaks are integral"
+            )
+        steps.append(
+            Step(
+                3,
+                "wild-part-nonabelian",
+                (("group", group_descriptor),),
+                (("nonabelian", "true"),),
+            )
         )
-    steps += sub_steps
-    assumptions.use("embedding-lift")
-    if m > 1:
-        assumptions.use("tame-base-change")
-    steps.append(
-        Step(
-            5 + len(sub_steps),
-            "persist-witness",
-            (("witness", str(witness)), ("m", str(m))),
-            (("witness", str(witness)),),
+        kernel, quotient, cls = minimal_nonabelian_quotient(P)
+        idx = P.index_map()
+        kernel_text = ",".join(str(idx[g]) for g in kernel)
+        steps.append(
+            Step(
+                4,
+                "minimal-quotient",
+                (("group", group_descriptor),),
+                (
+                    ("kernel_order", str(len(kernel))),
+                    ("kernel", kernel_text),
+                    ("quotient", f"kind={cls.kind} p={p} n={cls.n} d={cls.d}"),
+                ),
+            )
         )
-    )
+        kind, tower, base = _route(cls.kind, p, cls.n, cls.d, None, precision)
+        if tower is not None:
+            sub_steps, predicted, verified, witness = _p3_steps(
+                tower, precision, None, 5, assumptions
+            )
+        else:
+            sub_steps, predicted, verified, witness = _nonint_steps(
+                kind, p, cls.n, cls.d, base, precision, 5, assumptions
+            )
+        steps += sub_steps
+        assumptions.use("embedding-lift")
+        if m > 1:
+            assumptions.use("tame-base-change")
+        steps.append(
+            Step(
+                5 + len(sub_steps),
+                "persist-witness",
+                (("witness", str(witness)), ("m", str(m))),
+                (("witness", str(witness)),),
+            )
+        )
+    # a nontrivial action has an order above 1 dividing m, so m = 1 only
+    # reaches here through the quotient construction
     return Certificate(
         kind="pchat" if m == 1 else "chat",
         params=(
@@ -986,7 +941,6 @@ def derive_chat(
 class ParsedCertificate:
     kind: str
     params: dict[str, str]
-    text: str
 
 
 def parse_certificate(text: str) -> ParsedCertificate:
@@ -1026,7 +980,7 @@ def parse_certificate(text: str) -> ParsedCertificate:
             raise ParseError(f"unrecognized certificate line {ln!r}")
     if not saw_assumptions:
         raise ParseError("missing ASSUMPTIONS block")
-    return ParsedCertificate(kind=kind, params=params, text=text)
+    return ParsedCertificate(kind=kind, params=params)
 
 
 def _rebuild(parsed: ParsedCertificate) -> Certificate:

@@ -37,15 +37,6 @@ from .base import (
 )
 
 
-def element_order_idx(t: GroupTables, g: int) -> int:
-    k = 1
-    x = g
-    while x != t.e:
-        x = t.mul[x][g]
-        k += 1
-    return k
-
-
 def is_abelian(G: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
     t = tables(G, limit)
     gens = t.gens
@@ -139,7 +130,8 @@ def group_basics(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupBasics:
 
 def _is_cyclic_idx(t: GroupTables, subset: list[int]) -> bool:
     size = len(subset)
-    return any(element_order_idx(t, g) == size for g in subset)
+    orders = t.orders()
+    return any(orders[g] == size for g in subset)
 
 
 @dataclass(frozen=True)
@@ -214,11 +206,12 @@ def check_abcd(G: PGroup, limit: int = DEFAULT_LIMIT) -> AbcdResult:
 
 def _central_order_p_subgroups(t: GroupTables) -> list[list[int]]:
     p = t.p
+    orders = t.orders()
     z = center_idx(t)
     seen = set()
     out = []
     for g in z:
-        if g == t.e or element_order_idx(t, g) != p:
+        if g == t.e or orders[g] != p:
             continue
         sub = frozenset(closure_idx(t, [g]))
         if sub not in seen:
@@ -291,9 +284,8 @@ def canonical_central_pairing(n1: PGroup, n2: PGroup, limit: int = DEFAULT_LIMIT
             raise ParameterError(
                 f"{G.descriptor()} has non-cyclic center; supply the gluing datum explicitly"
             )
-        socle = sorted(
-            g for g in z if g != t.e and element_order_idx(t, g) == G.p
-        )
+        orders = t.orders()
+        socle = sorted(g for g in z if g != t.e and orders[g] == G.p)
         picks.append(G.elements()[socle[0]])
     return picks[0], n2.inv(picks[1])
 
@@ -328,7 +320,7 @@ def central_product(
         raise ParameterError("gluing datum must be central in each factor")
     if g1 == n1.identity() or g2 == n2.identity():
         raise ParameterError("gluing datum must meet both factors nontrivially")
-    if element_order_idx(t1, i1[g1]) != p or element_order_idx(t2, i2[g2]) != p:
+    if t1.orders()[i1[g1]] != p or t2.orders()[i2[g2]] != p:
         raise ParameterError("gluing datum must have order p in each factor")
     b = []
     x = prod.identity()
@@ -431,11 +423,7 @@ def minimal_nonabelian_quotient(
     for cand in candidates:
         N = tuple(elems[i] for i in sorted(cand))
         Q = QuotientGroup(G, N, limit)
-        try:
-            minimal = is_minimal_nonabelian(Q, limit)
-        except MaterializationLimitError:
-            continue
-        if minimal:
+        if is_minimal_nonabelian(Q, limit):
             return N, Q, classify_minimal(Q, limit)
     raise InternalCheckError(
         f"no minimal nonabelian quotient found for {G.descriptor()}"
@@ -446,6 +434,7 @@ def minimal_nonabelian_quotient(
 class BurnsideResult:
     nontrivial_on_group: bool
     nontrivial_on_frattini_quotient: bool
+    order: int
 
 
 def automorphism_from_generator_images(G: PGroup, images: dict, limit: int = DEFAULT_LIMIT) -> dict:
@@ -532,4 +521,4 @@ def burnside_action_check(
             "triviality on the group and on its Frattini quotient disagree "
             f"for an order-{order} automorphism of {P.descriptor()}"
         )
-    return BurnsideResult(nontrivial_group, nontrivial_quotient)
+    return BurnsideResult(nontrivial_group, nontrivial_quotient, order)

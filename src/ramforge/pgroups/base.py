@@ -194,14 +194,17 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     gather = {s: itemgetter(*row) for s, row in rows.items()}
     mul: list = [None] * n
     mul[e] = tuple(range(n))
-
-    def right_mul(a: int, s: int) -> int:
-        c = mul[a][s]
-        if mul[c] is None:
-            mul[c] = gather[s](mul[a])
-        return c
-
-    if len(closure([e], gens, right_mul)) != n:
+    queue = [e]
+    for a in queue:
+        if len(queue) == n:
+            break
+        row = mul[a]
+        for s, g in gather.items():
+            c = row[s]
+            if mul[c] is None:
+                mul[c] = g(row)
+                queue.append(c)
+    if len(queue) != n:
         raise InternalCheckError(
             f"generators of {G.descriptor()} do not reach every element"
         )

@@ -214,6 +214,10 @@ class TestDeriveNonint:
         cert = derive_nonint("H", 3, 1, 1)
         assert cert.kind == "p3-tower"
         assert cert.witness == Fraction(13, 3)
+        # with a base, the tower sits above the base's top break
+        cert = derive_nonint("H", 3, 1, 1, parse_multiset("upper m=1 p=3 : 1, 4"))
+        assert cert.kind == "p3-tower"
+        assert cert.witness == Fraction(29, 3)
 
     def test_a1d_instance(self):
         base = parse_multiset("upper m=1 p=3 : 1, 4")

@@ -20,7 +20,6 @@ from ramforge.pgroups import (
     central_product,
     check_abcd,
     classify_minimal,
-    element_order_idx,
     group_basics,
     is_abelian,
     is_isomorphic,
@@ -47,6 +46,17 @@ def law_tables(G):
     elems = G.elements()
     idx = G.index_map()
     return [[idx[G.mul(a, b)] for b in elems] for a in elems]
+
+
+def power_order(t, g):
+    """The order of g by multiplying powers of g until the identity: the
+    oracle for `GroupTables.orders`."""
+    k = 1
+    x = g
+    while x != t.e:
+        x = t.mul[x][g]
+        k += 1
+    return k
 
 
 def relabelled(rows, seed):
@@ -207,7 +217,7 @@ class TestTables:
     @pytest.mark.parametrize("name", sorted(TABLE_CASES))
     def test_orders_match_powers(self, name):
         t = tables(TABLE_CASES[name]())
-        assert t.orders() == [element_order_idx(t, g) for g in range(t.n)]
+        assert t.orders() == [power_order(t, g) for g in range(t.n)]
 
     @pytest.mark.parametrize(
         "G",
@@ -231,7 +241,13 @@ class TestTables:
     def test_generators_must_generate(self):
         G = H(1, 1)
         G.generators = lambda: [G.gen_x(0), G.gen_z()]
-        with pytest.raises(InternalCheckError):
+        with pytest.raises(InternalCheckError, match="do not reach"):
+            tables(G)
+
+    def test_inverses_must_be_inverses(self):
+        G = CyclicPGroup(3, 2)
+        G.inv = lambda a: a
+        with pytest.raises(InternalCheckError, match="inconsistent"):
             tables(G)
 
     def test_dropped_group_frees_its_tables(self):
@@ -339,6 +355,9 @@ class TestCentralProduct:
             central_product(G, G, pairing=(G.identity(), G.gen_z()))
         with pytest.raises(ParameterError):
             central_product(G, G, pairing=(G.gen_x(0), G.gen_z()))  # not central
+        K = H(1, 2)
+        with pytest.raises(ParameterError, match="order p"):
+            central_product(K, G, pairing=(K.gen_z(), G.gen_z()))  # z of H(1, 2) has order 9
 
     def test_cyclic_times_heisenberg(self):
         # H(0, 2) is cyclic of order 9; gluing it to H(1, 1) gives H(1, 2)
@@ -394,12 +413,14 @@ class TestBurnside:
         G = DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1))
         res = burnside_action_check(G, inversion_map(G), 2)
         assert res.nontrivial_on_group and res.nontrivial_on_frattini_quotient
+        assert res.order == 2
 
     def test_identity(self):
         G = CyclicPGroup(3, 2)
         res = burnside_action_check(G, {g: g for g in G.elements()}, 2)
         assert not res.nontrivial_on_group
         assert not res.nontrivial_on_frattini_quotient
+        assert res.order == 1
 
     def test_sign_flip_on_heisenberg(self):
         G = H(1, 1)
@@ -411,6 +432,16 @@ class TestBurnside:
         alpha = automorphism_from_generator_images(G, images)
         res = burnside_action_check(G, alpha, 2)
         assert res.nontrivial_on_group and res.nontrivial_on_frattini_quotient
+        assert res.order == 2
+
+    def test_reports_order_four(self):
+        # x -> y, y -> x^-1 rotates the Frattini quotient F_3^2 by a quarter turn
+        G = H(1, 1)
+        x, y = G.gen_x(0), G.gen_y(0)
+        alpha = automorphism_from_generator_images(G, {x: y, y: G.inv(x)})
+        assert burnside_action_check(G, alpha, 4).order == 4
+        with pytest.raises(ParameterError, match="order 4"):
+            burnside_action_check(G, alpha, 2)
 
     def test_rejects_non_automorphism(self):
         G = CyclicPGroup(3, 1)
@@ -616,5 +647,5 @@ class TestDescriptors:
 
     def test_element_orders(self):
         t = tables(A(1, 1))
-        idx = A(1, 1).index_map()
-        assert element_order_idx(t, idx[A(1, 1).gen_x(0)]) == 9
+        x = A(1, 1).index_map()[A(1, 1).gen_x(0)]
+        assert t.orders()[x] == power_order(t, x) == 9
