@@ -19,7 +19,7 @@ y = ext.y()
 print("extension      :", ext)
 print("v_F(y)         :", y.valuation())
 print("y^3            :", (y * y * y).to_text()[:60], "...")
-print("v_F(pi)        :", ext.from_base(monomial(3, 1, 1, WINDOW)).valuation())
+print("v_F(pi)        :", ext.element({0: monomial(3, 1, 1, WINDOW)}).valuation())
 
 # the tower datum for (p, b, a) = (3, 1, 4): t = s = 1, r = 2
 alpha = monomial(3, 1, -3, -3 + WINDOW) * beta

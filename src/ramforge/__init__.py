@@ -28,7 +28,6 @@ from .ramcalc import (
     fact1_resolve,
     lower_to_upper,
     parse_multiset,
-    quotient_subset_check,
     upper_to_lower,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "parse_series",
     "pgroups",
     "pick_parameters",
-    "quotient_subset_check",
     "ramcalc",
     "series_make",
     "upper_to_lower",

@@ -19,13 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import (
-    InsufficientPrecisionError,
-    InternalCheckError,
-    ParameterError,
-    ParseError,
-)
-from .laurent import INF, LaurentSeries, parse_series, require_odd_prime, zero
+from .errors import InsufficientPrecisionError, InternalCheckError, ParameterError
+from .laurent import INF, LaurentSeries, require_odd_prime, zero
 
 
 @dataclass(frozen=True)
@@ -99,9 +94,6 @@ class ASExtension:
                 c = zero(self.p, fill)
             full.append(c)
         return ASElement(self, tuple(full))
-
-    def from_base(self, s: LaurentSeries) -> "ASElement":
-        return self.element({0: s})
 
     def y(self, prec: int | None = None) -> "ASElement":
         pr = self.beta.prec if prec is None else prec
@@ -280,20 +272,6 @@ class ASElement:
 
     def __repr__(self):
         return f"ASElement({self.to_text()!r})"
-
-
-def parse_element(ext: ASExtension, text: str) -> ASElement:
-    parts = text.split(" | ")
-    comps = {}
-    try:
-        for part in parts:
-            head, _, body = part.partition(": ")
-            if not head.startswith("y^"):
-                raise ParseError(f"malformed element text: {text!r}")
-            comps[int(head[2:])] = parse_series(body)
-    except ValueError as exc:
-        raise ParseError(f"malformed element text: {text!r}") from exc
-    return ext.element(comps)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ A certificate is a line-oriented text: a parameter block, numbered steps
 (each naming a rule with its inputs and outputs), a block of named
 assumptions (statements taken on faith, never computed), and the
 predicted / field-verified upper break multisets with the nonintegral
-witness.  A verifier rebuilds the whole derivation from the parameter
-block, re-executing every non-assumption step, and demands bit-exact
-agreement with the text; the first diverging line is reported.
+witness.  Construction emits steps and assumptions in derivation order
+into one accumulator, so a step's number is its position.  A verifier
+rebuilds the whole derivation from the parameter block, re-executing
+every non-assumption step, and demands bit-exact agreement with the
+text; the first diverging line is reported.
 
 The central construction is the degree-p^3 tower over K = F_p((pi)):
 from a break b prime to p and an integer a > b with a != 0, -b mod p it
@@ -20,9 +22,10 @@ materialized groups or recorded as named assumptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 from math import gcd
 
 from .astower import ASExtension, as_reduce_F, as_reduce_K
@@ -51,6 +54,7 @@ from .ramcalc import (
     compose_disjoint,
     fact1_resolve,
     lower_to_upper,
+    parse_multiset,
     upper_to_lower,
 )
 
@@ -163,13 +167,12 @@ ASSUMPTION_STATEMENTS = {
 
 @dataclass(frozen=True)
 class Step:
-    index: int
     rule: str
     inputs: tuple[tuple[str, str], ...] = ()
     outputs: tuple[tuple[str, str], ...] = ()
 
-    def render(self) -> str:
-        parts = [f"step {self.index}: RULE {self.rule}"]
+    def render(self, number: int) -> str:
+        parts = [f"step {number}: RULE {self.rule}"]
         parts += [f"in {k} = {v}" for k, v in self.inputs]
         parts += [f"out {k} = {v}" for k, v in self.outputs]
         return " | ".join(parts)
@@ -199,7 +202,7 @@ class Certificate:
     def render(self) -> str:
         lines = [HEADER, f"kind: {self.kind}"]
         lines += [f"param {k} = {v}" for k, v in self.params]
-        lines += [s.render() for s in self.steps]
+        lines += [s.render(i) for i, s in enumerate(self.steps, 1)]
         lines.append("ASSUMPTIONS:")
         lines += [
             f"assume {name}: {ASSUMPTION_STATEMENTS[name]}" for name in self.assumptions
@@ -210,20 +213,40 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-class _Assumptions:
-    """Collects assumption names in first-use order."""
+class _Derivation:
+    """One certificate's derivation: its steps in emission order, its
+    assumption names in first-use order, and its conclusion (predicted and
+    verified multisets, witness), which the last leg to conclude sets."""
 
     def __init__(self):
-        self.names: list[str] = []
+        self.steps: list[Step] = []
+        self.assumptions: list[str] = []
+        self.predicted: BreakMultiset | None = None
+        self.verified: BreakMultiset | None = None
+        self.witness: Fraction | None = None
 
-    def use(self, name: str) -> None:
-        if name not in ASSUMPTION_STATEMENTS:
-            raise InternalCheckError(f"unregistered assumption {name!r}")
-        if name not in self.names:
-            self.names.append(name)
+    def step(self, rule: str, inputs=(), outputs=()) -> None:
+        if rule not in RULES:
+            raise InternalCheckError(f"unregistered rule {rule!r}")
+        self.steps.append(Step(rule, tuple(inputs), tuple(outputs)))
 
-    def tuple(self) -> tuple[str, ...]:
-        return tuple(self.names)
+    def assume(self, *names: str) -> None:
+        for name in names:
+            if name not in ASSUMPTION_STATEMENTS:
+                raise InternalCheckError(f"unregistered assumption {name!r}")
+            if name not in self.assumptions:
+                self.assumptions.append(name)
+
+    def certificate(self, kind: str, params) -> Certificate:
+        return Certificate(
+            kind=kind,
+            params=tuple(params),
+            steps=tuple(self.steps),
+            assumptions=tuple(self.assumptions),
+            predicted=self.predicted,
+            verified=self.verified,
+            witness=self.witness,
+        )
 
 
 @dataclass(frozen=True)
@@ -287,22 +310,30 @@ def _upper(p: int, breaks) -> BreakMultiset:
     return BreakMultiset("upper", 1, p, tuple(sorted(Fraction(x) for x in breaks)))
 
 
+def _case_split(deriv: _Derivation, upper: BreakMultiset, u, v):
+    """The central C_p x C_p case split adding breaks u < v to ``upper``."""
+    deriv.assume("central-cp2", "top-multiplicity-one")
+    f1 = fact1_resolve(upper, u, v)
+    deriv.step(
+        "central-cp2-cases",
+        (("upper", upper.to_text()), ("u", str(u)), ("v", str(v))),
+        (
+            ("lower_u", str(f1.lower_u)),
+            ("lower_v", str(f1.lower_v)),
+            ("carrier_break", str(f1.l0_relative_break)),
+        ),
+    )
+    return f1
+
+
 def _p3_steps(
+    deriv: _Derivation,
     params: P3Parameters,
     precision: int,
     beta_unit: LaurentSeries | None,
-    start: int,
-    assumptions: _Assumptions,
-) -> tuple[list[Step], BreakMultiset, BreakMultiset, Fraction]:
-    """The seven tower steps; returns (steps, predicted, verified, witness)."""
-    p, b, a, t, s, r = (
-        params.p,
-        params.b,
-        params.a,
-        params.t,
-        params.s,
-        params.r,
-    )
+) -> None:
+    """The seven tower steps; concludes with the tower's breaks."""
+    p, b, a, t, s, r = astuple(params)
     window = max(precision, 4 * p * a)
     beta = monomial(p, 1, -b, -b + window)
     if beta_unit is not None:
@@ -311,16 +342,13 @@ def _p3_steps(
         if beta_unit.valuation() != 0:
             raise ParameterError("beta unit must have valuation 0")
         beta = beta * beta_unit
-    steps: list[Step] = []
 
     red1 = as_reduce_K(beta)
     if not (red1.outcome.is_wild and red1.outcome.break_value == b):
         raise InternalCheckError(
             f"base datum reduced to {red1.outcome}, expected wild break {b}"
         )
-    steps.append(
-        Step(start, "cp-break-base", (("beta", beta.to_text()),), (("break", str(b)),))
-    )
+    deriv.step("cp-break-base", (("beta", beta.to_text()),), (("break", str(b)),))
 
     alpha = monomial(p, 1, -p * s, -p * s + window) * beta**t
     red2 = as_reduce_K(alpha)
@@ -328,18 +356,15 @@ def _p3_steps(
         raise InternalCheckError(
             f"auxiliary datum reduced to {red2.outcome}, expected wild break {a}"
         )
-    assumptions.use("disjoint-compositum")
+    deriv.assume("disjoint-compositum")
     u_m = compose_disjoint(_upper(p, [b]), _upper(p, [a]))
-    steps.append(
-        Step(
-            start + 1,
-            "cp-break-aux",
-            (("alpha", alpha.to_text()),),
-            (("break", str(a)), ("upper", u_m.to_text())),
-        )
+    deriv.step(
+        "cp-break-aux",
+        (("alpha", alpha.to_text()),),
+        (("break", str(a)), ("upper", u_m.to_text())),
     )
 
-    assumptions.use("heisenberg-closure")
+    deriv.assume("heisenberg-closure")
     ext = ASExtension(p, beta)
     delta = ext.element({0: alpha * beta * r, 1: alpha})
     red3 = as_reduce_F(delta)
@@ -356,66 +381,43 @@ def _p3_steps(
     check = delta - red3.witness.wp() - red3.reduced
     if not check.is_zero():
         raise InternalCheckError("reduction witness identity failed")
-    steps.append(
-        Step(
-            start + 2,
-            "wild-reduce-ext",
-            (("t", str(t)), ("s", str(s)), ("r", str(r))),
-            (
-                ("machine_break", str(red3.outcome.break_value)),
-                ("closed_form", str(closed_form)),
-                ("residual_valuation", str(residual_val)),
-            ),
-        )
+    deriv.step(
+        "wild-reduce-ext",
+        (("t", str(t)), ("s", str(s)), ("r", str(r))),
+        (
+            ("machine_break", str(red3.outcome.break_value)),
+            ("closed_form", str(closed_form)),
+            ("residual_valuation", str(residual_val)),
+        ),
     )
 
-    assumptions.use("central-cp2")
-    assumptions.use("top-multiplicity-one")
-    f1 = fact1_resolve(_upper(p, []), b, a)
+    f1 = _case_split(deriv, _upper(p, []), b, a)
     mid_break = b + p * (a - b)
     if f1.l0_relative_break != mid_break:
         raise InternalCheckError(
             f"case split gave {f1.l0_relative_break}, expected {mid_break}"
         )
-    steps.append(
-        Step(
-            start + 3,
-            "central-cp2-cases",
-            (("upper", _upper(p, []).to_text()), ("u", str(b)), ("v", str(a))),
-            (
-                ("lower_u", str(f1.lower_u)),
-                ("lower_v", str(f1.lower_v)),
-                ("carrier_break", str(f1.l0_relative_break)),
-            ),
-        )
-    )
 
     lf_upper = compose_disjoint(
         _upper(p, [mid_break]), _upper(p, [closed_form])
     )
     lf_lower = upper_to_lower(lf_upper)
-    steps.append(
-        Step(
-            start + 4,
-            "compose-convert",
-            (("upper", lf_upper.to_text()),),
-            (("lower", lf_lower.to_text()),),
-        )
+    deriv.step(
+        "compose-convert",
+        (("upper", lf_upper.to_text()),),
+        (("lower", lf_lower.to_text()),),
     )
 
-    assumptions.use("commutator-smallest")
+    deriv.assume("commutator-smallest")
     mk_lower = upper_to_lower(u_m)
     top = max(lf_lower.breaks)
     merged = BreakMultiset(
         "lower", 1, p, tuple(sorted(mk_lower.breaks + (top,)))
     )
-    steps.append(
-        Step(
-            start + 5,
-            "merge-lowers",
-            (("sub_lower", mk_lower.to_text()), ("top", str(top))),
-            (("lower", merged.to_text()),),
-        )
+    deriv.step(
+        "merge-lowers",
+        (("sub_lower", mk_lower.to_text()), ("top", str(top))),
+        (("lower", merged.to_text()),),
     )
 
     predicted = lower_to_upper(merged)
@@ -425,16 +427,12 @@ def _p3_steps(
         raise InternalCheckError(
             f"predicted multiset {predicted.to_text()} != {expect.to_text()}"
         )
-    steps.append(
-        Step(
-            start + 6,
-            "lower-to-upper",
-            (("lower", merged.to_text()),),
-            (("upper", predicted.to_text()), ("witness", str(witness))),
-        )
+    deriv.step(
+        "lower-to-upper",
+        (("lower", merged.to_text()),),
+        (("upper", predicted.to_text()), ("witness", str(witness))),
     )
-    verified = _upper(p, [b, a])
-    return steps, predicted, verified, witness
+    deriv.predicted, deriv.verified, deriv.witness = predicted, _upper(p, [b, a]), witness
 
 
 def build_p3_tower(
@@ -443,10 +441,8 @@ def build_p3_tower(
     beta_unit: LaurentSeries | None = None,
 ) -> Certificate:
     """Build and machine-check the order-p^3 tower certificate."""
-    assumptions = _Assumptions()
-    steps, predicted, verified, witness = _p3_steps(
-        params, precision, beta_unit, 1, assumptions
-    )
+    deriv = _Derivation()
+    _p3_steps(deriv, params, precision, beta_unit)
     cert_params = [
         ("p", str(params.p)),
         ("b", str(params.b)),
@@ -455,15 +451,7 @@ def build_p3_tower(
     ]
     if beta_unit is not None:
         cert_params.append(("beta_unit", beta_unit.to_text()))
-    return Certificate(
-        kind="p3-tower",
-        params=tuple(cert_params),
-        steps=tuple(steps),
-        assumptions=assumptions.tuple(),
-        predicted=predicted,
-        verified=verified,
-        witness=witness,
-    )
+    return deriv.certificate("p3-tower", cert_params)
 
 
 def _claimed_cyclic_chain(p: int, length: int) -> BreakMultiset:
@@ -475,26 +463,43 @@ def _claimed_cyclic_chain(p: int, length: int) -> BreakMultiset:
     return _upper(p, us)
 
 
-def _synth_base(kind: str, p: int, n: int, d: int, precision: int) -> BreakMultiset:
+def _composite_breaks(kind: str, p: int, base: BreakMultiset) -> tuple[int, int, BreakMultiset]:
+    """The tower (b, a) of the composite over ``base`` and the breaks of
+    its mid field: ``base`` without one copy of its top break, plus a, and
+    plus b unless the tower shares its degree-p subfield with the base
+    (kind A1d, where b is the base's first break).  The composite then
+    predicts the mid breaks plus the witness a + b/p."""
+    v = max(base.breaks)
     if kind == "A1d":
-        return _claimed_cyclic_chain(p, d + 1)
-    if kind == "H":
-        if n - 1 == 0:
-            return _claimed_cyclic_chain(p, d)
-        return derive_nonint("H", p, n - 1, d, precision=precision).predicted
-    if kind == "A":
-        return derive_nonint("A", p, n - 1, d, precision=precision).predicted
-    raise ParameterError(f"unknown kind {kind!r}")
+        b = int(base.breaks[0])
+        a = _pick_a_above(p, b, v)
+        new = [a]
+    else:
+        b, a = pick_parameters(p, v)
+        new = [b, a]
+    peeled = list(base.breaks)
+    peeled.remove(v)
+    return b, a, _upper(p, peeled + new)
 
 
-def _group_check_steps(
-    kind: str,
-    p: int,
-    n: int,
-    d: int,
-    start: int,
-    assumptions: _Assumptions,
-) -> list[Step]:
+def _synth_base(kind: str, p: int, n: int, d: int) -> BreakMultiset:
+    """The base for a target of type (kind, n, d): the upper breaks that
+    the construction of (kind, n - 1, d) predicts, level by level from the
+    break bookkeeping alone.  A claimed cyclic chain starts the levels: d
+    breaks below H(1, d), d + 1 below A(1, d) and A1d."""
+    base = _claimed_cyclic_chain(p, d if kind == "H" else d + 1)
+    for level in range(1, 1 if kind == "A1d" else n):
+        if kind == "H" and level == d == 1:
+            b, a = pick_parameters(p, 0)  # H(1, 1) is the bare tower above 0
+            mid = _upper(p, [b, a])
+        else:
+            # A(1, d) is the fiber product A1d
+            b, a, mid = _composite_breaks("A1d" if level == 1 and kind == "A" else kind, p, base)
+        base = _upper(p, mid.breaks + (Fraction(a * p + b, p),))
+    return base
+
+
+def _group_check_steps(deriv: _Derivation, kind: str, p: int, n: int, d: int) -> None:
     """Distinctness of the compositum side field and the central-product
     (or fiber-product) form of the target group; machine-checked when the
     ambient orders stay small, recorded as assumptions otherwise."""
@@ -520,56 +525,47 @@ def _group_check_steps(
             raise InternalCheckError("side field group matches the target group")
         distinct = "false"
     else:
-        assumptions.use("group-distinctness-assumed")
+        deriv.assume("group-distinctness-assumed")
         distinct = "assumed-false"
     if ambient_order <= CERT_GROUP_LIMIT:
         if not is_isomorphic(construction(), target, CERT_GROUP_LIMIT):
             raise InternalCheckError("group construction does not realize the target group")
         form = "true"
     else:
-        assumptions.use("central-product-assumed")
+        deriv.assume("central-product-assumed")
         form = "assumed-true"
-    return [
-        Step(
-            start,
-            "distinct-side-group",
-            (("lhs", side.descriptor()), ("rhs", target.descriptor())),
-            (("isomorphic", distinct),),
-        ),
-        Step(
-            start + 1,
-            "quotient-group-form",
-            form_inputs + (("target", target.descriptor()),),
-            (("isomorphic", form),),
-        ),
-    ]
+    deriv.step(
+        "distinct-side-group",
+        (("lhs", side.descriptor()), ("rhs", target.descriptor())),
+        (("isomorphic", distinct),),
+    )
+    deriv.step(
+        "quotient-group-form",
+        form_inputs + (("target", target.descriptor()),),
+        (("isomorphic", form),),
+    )
 
 
 def _nonint_steps(
+    deriv: _Derivation,
     kind: str,
     p: int,
     n: int,
     d: int,
     base: BreakMultiset,
     precision: int,
-    start: int,
-    assumptions: _Assumptions,
-) -> tuple[list[Step], BreakMultiset, BreakMultiset, Fraction]:
+) -> None:
     """Composite construction for H(n, d), A(n, d) (n >= 2), or A(1, d)."""
-    steps: list[Step] = []
-    assumptions.use("base-extension-exists")
+    deriv.assume("base-extension-exists")
     base_lower = upper_to_lower(base)  # realizability gate
     v = max(base.breaks)
-    steps.append(
-        Step(
-            start,
-            "base-realizable",
-            (("base", base.to_text()),),
-            (("lower", base_lower.to_text()), ("top", str(v))),
-        )
+    deriv.step(
+        "base-realizable",
+        (("base", base.to_text()),),
+        (("lower", base_lower.to_text()), ("top", str(v))),
     )
-    idx = start + 1
 
+    b, a, mid = _composite_breaks(kind, p, base)
     if kind == "A1d":
         if len(base.breaks) != d + 1:
             raise ParameterError(
@@ -577,128 +573,49 @@ def _nonint_steps(
             )
         if list(base.breaks) != sorted(set(base.breaks)):
             raise ParameterError("cyclic base chain must be strictly increasing")
-        b = int(base.breaks[0])
         if Fraction(b) != base.breaks[0] or b % p == 0:
             raise ParameterError(
                 f"first break of the cyclic chain must be an integer prime to p, got {base.breaks[0]}"
             )
-        steps.append(
-            Step(
-                idx,
-                "shared-subfield-break",
-                (("base", base.to_text()),),
-                (("b", str(b)),),
-            )
-        )
-        assumptions.use("shared-base-field")
-        idx += 1
-        a = _pick_a_above(p, b, v)
-        steps.append(
-            Step(
-                idx,
-                "pick-a-above",
-                (("floor", str(v)), ("b", str(b))),
-                (("a", str(a)),),
-            )
-        )
-        idx += 1
+        deriv.step("shared-subfield-break", (("base", base.to_text()),), (("b", str(b)),))
+        deriv.assume("shared-base-field")
+        deriv.step("pick-a-above", (("floor", str(v)), ("b", str(b))), (("a", str(a)),))
     else:
-        b, a = pick_parameters(p, v)
-        steps.append(
-            Step(
-                idx,
-                "pick-parameters",
-                (("floor", str(v)),),
-                (("b", str(b)), ("a", str(a))),
-            )
-        )
-        idx += 1
+        deriv.step("pick-parameters", (("floor", str(v)),), (("b", str(b)), ("a", str(a))))
 
-    params = P3Parameters.derive(p, b, a)
-    p3_steps, p3_predicted, p3_verified, witness = _p3_steps(
-        params, precision, None, idx, assumptions
-    )
-    steps += p3_steps
-    idx += len(p3_steps)
+    _p3_steps(deriv, P3Parameters.derive(p, b, a), precision, None)
+    p3_predicted, witness = deriv.predicted, deriv.witness
 
-    peeled = list(base.breaks)
-    peeled.remove(v)  # one occurrence: the factor loses exactly its top break
+    union = (("left", base.to_text()), ("right", p3_predicted.to_text()))
     if kind == "A1d":
+        rule, union = "union-shared", union + (("shared", str(b)),)
         joined = _upper(p, list(base.breaks) + [a, witness])
-        steps.append(
-            Step(
-                idx,
-                "union-shared",
-                (
-                    ("left", base.to_text()),
-                    ("right", p3_predicted.to_text()),
-                    ("shared", str(b)),
-                ),
-                (("upper", joined.to_text()),),
-            )
-        )
-        mid = _upper(p, peeled + [a])
     else:
-        joined = compose_disjoint(base, p3_predicted)
-        steps.append(
-            Step(
-                idx,
-                "union-disjoint",
-                (("left", base.to_text()), ("right", p3_predicted.to_text())),
-                (("upper", joined.to_text()),),
-            )
-        )
-        mid = _upper(p, peeled + [b, a])
-    idx += 1
+        rule, joined = "union-disjoint", compose_disjoint(base, p3_predicted)
+    deriv.step(rule, union, (("upper", joined.to_text()),))
 
-    assumptions.use("smallest-ramification-peel")
-    steps.append(
-        Step(
-            idx,
-            "peel-top-breaks",
-            (
-                ("left_top", str(v)),
-                ("right_top", str(witness)),
-            ),
-            (("mid", mid.to_text()),),
-        )
+    deriv.assume("smallest-ramification-peel")
+    deriv.step(
+        "peel-top-breaks",
+        (("left_top", str(v)), ("right_top", str(witness))),
+        (("mid", mid.to_text()),),
     )
-    idx += 1
 
-    f1 = fact1_resolve(mid, v, witness)
-    steps.append(
-        Step(
-            idx,
-            "central-cp2-cases",
-            (("upper", mid.to_text()), ("u", str(v)), ("v", str(witness))),
-            (
-                ("lower_u", str(f1.lower_u)),
-                ("lower_v", str(f1.lower_v)),
-                ("carrier_break", str(f1.l0_relative_break)),
-            ),
-        )
-    )
-    idx += 1
+    predicted = _case_split(deriv, mid, v, witness).other_breaks
+    _group_check_steps(deriv, kind, p, n, d)
 
-    steps += _group_check_steps(kind, p, n, d, idx, assumptions)
-    idx += 2
-
-    predicted = f1.other_breaks
     if witness != max(predicted.breaks):
         raise InternalCheckError("witness is not the largest predicted break")
-    steps.append(
-        Step(
-            idx,
-            "conclude-witness",
-            (("mid", mid.to_text()), ("extra", str(witness))),
-            (
-                ("upper", predicted.to_text()),
-                ("witness", str(witness)),
-                ("integral", "false"),
-            ),
-        )
+    deriv.step(
+        "conclude-witness",
+        (("mid", mid.to_text()), ("extra", str(witness))),
+        (
+            ("upper", predicted.to_text()),
+            ("witness", str(witness)),
+            ("integral", "false"),
+        ),
     )
-    return steps, predicted, p3_verified, witness
+    deriv.predicted = predicted
 
 
 def _route(
@@ -707,7 +624,6 @@ def _route(
     n: int,
     d: int,
     base: BreakMultiset | None,
-    precision: int,
 ) -> tuple[str, P3Parameters | None, BreakMultiset | None]:
     """The construction for a target of type (kind, n, d), as (kind, tower,
     base) with one of tower and base set.
@@ -722,7 +638,7 @@ def _route(
         v0 = max(base.breaks) if base and base.breaks else 0
         return kind, P3Parameters.derive(p, *pick_parameters(p, v0)), None
     if base is None:
-        base = _synth_base(kind, p, n, d, precision)
+        base = _synth_base(kind, p, n, d)
     return kind, None, base
 
 
@@ -748,29 +664,22 @@ def derive_nonint(
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
 
-    kind, tower, base = _route(kind, p, n, d, base_breaks, precision)
+    kind, tower, base = _route(kind, p, n, d, base_breaks)
     if tower is not None:
         return build_p3_tower(tower, precision)
     if base.numbering != "upper" or base.m != 1 or base.p != p:
         raise ParameterError("base breaks must be upper-numbered with m = 1 and matching p")
-    assumptions = _Assumptions()
-    steps, predicted, verified, witness = _nonint_steps(
-        kind, p, n, d, base, precision, 1, assumptions
-    )
-    return Certificate(
-        kind=f"nonint-{kind}",
-        params=(
+    deriv = _Derivation()
+    _nonint_steps(deriv, kind, p, n, d, base, precision)
+    return deriv.certificate(
+        f"nonint-{kind}",
+        (
             ("p", str(p)),
             ("n", str(n)),
             ("d", str(d)),
             ("base", base.to_text()),
             ("precision", str(precision)),
         ),
-        steps=tuple(steps),
-        assumptions=assumptions.tuple(),
-        predicted=predicted,
-        verified=verified,
-        witness=witness,
     )
 
 
@@ -816,55 +725,40 @@ def derive_chat(
     images = elems if perm is None else [elems[i] for i in perm]
     burn = burnside_action_check(P, dict(zip(elems, images)), m)
     nontrivial = burn.nontrivial_on_group
-    assumptions = _Assumptions()
-    steps = [
-        Step(
-            1,
-            "coprime-check",
-            (("m", str(m)), ("p", str(p))),
-            (("gcd", "1"),),
+    deriv = _Derivation()
+    deriv.step("coprime-check", (("m", str(m)), ("p", str(p))), (("gcd", "1"),))
+    deriv.step(
+        "action-check",
+        (("action", action_text),),
+        (
+            ("automorphism", "true"),
+            ("order", str(burn.order)),
+            ("nontrivial", "true" if nontrivial else "false"),
         ),
-        Step(
-            2,
-            "action-check",
-            (("action", action_text),),
-            (
-                ("automorphism", "true"),
-                ("order", str(burn.order)),
-                ("nontrivial", "true" if nontrivial else "false"),
-            ),
-        ),
-    ]
-    predicted = verified = witness = None
+    )
 
     if nontrivial:
-        steps.append(
-            Step(
-                3,
-                "burnside-agreement",
-                (("group", group_descriptor),),
+        deriv.step(
+            "burnside-agreement",
+            (("group", group_descriptor),),
+            (
+                ("nontrivial_on_group", str(burn.nontrivial_on_group).lower()),
                 (
-                    ("nontrivial_on_group", str(burn.nontrivial_on_group).lower()),
-                    (
-                        "nontrivial_on_frattini_quotient",
-                        str(burn.nontrivial_on_frattini_quotient).lower(),
-                    ),
+                    "nontrivial_on_frattini_quotient",
+                    str(burn.nontrivial_on_frattini_quotient).lower(),
                 ),
-            )
+            ),
         )
-        assumptions.use("abelian-wild-part-nonintegral")
-        steps.append(
-            Step(
-                4,
-                "conclude-universal",
-                (("group", group_descriptor), ("m", str(m))),
+        deriv.assume("abelian-wild-part-nonintegral")
+        deriv.step(
+            "conclude-universal",
+            (("group", group_descriptor), ("m", str(m))),
+            (
                 (
-                    (
-                        "conclusion",
-                        "every totally ramified realization has a nonintegral upper break",
-                    ),
+                    "conclusion",
+                    "every totally ramified realization has a nonintegral upper break",
                 ),
-            )
+            ),
         )
     else:
         if is_abelian(P):
@@ -872,65 +766,43 @@ def derive_chat(
                 "trivial action with abelian wild part gives an abelian group; "
                 "all upper breaks are integral"
             )
-        steps.append(
-            Step(
-                3,
-                "wild-part-nonabelian",
-                (("group", group_descriptor),),
-                (("nonabelian", "true"),),
-            )
+        deriv.step(
+            "wild-part-nonabelian", (("group", group_descriptor),), (("nonabelian", "true"),)
         )
         kernel, quotient, cls = minimal_nonabelian_quotient(P)
         idx = P.index_map()
         kernel_text = ",".join(str(idx[g]) for g in kernel)
-        steps.append(
-            Step(
-                4,
-                "minimal-quotient",
-                (("group", group_descriptor),),
-                (
-                    ("kernel_order", str(len(kernel))),
-                    ("kernel", kernel_text),
-                    ("quotient", f"kind={cls.kind} p={p} n={cls.n} d={cls.d}"),
-                ),
-            )
+        deriv.step(
+            "minimal-quotient",
+            (("group", group_descriptor),),
+            (
+                ("kernel_order", str(len(kernel))),
+                ("kernel", kernel_text),
+                ("quotient", f"kind={cls.kind} p={p} n={cls.n} d={cls.d}"),
+            ),
         )
-        kind, tower, base = _route(cls.kind, p, cls.n, cls.d, None, precision)
+        kind, tower, base = _route(cls.kind, p, cls.n, cls.d, None)
         if tower is not None:
-            sub_steps, predicted, verified, witness = _p3_steps(
-                tower, precision, None, 5, assumptions
-            )
+            _p3_steps(deriv, tower, precision, None)
         else:
-            sub_steps, predicted, verified, witness = _nonint_steps(
-                kind, p, cls.n, cls.d, base, precision, 5, assumptions
-            )
-        steps += sub_steps
-        assumptions.use("embedding-lift")
+            _nonint_steps(deriv, kind, p, cls.n, cls.d, base, precision)
+        deriv.assume("embedding-lift")
         if m > 1:
-            assumptions.use("tame-base-change")
-        steps.append(
-            Step(
-                5 + len(sub_steps),
-                "persist-witness",
-                (("witness", str(witness)), ("m", str(m))),
-                (("witness", str(witness)),),
-            )
+            deriv.assume("tame-base-change")
+        witness = str(deriv.witness)
+        deriv.step(
+            "persist-witness", (("witness", witness), ("m", str(m))), (("witness", witness),)
         )
     # a nontrivial action has an order above 1 dividing m, so m = 1 only
     # reaches here through the quotient construction
-    return Certificate(
-        kind="pchat" if m == 1 else "chat",
-        params=(
+    return deriv.certificate(
+        "pchat" if m == 1 else "chat",
+        (
             ("group", group_descriptor),
             ("m", str(m)),
             ("action", action_text),
             ("precision", str(precision)),
         ),
-        steps=tuple(steps),
-        assumptions=assumptions.tuple(),
-        predicted=predicted,
-        verified=verified,
-        witness=witness,
     )
 
 
@@ -993,8 +865,6 @@ def _rebuild(parsed: ParsedCertificate) -> Certificate:
             unit = parse_series(params["beta_unit"]) if "beta_unit" in params else None
             return build_p3_tower(p3, precision, unit)
         if kind in ("nonint-H", "nonint-A", "nonint-A1d"):
-            from .ramcalc import parse_multiset
-
             base = parse_multiset(params["base"])
             return derive_nonint(
                 kind.removeprefix("nonint-"),
@@ -1019,11 +889,8 @@ def verify_certificate(text: str) -> None:
     demand bit-exact agreement with the given text."""
     parsed = parse_certificate(text)
     rebuilt = _rebuild(parsed).render()
-    given = text.splitlines()
-    fresh = rebuilt.splitlines()
-    for i in range(max(len(given), len(fresh))):
-        g = given[i] if i < len(given) else "<missing>"
-        f = fresh[i] if i < len(fresh) else "<missing>"
+    lines = zip_longest(text.splitlines(), rebuilt.splitlines(), fillvalue="<missing>")
+    for i, (g, f) in enumerate(lines):
         if g != f:
             probe = g if g.startswith("step ") else f
             if probe.startswith("step "):

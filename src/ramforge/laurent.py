@@ -242,7 +242,7 @@ class LaurentSeries:
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ParameterError(f"exponent must be nonnegative, got {k}")
         out = _from_dense(self.p, 0, (1,), self.prec - self._val_floor())
         base = self
         for _ in range(k):
@@ -250,7 +250,10 @@ class LaurentSeries:
         return out
 
     def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse, to the same relative precision."""
+        """Multiplicative inverse, to the same relative precision.
+
+        No certificate path divides; this stays for demo 01, which shows
+        (1 - pi)^-1 as a geometric series."""
         if self.is_zero():
             raise ParameterError("cannot invert a series that is zero to precision")
         n = self.prec - self.val

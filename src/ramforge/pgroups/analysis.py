@@ -32,6 +32,7 @@ from .base import (
     PGroup,
     QuotientGroup,
     SubgroupGroup,
+    _extend_partial,
     closure,
     tables,
 )
@@ -273,7 +274,7 @@ def classify_minimal(G: PGroup, limit: int = DEFAULT_LIMIT) -> ClassifyResult:
     return ClassifyResult(kind=kind, n=n2 // 2, d=d)
 
 
-def canonical_central_pairing(n1: PGroup, n2: PGroup, limit: int = DEFAULT_LIMIT):
+def _canonical_central_pairing(n1: PGroup, n2: PGroup, limit: int = DEFAULT_LIMIT):
     """The standard gluing datum (w1, w2^-1) with w_i generating the unique
     order-p subgroup of the (cyclic) center of each factor."""
     picks = []
@@ -305,7 +306,7 @@ def central_product(
         raise ParameterError(f"prime mismatch: {n1.p} vs {n2.p}")
     p = n1.p
     if pairing is None:
-        pairing = canonical_central_pairing(n1, n2, limit)
+        pairing = _canonical_central_pairing(n1, n2, limit)
     g1, g2 = pairing
     prod = DirectProductGroup(n1, n2)
     if prod.order > limit:
@@ -438,32 +439,25 @@ class BurnsideResult:
 
 
 def automorphism_from_generator_images(G: PGroup, images: dict, limit: int = DEFAULT_LIMIT) -> dict:
-    """Extend generator images to a full map by following products.
+    """Extend generator images to the automorphism of G they determine,
+    by the same table walk that isomorphism testing uses.
 
-    The given keys must generate G; inconsistencies surface either here or
-    in the exhaustive homomorphism check done by the caller.
+    Keys and images must be elements of G, the keys must generate G, and
+    the extended map must be well defined and injective.
     """
-    tables(G, limit)
-    phi = {G.identity(): G.identity()}
-    phi.update(images)
-    frontier = list(phi)
-    gens = list(images)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                img = G.mul(phi[x], phi[g])
-                if y in phi:
-                    if phi[y] != img:
-                        raise ParameterError("generator images are inconsistent")
-                else:
-                    phi[y] = img
-                    nxt.append(y)
-        frontier = nxt
-    if len(phi) != G.order:
+    t = tables(G, limit)
+    idx = G.index_map()
+    elems = G.elements()
+    try:
+        pairs = [(idx[g], idx[h]) for g, h in images.items()]
+    except (KeyError, TypeError) as exc:  # not an element, or unhashable
+        raise ParameterError("generator images must map elements of the group") from exc
+    phi = _extend_partial(t, t, pairs)
+    if phi is None:
+        raise ParameterError("generator images are inconsistent or not injective")
+    if len(phi) != t.n:
         raise ParameterError("images do not cover the group: keys must generate")
-    return phi
+    return {elems[x]: elems[y] for x, y in phi.items()}
 
 
 def perm_order(perm: list[int]) -> int:

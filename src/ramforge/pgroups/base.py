@@ -171,6 +171,51 @@ def closure(start, gens, mul, limit: int | None = None) -> set:
     return seen
 
 
+def _greedy_generators(n: int, span: set, mul) -> list[int]:
+    """Indices in increasing order, each taken when it lies outside
+    ``span`` closed under right multiplication by the ones taken before,
+    until that closure has all n elements.  From the identity they
+    generate; from Phi(G) they form a minimal generating sequence."""
+    gens: list[int] = []
+    for g in range(n):
+        if len(span) == n:
+            break
+        if g not in span:
+            gens.append(g)
+            span = closure(span, gens, mul)
+    return gens
+
+
+def _extend_partial(tg: GroupTables, th: GroupTables, pairs: list[tuple[int, int]]):
+    """The map on <g_1, ..., g_k> with phi(x g_i) = phi(x) h_i for the
+    ``pairs`` (g_i, h_i), built from the identity.
+
+    Returns None if some product is inconsistent or injectivity fails.
+    """
+    phi = {tg.e: th.e}
+    used = {th.e}
+    frontier = [tg.e]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row_x = tg.mul[x]
+            row_fx = th.mul[phi[x]]
+            for g, h in pairs:
+                y = row_x[g]
+                img = row_fx[h]
+                known = phi.get(y)
+                if known is None:
+                    if img in used:
+                        return None
+                    phi[y] = img
+                    used.add(img)
+                    nxt.append(y)
+                elif known != img:
+                    return None
+        frontier = nxt
+    return phi
+
+
 def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     """Materialize multiplication/inverse index tables (cached on the group).
 
@@ -586,16 +631,8 @@ class TableGroup(PGroup):
             if b is None or rows[b][a] != ident:
                 raise ParameterError(f"element {a} has no inverse")
             inverse.append(b)
-        # greedy generating set, in index order; every element is a product
-        # e s_1 s_2 ... of the chosen generators
-        gens: list[int] = []
-        span = {ident}
-        for g in range(n):
-            if len(span) == n:
-                break
-            if g not in span:
-                gens.append(g)
-                span = closure(span, gens, lambda x, s: rows[x][s])
+        # every element is a product e s_1 s_2 ... of these generators
+        gens = _greedy_generators(n, {ident}, lambda x, s: rows[x][s])
         for a in gens:
             row_a = rows[a]
             gather = itemgetter(*row_a)

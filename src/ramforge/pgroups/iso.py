@@ -19,13 +19,12 @@ from collections import Counter
 
 from .analysis import (
     center_idx,
-    closure_idx,
     commutator_subgroup_idx,
     conjugacy_classes_idx,
     frattini_idx,
     is_abelian,
 )
-from .base import DEFAULT_LIMIT, GroupTables, PGroup, tables
+from .base import DEFAULT_LIMIT, GroupTables, PGroup, _extend_partial, _greedy_generators, tables
 
 
 def _signatures(t: GroupTables) -> list[tuple[int, int]]:
@@ -53,48 +52,6 @@ def _invariants(G: PGroup, limit: int):
     )
 
 
-def _minimal_generating_sequence(t: GroupTables) -> list[int]:
-    span = set(frattini_idx(t))
-    gens: list[int] = []
-    for g in range(t.n):
-        if g not in span:
-            gens.append(g)
-            span = set(closure_idx(t, gens, span))
-            if len(span) == t.n:
-                break
-    return gens
-
-
-def _extend_partial(tg: GroupTables, th: GroupTables, pairs: list[tuple[int, int]]):
-    """The map on <g_1, ..., g_k> with phi(x g_i) = phi(x) h_i for the
-    ``pairs`` (g_i, h_i), built from the identity.
-
-    Returns None if some product is inconsistent or injectivity fails.
-    """
-    phi = {tg.e: th.e}
-    used = {th.e}
-    frontier = [tg.e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row_x = tg.mul[x]
-            row_fx = th.mul[phi[x]]
-            for g, h in pairs:
-                y = row_x[g]
-                img = row_fx[h]
-                known = phi.get(y)
-                if known is None:
-                    if img in used:
-                        return None
-                    phi[y] = img
-                    used.add(img)
-                    nxt.append(y)
-                elif known != img:
-                    return None
-        frontier = nxt
-    return phi
-
-
 def is_isomorphic(G: PGroup, H: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
     if G.p != H.p:
         return False
@@ -111,7 +68,8 @@ def is_isomorphic(G: PGroup, H: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
     sig_h = _signatures(th)
     if sorted(sig_g) != sorted(sig_h):
         return False
-    gens = _minimal_generating_sequence(tg)
+    # a minimal generating sequence: greedy from Phi(G) (Burnside basis theorem)
+    gens = _greedy_generators(tg.n, set(frattini_idx(tg)), lambda x, g: tg.mul[x][g])
     by_sig: dict[tuple[int, int], list[int]] = {}
     for h, s in enumerate(sig_h):
         by_sig.setdefault(s, []).append(h)

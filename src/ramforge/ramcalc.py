@@ -2,8 +2,8 @@
 
 Positive breaks are kept as exact rationals in a sorted multiset together
 with the tame degree m; the zero break exists exactly when m > 1 and is
-carried as a derived flag rather than stored.  Lower numbering is related
-to upper numbering by the recursion
+not stored.  Lower numbering is related to upper numbering by the
+recursion
 
     u_1 = b_1 / m,    u_{i+1} - u_i = (b_{i+1} - b_i) / (m * p^i),
 
@@ -14,7 +14,6 @@ realizable by any extension.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -47,15 +46,8 @@ class BreakMultiset:
             raise ParameterError("lower breaks must be integers")
         object.__setattr__(self, "breaks", bs)
 
-    @property
-    def has_zero_break(self) -> bool:
-        return self.m > 1
-
     def __len__(self):
         return len(self.breaks)
-
-    def counter(self) -> Counter:
-        return Counter(self.breaks)
 
     def to_text(self) -> str:
         body = ", ".join(str(b) for b in self.breaks)
@@ -144,14 +136,6 @@ def compose_disjoint(u1: BreakMultiset, u2: BreakMultiset) -> BreakMultiset:
     return BreakMultiset("upper", 1, u1.p, tuple(sorted(u1.breaks + u2.breaks)))
 
 
-def quotient_subset_check(sub: BreakMultiset, full: BreakMultiset) -> bool:
-    """True iff sub is a sub-multiset of full (quotient compatibility)."""
-    for u in (sub, full):
-        if u.numbering != "upper":
-            raise ParameterError("quotient_subset_check expects upper-numbered multisets")
-    return not (sub.counter() - full.counter())
-
-
 @dataclass(frozen=True)
 class Fact1Result:
     """Case split for a C_p^2 central step N/M with two new upper breaks u < v.
@@ -159,7 +143,7 @@ class Fact1Result:
     The distinguished intermediate field L0 keeps u and sees relative break
     c; every other intermediate L keeps v and sees relative break b_low.
     The group-theoretic hypotheses that cannot be read off the multisets
-    are surfaced as named assumptions.
+    are the certificate's to name as assumptions.
     """
 
     lower_u: int
@@ -169,10 +153,6 @@ class Fact1Result:
     other_breaks: BreakMultiset
     other_relative_break: int
     full_breaks: BreakMultiset
-    assumptions: tuple[str, ...] = (
-        "central-cp2",
-        "top-multiplicity-one",
-    )
     warnings: tuple[str, ...] = ()
 
 

@@ -1,5 +1,7 @@
-"""Smoke test: every demo script runs to completion."""
+"""Repository checks: every demo script runs to completion, and the
+package imports nothing outside the standard library."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = ROOT / "src" / "ramforge"
 
 
 def test_all_demos_found():
@@ -24,3 +27,26 @@ def test_demo_runs(demo):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_imports_only_stdlib():
+    # sympy and hypothesis serve the tests as oracles; the package itself
+    # declares no dependencies
+    allowed = set(sys.stdlib_module_names) | {"ramforge"}
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.relative_to(ROOT)}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert not outside, outside

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ramforge.astower import ASExtension, as_reduce_F
+from ramforge import forge
 from ramforge.errors import (
     InternalCheckError,
     ParameterError,
@@ -177,6 +178,47 @@ class TestAllKindsVerify:
             verify_certificate(cert.render())
 
 
+class TestDerivation:
+    def test_step_number_is_position(self):
+        certs = [
+            build_p3_tower(P3Parameters.derive(3, 1, 4)),
+            derive_nonint("A1d", 3, 1, 1),
+            derive_chat("kind=H p=3 n=1 d=1", 2),
+        ]
+        for cert in certs:
+            heads = [
+                ln.split(" | ")[0]
+                for ln in cert.render().splitlines()
+                if ln.startswith("step ")
+            ]
+            assert heads == [
+                f"step {i}: RULE {s.rule}" for i, s in enumerate(cert.steps, 1)
+            ]
+
+    def test_chat_numbers_continue_through_the_quotient_legs(self):
+        cert = derive_chat("kind=H p=3 n=1 d=1", 2)
+        rules = [s.rule for s in cert.steps]
+        assert rules[:4] == [
+            "coprime-check", "action-check", "wild-part-nonabelian", "minimal-quotient",
+        ]
+        assert rules[4] == "cp-break-base" and rules[-1] == "persist-witness"
+        assert f"step {len(rules)}: RULE persist-witness" in cert.render()
+
+    def test_unregistered_names_are_rejected(self):
+        deriv = forge._Derivation()
+        with pytest.raises(InternalCheckError):
+            deriv.step("bogus")
+        with pytest.raises(InternalCheckError):
+            deriv.assume("central-cp2", "bogus")
+        assert deriv.steps == [] and deriv.assumptions == ["central-cp2"]
+
+    def test_assumptions_keep_first_use_order(self):
+        deriv = forge._Derivation()
+        deriv.assume("embedding-lift", "central-cp2")
+        deriv.assume("central-cp2", "tame-base-change", "embedding-lift")
+        assert deriv.assumptions == ["embedding-lift", "central-cp2", "tame-base-change"]
+
+
 class TestVerifierFuzz:
     def test_every_single_char_corruption_is_caught(self):
         text = build_p3_tower(P3Parameters.derive(3, 1, 4)).render()
@@ -256,6 +298,25 @@ class TestDeriveNonint:
             )
         with pytest.raises(ParameterError):
             derive_nonint("B", 3, 2, 1)
+
+    def test_synthesized_base_is_the_prediction_one_level_down(self, monkeypatch):
+        # the oracle is the full certificate one level down; the synthesized
+        # base itself comes from break bookkeeping and builds no certificate
+        cases = [
+            (kind, p, n, d)
+            for kind in ("H", "A")
+            for p in (3, 5, 7)
+            for n in range(2, 6)
+            for d in (1, 2, 3)
+        ]
+        want = {c: derive_nonint(c[0], c[1], c[2] - 1, c[3]).predicted for c in cases}
+
+        def no_certificate(*args, **kwargs):
+            raise AssertionError("_synth_base built a certificate")
+
+        monkeypatch.setattr(forge, "derive_nonint", no_certificate)
+        for case in cases:
+            assert forge._synth_base(*case) == want[case], case
 
 
 class TestDeriveChat:

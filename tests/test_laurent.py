@@ -77,6 +77,13 @@ class TestArith:
         assert alpha.valuation() == -4
         assert beta * beta * beta * beta == LaurentSeries(3, [(-4, 1)], 16)
 
+    def test_power_matches_repeated_product(self):
+        a = series_make(3, -1, [1, 2, 0, 1], 20)
+        assert a**3 == a * a * a
+        assert (a**0).coefficient(0) == 1
+        with pytest.raises(ParameterError, match="nonnegative"):
+            a**-1
+
     def test_modulus_mismatch(self):
         with pytest.raises(ParameterError):
             series_make(3, 0, [1], 20) + series_make(5, 0, [1], 20)

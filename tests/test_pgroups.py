@@ -30,7 +30,7 @@ from ramforge.pgroups import (
     tables,
 )
 from ramforge.pgroups.analysis import _normal_subgroups_avoiding
-from ramforge.pgroups.iso import _extend_partial
+from ramforge.pgroups.base import _extend_partial
 
 
 def H(n, d, p=3):
@@ -442,6 +442,30 @@ class TestBurnside:
         assert burnside_action_check(G, alpha, 4).order == 4
         with pytest.raises(ParameterError, match="order 4"):
             burnside_action_check(G, alpha, 2)
+
+    def test_generator_images_must_be_injective(self):
+        # a -> a, b -> a is a homomorphism of C_3 x C_3 onto one factor
+        G = DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1))
+        a, b = G.generators()
+        with pytest.raises(ParameterError, match="not injective"):
+            automorphism_from_generator_images(G, {a: a, b: a})
+
+    def test_generator_images_must_be_consistent(self):
+        # on C_9, g -> g forces g^3 -> g^3, which contradicts g^3 -> g
+        G = CyclicPGroup(3, 2)
+        g = G.gen()
+        g3 = G.mul(g, G.mul(g, g))
+        with pytest.raises(ParameterError, match="inconsistent"):
+            automorphism_from_generator_images(G, {g: g, g3: g})
+
+    def test_generator_images_keys_must_generate(self):
+        G = DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1))
+        a, b = G.generators()
+        with pytest.raises(ParameterError, match="keys must generate"):
+            automorphism_from_generator_images(G, {a: a})
+        for images in ({a: a, b: "junk"}, {"junk": a}, {a: [1]}):
+            with pytest.raises(ParameterError, match="elements of the group"):
+                automorphism_from_generator_images(G, images)
 
     def test_rejects_non_automorphism(self):
         G = CyclicPGroup(3, 1)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from ramforge.ramcalc import (
     fact1_resolve,
     lower_to_upper,
     parse_multiset,
-    quotient_subset_check,
     upper_to_lower,
 )
 
@@ -24,11 +24,6 @@ def upper(p, breaks, m=1):
 
 
 class TestMultiset:
-    def test_invariants(self):
-        bm = lower(3, [1, 10, 13])
-        assert not bm.has_zero_break
-        assert lower(3, [2], m=2).has_zero_break
-
     def test_rejections(self):
         with pytest.raises(ParameterError):
             lower(3, [0, 1])
@@ -140,17 +135,6 @@ class TestCompose:
             )
 
 
-class TestSubset:
-    def test_examples(self):
-        full = upper(3, [1, 4, Fraction(13, 3)])
-        assert quotient_subset_check(upper(3, [1, 4]), full)
-        assert quotient_subset_check(upper(3, []), full)
-        assert not quotient_subset_check(upper(3, [2]), full)
-
-    def test_multiplicity(self):
-        assert not quotient_subset_check(upper(3, [1, 1]), upper(3, [1, 2]))
-
-
 class TestFact1:
     def test_empty_quotient(self):
         res = fact1_resolve(upper(3, []), 1, 4)
@@ -192,5 +176,6 @@ class TestFact1:
                 res = fact1_resolve(um, u, v)
             except UnrealizableMultisetError:
                 continue
-            assert quotient_subset_check(res.l0_breaks, res.full_breaks)
-            assert quotient_subset_check(res.other_breaks, res.full_breaks)
+            full = Counter(res.full_breaks.breaks)
+            assert Counter(res.l0_breaks.breaks) <= full
+            assert Counter(res.other_breaks.breaks) <= full
