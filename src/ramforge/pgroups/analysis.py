@@ -11,8 +11,10 @@ generator), commutativity, [G, G] and Phi(G) (normal closures of the
 generator commutators, and of those with the generator p-th powers),
 conjugacy classes (orbits under conjugation by the generators) and the
 homomorphism check of an automorphism.  Quotients are index-native:
-their cosets and tables come from the parent's tables, and normality is
-checked by conjugating N by the parent's generators only.  Element orders
+their cosets and tables come from the parent's index law (a direct
+product's through its factors' tables, so central and fiber products
+never table their ambient product), and normality is checked by
+conjugating N by the parent's generators only.  Element orders
 (computed once per table), exponents and the p-th power conditions of the
 structural checks remain exhaustive over all elements.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from ..errors import InternalCheckError, MaterializationLimitError, ParameterError
+from ..errors import InternalCheckError, ParameterError
 from .base import (
     DEFAULT_LIMIT,
     CyclicPGroup,
@@ -300,7 +302,9 @@ def central_product(
     """(N1 x N2) / B with B generated by a central order-p pair (g1, g2).
 
     Both components must be nontrivial so that B meets neither factor and
-    each embeds in the quotient.
+    each embeds in the quotient.  The quotient multiplies through the
+    factors' tables, so the product N1 x N2 is never tabled; its order
+    must still be within ``limit``.
     """
     if n1.p != n2.p:
         raise ParameterError(f"prime mismatch: {n1.p} vs {n2.p}")
@@ -309,10 +313,6 @@ def central_product(
         pairing = _canonical_central_pairing(n1, n2, limit)
     g1, g2 = pairing
     prod = DirectProductGroup(n1, n2)
-    if prod.order > limit:
-        raise MaterializationLimitError(
-            f"direct product of order {prod.order} exceeds limit {limit}"
-        )
     t1 = tables(n1, limit)
     t2 = tables(n2, limit)
     i1 = n1.index_map()
@@ -335,17 +335,16 @@ def build_A1d_via_Gd(p: int, d: int, limit: int = DEFAULT_LIMIT) -> PGroup:
     """Realize A(1, d) as a quotient of a subgroup of H(1,1) x C_(p^(d+1)).
 
     The subgroup is generated by (x1, w), (y1, 0), (z, 0); the quotient
-    identifies w^(p^d) with z.  The order is checked along the way.
+    identifies w^(p^d) with z.  The order is checked along the way.  The
+    subgroup and the quotient multiply through the factors' tables, so
+    neither the product (order p^(d+4), which must be within ``limit``)
+    nor the subgroup is tabled.
     """
     if d < 1:
         raise ParameterError(f"d >= 1 required, got {d}")
     h = HGroup(p, 1, 1)
     c = CyclicPGroup(p, d + 1)
     prod = DirectProductGroup(h, c)
-    if prod.order > limit:
-        raise MaterializationLimitError(
-            f"ambient product of order {prod.order} exceeds limit {limit}"
-        )
     gens = [
         (h.gen_x(0), c.gen()),
         (h.gen_y(0), c.identity()),

@@ -5,19 +5,24 @@ Every group exposes a deterministic element order and a generating set;
 all searches and constructions derive their results from that order, never
 from timing, so repeated runs give identical answers.  Orders are known in
 closed form before any element is enumerated, and `tables` builds the
-multiplication table from one row per generator.  H, A, C, subgroups and
-explicit tables compute those rows by their law; direct products and
-quotients are index-native: they compose their rows from their parents'
-tables by integer arithmetic, and a quotient checks normality by
-conjugating N by the parent's generators only.
+multiplication table from one row per generator.  No table calls a group
+law: H, A and C compute their generator rows and inverses by arithmetic
+on their normal-form index layout, an explicit table reads them from
+itself, and direct products, subgroups and quotients compose theirs from
+their parents by integer arithmetic.  A direct product multiplies indices
+through its factors' tables, so a subgroup or quotient of a product never
+tables the product itself; a quotient checks normality by conjugating N
+by the parent's generators only.  The laws stay the public API and the
+test oracle for the tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from ..errors import (
     InternalCheckError,
@@ -58,15 +63,16 @@ class PGroup:
     def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
         """The identity's index, the row ``b -> s b`` of each generator
         index ``s`` (without the identity or repeats, in generator order),
-        and the inverse of every index: by the group law unless a group
-        can compose them from its parents' tables."""
-        elems = self.elements()
-        idx = self.index_map()
-        e = idx[self.identity()]
-        gens = dict.fromkeys(idx[g] for g in self.generators())
-        gens.pop(e, None)
-        rows = {s: [idx[self.mul(elems[s], b)] for b in elems] for s in gens}
-        return e, rows, [idx[self.inv(a)] for a in elems]
+        and the inverse of every index, all without calling the law."""
+        raise NotImplementedError
+
+    def _index_law(self, limit: int) -> _IndexLaw:
+        """The group law on element indices, for subgroups and quotients:
+        read from this group's tables unless a group can multiply indices
+        without them."""
+        t = tables(self, limit)
+        rows = t.mul
+        return _IndexLaw(t.e, t.gens, lambda a, b: rows[a][b], t.inv)
 
     def descriptor(self) -> str:
         raise NotImplementedError
@@ -93,6 +99,16 @@ class PGroup:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.descriptor()} order={self.order}>"
+
+
+class _IndexLaw(NamedTuple):
+    """Identity, generators (as in `GroupTables.gens`), product and
+    inverses of a group, on its element indices."""
+
+    e: int
+    gens: tuple[int, ...]
+    mul: Callable[[int, int], int]
+    inv: list[int]
 
 
 @dataclass
@@ -149,7 +165,7 @@ class GroupTables:
         return out
 
 
-def closure(start, gens, mul, limit: int | None = None) -> set:
+def closure(start, gens, mul) -> set:
     """The elements reached from ``start`` by right multiplication by
     ``gens`` under ``mul``; from the identity this is the subgroup the
     generators generate, from a normal subgroup N it is N<gens>."""
@@ -161,10 +177,6 @@ def closure(start, gens, mul, limit: int | None = None) -> set:
             for g in gens:
                 y = mul(x, g)
                 if y not in seen:
-                    if limit is not None and len(seen) >= limit:
-                        raise MaterializationLimitError(
-                            f"subgroup closure exceeded limit {limit}"
-                        )
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
@@ -216,20 +228,25 @@ def _extend_partial(tg: GroupTables, th: GroupTables, pairs: list[tuple[int, int
     return phi
 
 
+def _check_limit(G: PGroup, limit: int) -> None:
+    if G.order > limit:
+        raise MaterializationLimitError(
+            f"group of order {G.order} exceeds materialization limit {limit}"
+        )
+
+
 def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     """Materialize multiplication/inverse index tables (cached on the group).
 
-    The group supplies one row per generator and the inverses (by its law,
-    or from its parents' tables); every other row is composed from those
-    breadth-first from the identity, so the table agrees with the law
-    whenever the law is associative.  ``limit`` applies to every table
-    built on the way.
+    The group supplies one row per generator and the inverses (by index
+    arithmetic, or from its parents); every other row is composed from
+    those breadth-first from the identity, so the table agrees with the
+    law whenever the law is associative and the rows agree with it.
+    ``limit`` applies to every table built on the way, and to the order of
+    any product multiplied through its factors instead.
     """
+    _check_limit(G, limit)
     n = G.order
-    if n > limit:
-        raise MaterializationLimitError(
-            f"group of order {n} exceeds materialization limit {limit}"
-        )
     cached = getattr(G, "_tables", None)
     if cached is not None:
         return cached
@@ -273,6 +290,24 @@ def _dot(a: tuple, b: tuple) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _step(radix: list[int], i: int) -> list[int]:
+    """For each index of a mixed-radix digit vector (first digit most
+    significant), the index after adding 1 to digit i modulo radix[i]."""
+    w, r = prod(radix[i + 1 :]), radix[i]
+    return [
+        h + (d + 1) % r * w + k
+        for h in range(0, prod(radix), r * w)
+        for d in range(r)
+        for k in range(w)
+    ]
+
+
+def _negated(vecs: list[tuple], p: int) -> list[int]:
+    """The index of -v for each v in ``vecs = product(range(p), repeat=k)``."""
+    pos = {v: i for i, v in enumerate(vecs)}
+    return [pos[_vec_neg(v, p)] for v in vecs]
+
+
 class HGroup(PGroup):
     """H(n, d): generators x_i, y_i of order p and central z of order p^d,
     with [x_i, y_i] = z^(p^(d-1)) the only nontrivial commutation.
@@ -309,6 +344,28 @@ class HGroup(PGroup):
     def _element_list(self):
         vecs = list(product(range(self.p), repeat=self.n))
         return [(a, b, c) for a in vecs for b in vecs for c in range(self.zmod)]
+
+    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+        # An index has the digits (a_1..a_n, b_1..b_n, c) of its normal
+        # form.  x_i steps a_i; y_i steps b_i and subtracts p^(d-1) a_i
+        # from c; z steps c.  Entry 0 of a row is its generator's index.
+        p, n, zm, sh = self.p, self.n, self.zmod, self.shift
+        radix = [p] * (2 * n) + [zm]
+        ys = []
+        for i in range(n):
+            w = prod(radix[i + 1 :])  # the weight of a_i
+            step = _step(radix, n + i)
+            ys.append([j - k % zm + (k - sh * (k // w % p)) % zm for k, j in enumerate(step)])
+        rows = [_step(radix, i) for i in range(n)] + ys + [_step(radix, 2 * n)]
+        vecs = list(product(range(p), repeat=n))
+        neg = _negated(vecs, p)
+        inv = []
+        for a, va in enumerate(vecs):
+            for b, vb in enumerate(vecs):
+                base = (neg[a] * len(vecs) + neg[b]) * zm
+                t = sh * _dot(va, vb)
+                inv.extend(base + (-c - t) % zm for c in range(zm))
+        return 0, {row[0]: row for row in rows}, inv
 
     def generators(self) -> list:
         xs = [self.gen_x(i) for i in range(self.n)]
@@ -371,6 +428,33 @@ class AGroup(PGroup):
         bvecs = list(product(range(self.p), repeat=self.n))
         return [(a1, r, b) for a1 in range(self.x1mod) for r in rests for b in bvecs]
 
+    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+        # An index has the digits (a1, a_2..a_n, b_1..b_n) of its normal
+        # form, with a_1 = a1 mod p.  x_i steps a1 or a_i; y_i steps b_i and
+        # subtracts p^d a_i from a1.  Entry 0 of a row is its generator's index.
+        p, n, m, sh = self.p, self.n, self.x1mod, self.shift
+        radix = [m] + [p] * (2 * n - 1)
+        top = prod(radix[1:])  # the weight of a1
+        ys = []
+        for i in range(n):
+            w = prod(radix[i + 1 :])  # the weight of a_i
+            step = _step(radix, n + i)
+            ys.append(
+                [j + ((k // top - sh * (k // w % p)) % m - k // top) * top for k, j in enumerate(step)]
+            )
+        rows = [_step(radix, i) for i in range(n)] + ys
+        rests = list(product(range(p), repeat=n - 1))
+        bvecs = list(product(range(p), repeat=n))
+        rneg, bneg = _negated(rests, p), _negated(bvecs, p)
+        inv = []
+        for a1 in range(m):
+            for R, rv in enumerate(rests):
+                av = (a1 % p,) + rv
+                for B, bv in enumerate(bvecs):
+                    a1i = (-a1 - sh * _dot(av, bv)) % m
+                    inv.append((a1i * len(rests) + rneg[R]) * len(bvecs) + bneg[B])
+        return 0, {row[0]: row for row in rows}, inv
+
     def generators(self) -> list:
         # z = x_1^p, so the x_i and y_i suffice
         return [self.gen_x(i) for i in range(self.n)] + [self.gen_y(i) for i in range(self.n)]
@@ -416,6 +500,9 @@ class CyclicPGroup(PGroup):
     def _element_list(self):
         return list(range(self.mod))
 
+    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+        return 0, {1: [*range(1, self.mod), 0]}, [0, *range(self.mod - 1, 0, -1)]
+
     def generators(self) -> list:
         return [self.gen()]
 
@@ -450,18 +537,31 @@ class DirectProductGroup(PGroup):
         e1, e2 = self.g1.identity(), self.g2.identity()
         return [(g, e2) for g in self.g1.generators()] + [(e1, h) for h in self.g2.generators()]
 
-    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
-        # (a, b) has index a n2 + b, and (s1, s2) (x, y) = (s1 x, s2 y)
+    def _index_law(self, limit: int) -> _IndexLaw:
+        # (a, b) has index a n2 + b, and (a, b) (c, d) = (a c, b d): only
+        # the factors are tabled, however large the product
+        _check_limit(self, limit)
         t1 = tables(self.g1, limit)
         t2 = tables(self.g2, limit)
         n2 = t2.n
-        pairs = [(s, t2.e) for s in t1.gens] + [(t1.e, s) for s in t2.gens]
-        rows = {
-            s1 * n2 + s2: [x * n2 + y for x in t1.mul[s1] for y in t2.mul[s2]]
-            for s1, s2 in pairs
-        }
+        m1, m2 = t1.mul, t2.mul
+
+        def mul(i: int, j: int) -> int:
+            a, b = divmod(i, n2)
+            c, d = divmod(j, n2)
+            return m1[a][c] * n2 + m2[b][d]
+
+        gens = tuple(s * n2 + t2.e for s in t1.gens) + tuple(t1.e * n2 + s for s in t2.gens)
         inv = [a * n2 + b for a in t1.inv for b in t2.inv]
-        return t1.e * n2 + t2.e, rows, inv
+        return _IndexLaw(t1.e * n2 + t2.e, gens, mul, inv)
+
+    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+        # the row of (s1, s2) pairs the factor rows of s1 and s2
+        law = self._index_law(limit)
+        m1, m2 = tables(self.g1, limit).mul, tables(self.g2, limit).mul
+        n2 = len(m2)
+        rows = {s: [x * n2 + y for x in m1[s // n2] for y in m2[s % n2]] for s in law.gens}
+        return law.e, rows, law.inv
 
     def _element_list(self):
         return [(a, b) for a in self.g1.elements() for b in self.g2.elements()]
@@ -471,16 +571,21 @@ class DirectProductGroup(PGroup):
 
 
 class SubgroupGroup(PGroup):
-    """The subgroup generated by ``gens`` inside ``parent``."""
+    """The subgroup generated by ``gens`` inside ``parent``.
+
+    Its closure, rows and inverses use the parent's index law (materialized
+    under ``limit``), and its elements are ordered by their parent index.
+    """
 
     def __init__(self, parent: PGroup, gens, limit: int = DEFAULT_LIMIT):
         self.p = parent.p
         self.parent = parent
-        idx = parent.index_map()
         self._gens = list(gens)
-        members = closure([parent.identity()], self._gens, parent.mul, limit)
-        self._sorted = sorted(members, key=lambda g: idx[g])
-        self._order = len(self._sorted)
+        law = parent._index_law(limit)
+        idx = parent.index_map()
+        self._gen_idx = [idx[g] for g in self._gens]
+        self._members = sorted(closure([law.e], self._gen_idx, law.mul))
+        self._order = len(self._members)
 
     def identity(self):
         return self.parent.identity()
@@ -494,11 +599,33 @@ class SubgroupGroup(PGroup):
     def generators(self) -> list:
         return list(self._gens)
 
+    def _index_law(self, limit: int) -> _IndexLaw:
+        # the k-th member has index k: map to the parent and back
+        law = self.parent._index_law(limit)
+        members = self._members
+        pos = {m: k for k, m in enumerate(members)}
+        e = pos[law.e]
+        gens = dict.fromkeys(pos[g] for g in self._gen_idx)
+        gens.pop(e, None)
+        pmul = law.mul
+        return _IndexLaw(
+            e,
+            tuple(gens),
+            lambda a, b: pos[pmul(members[a], members[b])],
+            [pos[law.inv[m]] for m in members],
+        )
+
+    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+        law = self._index_law(limit)
+        rows = {s: [law.mul(s, b) for b in range(self._order)] for s in law.gens}
+        return law.e, rows, law.inv
+
     def _element_list(self):
-        return list(self._sorted)
+        elems = self.parent.elements()
+        return [elems[m] for m in self._members]
 
     def descriptor(self) -> str:
-        return f"subgroup(order={len(self._sorted)}) of {self.parent.descriptor()}"
+        return f"subgroup(order={self._order}) of {self.parent.descriptor()}"
 
 
 class QuotientGroup(PGroup):
@@ -506,15 +633,18 @@ class QuotientGroup(PGroup):
 
     Cosets are ordered by the parent index of their first member, which is
     their representative, so the element order is deterministic.  Cosets,
-    the normality check and the quotient's tables all work on the parent's
-    index tables (materialized under ``limit``).  Normality is tested on
-    the parent's generators only: conjugation is a bijection, so s^-1 N s
-    within N gives s^-1 N s = N, and the elements fixing N form a subgroup.
+    the normality check and the quotient's tables all use the parent's
+    index law (materialized under ``limit``; a direct product multiplies
+    through its factors' tables).  Normality is tested on the parent's
+    generators only: conjugation is a bijection, so s^-1 N s within N
+    gives s^-1 N s = N, and the elements fixing N form a subgroup.
     """
 
     def __init__(self, parent: PGroup, normal_elements, limit: int = DEFAULT_LIMIT):
         self.p = parent.p
         self.parent = parent
+        law = parent._index_law(limit)
+        mul = law.mul
         nset = set(normal_elements)
         if parent.identity() not in nset:
             raise ParameterError("normal subgroup must contain the identity")
@@ -523,17 +653,15 @@ class QuotientGroup(PGroup):
             raise ParameterError("normal subgroup has elements outside the group")
         if parent.order % len(nset):
             raise ParameterError("subgroup size does not divide the group order")
-        t = tables(parent, limit)
         elems = parent.elements()
         nidx = {idx[h] for h in nset}
-        coset_id = [-1] * t.n
+        coset_id = [-1] * len(elems)
         reps: list[int] = []
         cosets: list[frozenset] = []
-        for g in range(t.n):  # the first unassigned index leads its coset
+        for g in range(len(elems)):  # the first unassigned index leads its coset
             if coset_id[g] >= 0:
                 continue
-            row = t.mul[g]
-            members = {row[h] for h in nidx}
+            members = {mul(g, h) for h in nidx}
             if len(members) != len(nidx):
                 raise ParameterError("coset size mismatch: not a subgroup")
             for x in members:
@@ -542,7 +670,7 @@ class QuotientGroup(PGroup):
                 coset_id[x] = len(reps)
             reps.append(g)
             cosets.append(frozenset(elems[x] for x in members))
-        if any(t.conj(h, s) not in nidx for s in t.gens for h in nidx):
+        if any(mul(mul(law.inv[s], h), s) not in nidx for s in law.gens for h in nidx):
             raise ParameterError("subgroup is not normal")
         self._cosets = cosets
         self._coset_of = {elems[x]: cid for x, cid in enumerate(coset_id)}
@@ -568,17 +696,14 @@ class QuotientGroup(PGroup):
 
     def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
         # coset c times coset d is the coset of rep(c) rep(d)
-        t = tables(self.parent, limit)
+        law = self.parent._index_law(limit)
         cid = self._coset_idx
         reps = self._rep_idx
-        e = cid[t.e]
-        gens = dict.fromkeys(cid[s] for s in t.gens)
+        e = cid[law.e]
+        gens = dict.fromkeys(cid[s] for s in law.gens)
         gens.pop(e, None)
-        rows = {}
-        for c in gens:
-            row = t.mul[reps[c]]
-            rows[c] = [cid[row[r]] for r in reps]
-        return e, rows, [cid[t.inv[r]] for r in reps]
+        rows = {c: [cid[law.mul(reps[c], r)] for r in reps] for c in gens}
+        return e, rows, [cid[law.inv[r]] for r in reps]
 
     def _element_list(self):
         return list(self._cosets)
@@ -660,6 +785,9 @@ class TableGroup(PGroup):
 
     def generators(self) -> list:
         return list(self._gens)
+
+    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+        return self._ident, {s: self._table[s] for s in self._gens}, self._inv_list
 
     def _element_list(self):
         return list(range(len(self._table)))

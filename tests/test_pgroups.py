@@ -9,6 +9,7 @@ import pytest
 from ramforge.errors import InternalCheckError, MaterializationLimitError, ParameterError
 from ramforge.forge import derive_nonint, verify_certificate
 from ramforge.pgroups import (
+    DEFAULT_LIMIT,
     CyclicPGroup,
     DirectProductGroup,
     QuotientGroup,
@@ -29,6 +30,7 @@ from ramforge.pgroups import (
     parse_group_descriptor,
     tables,
 )
+from ramforge.pgroups import analysis, base
 from ramforge.pgroups.analysis import _normal_subgroups_avoiding
 from ramforge.pgroups.base import _extend_partial
 
@@ -109,6 +111,13 @@ def subgroup_x_z():
     return SubgroupGroup(G, [G.gen_x(0), G.gen_z()])
 
 
+def subgroup_of_product():
+    # <(x, 1), (y, 0)> in H(1,1) x C(3,2): order 81, neither factor
+    G = DirectProductGroup(H(1, 1), CyclicPGroup(3, 2))
+    h = G.g1
+    return SubgroupGroup(G, [(h.gen_x(0), 1), (h.gen_y(0), 0)])
+
+
 def quotient_by_center():
     G = H(1, 1)
     z = G.gen_z()
@@ -135,6 +144,7 @@ TABLE_CASES = {
         "kind=C p=3 k=1 x kind=C p=3 k=1 x kind=C p=3 k=1"
     ),
     "subgroup <x, z> of H(1,2)": subgroup_x_z,
+    "subgroup <(x, 1), (y, 0)> of H(1,1) x C(3,2)": subgroup_of_product,
     "H(1,1) / Z": quotient_by_center,
     "central product H(1,1) * H(1,1)": lambda: central_product(H(1, 1), H(1, 1)),
     "central product H(0,2) * H(1,1)": lambda: central_product(H(0, 2), H(1, 1)),
@@ -239,14 +249,20 @@ class TestTables:
         assert getattr(G, "_elements", None) is None
 
     def test_generators_must_generate(self):
+        # the rows of x and z alone: <x, z> is a proper subgroup
         G = H(1, 1)
-        G.generators = lambda: [G.gen_x(0), G.gen_z()]
+        e, rows, inv = G._generator_rows(DEFAULT_LIMIT)
+        idx = G.index_map()
+        kept = {idx[g]: rows[idx[g]] for g in (G.gen_x(0), G.gen_z())}
+        G._generator_rows = lambda limit: (e, kept, inv)
         with pytest.raises(InternalCheckError, match="do not reach"):
             tables(G)
 
     def test_inverses_must_be_inverses(self):
+        # every element claimed to be its own inverse
         G = CyclicPGroup(3, 2)
-        G.inv = lambda a: a
+        e, rows, _ = G._generator_rows(DEFAULT_LIMIT)
+        G._generator_rows = lambda limit: (e, rows, list(range(G.order)))
         with pytest.raises(InternalCheckError, match="inconsistent"):
             tables(G)
 
@@ -632,9 +648,75 @@ class TestQuotientDifferential:
         assert verdicts[True] > 0 and verdicts[False] > 0
 
 
+# H(n, d), A(n, d) and C_(p^k) at p in {3, 5, 7}, d <= 3, order <= 3^8.
+ROW_CASES = (
+    [("H", p, n, d) for p in (3, 5, 7) for n in range(4) for d in (1, 2, 3) if p ** (2 * n + d) <= 3**8]
+    + [("A", p, n, d) for p in (3, 5, 7) for n in (1, 2, 3) for d in (1, 2, 3) if p ** (2 * n + d) <= 3**8]
+    + [("C", p, k, None) for p in (3, 5, 7) for k in range(1, 9) if p**k <= 3**8]
+)
+
+
+class TestIndexRows:
+    """The generator rows and inverses that H, A and C compute from their
+    index layout are the law's, compared row by row (no table is built)."""
+
+    @pytest.mark.parametrize("kind, p, n, d", ROW_CASES)
+    def test_rows_match_law(self, kind, p, n, d):
+        G = CyclicPGroup(p, n) if kind == "C" else make_group(kind, p, n, d)
+        e, rows, inv = G._generator_rows(DEFAULT_LIMIT)
+        elems = G.elements()
+        idx = G.index_map()
+        assert e == idx[G.identity()]
+        assert list(rows) == [idx[g] for g in G.generators()]
+        for s, row in rows.items():
+            assert row == [idx[G.mul(elems[s], b)] for b in elems]
+        assert inv == [idx[G.inv(a)] for a in elems]
+
+
+def table_spy(monkeypatch) -> list:
+    """The order of every table built from here on."""
+    built = []
+    real = base.tables
+
+    def spy(G, limit=DEFAULT_LIMIT):
+        if getattr(G, "_tables", None) is None:
+            built.append(G.order)
+        return real(G, limit)
+
+    for mod in (base, analysis):
+        monkeypatch.setattr(mod, "tables", spy)
+    return built
+
+
 class TestIndexNative:
-    """Composite groups build their tables from their parents' tables:
-    once those exist, the parents' laws are not called again."""
+    """No table calls a group law, and composite groups build their tables
+    from their parents': once those exist, the parents' laws are not
+    called again, and a product is multiplied through its factors."""
+
+    @pytest.mark.parametrize(
+        "G", [H(0, 2), H(2, 1), H(1, 1, p=5), A(1, 2), A(2, 1), CyclicPGroup(3, 3)], ids=repr
+    )
+    def test_tables_make_no_law_calls(self, G):
+        calls = counting_law(G)
+        assert tables(G).n == G.order
+        assert calls == Counter()
+
+    @pytest.mark.parametrize(
+        "build, factors",
+        [
+            (lambda: central_product(H(1, 1), H(1, 1)), 27),
+            (lambda: central_product(A(1, 1), H(1, 1)), 27),
+            (lambda: build_A1d_via_Gd(3, 2), 27),
+        ],
+        ids=["H(1,1) * H(1,1)", "A(1,1) * H(1,1)", "A(1,2) via G_d"],
+    )
+    def test_constructions_table_no_ambient_product(self, monkeypatch, build, factors):
+        # the ambient products have order 729 and G_d has order 243
+        built = table_spy(monkeypatch)
+        Q = build()
+        assert built and max(built) <= factors
+        assert base.tables(Q).n == Q.order
+        assert max(built) == max(factors, Q.order) < 729
 
     def test_quotient_makes_no_parent_law_calls(self):
         G = H(1, 2)
@@ -661,6 +743,22 @@ class TestIndexNative:
             QuotientGroup(G, [G.identity()], limit=27)
         with pytest.raises(MaterializationLimitError):
             tables(DirectProductGroup(H(1, 1), CyclicPGroup(3, 1)), limit=27)
+
+    def test_limit_reaches_an_untabled_product(self):
+        # order 81 over limit 27, although each factor is within it
+        G = DirectProductGroup(H(1, 1), CyclicPGroup(3, 1))
+        z = (G.g1.gen_z(), 0)
+        with pytest.raises(MaterializationLimitError):
+            QuotientGroup(G, [G.identity()], limit=27)
+        with pytest.raises(MaterializationLimitError):
+            SubgroupGroup(G, [z], limit=27)
+        K = H(1, 2)
+        with pytest.raises(MaterializationLimitError):
+            SubgroupGroup(K, [K.gen_z()], limit=27)
+        with pytest.raises(MaterializationLimitError):
+            central_product(H(1, 1), H(1, 1), limit=243)
+        with pytest.raises(MaterializationLimitError):
+            build_A1d_via_Gd(3, 2, limit=243)
 
 
 class TestDescriptors:
