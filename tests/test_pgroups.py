@@ -743,18 +743,15 @@ class TestIndexNative:
             QuotientGroup(G, [G.identity()], limit=27)
         with pytest.raises(MaterializationLimitError):
             tables(DirectProductGroup(H(1, 1), CyclicPGroup(3, 1)), limit=27)
-
-    def test_limit_reaches_an_untabled_product(self):
-        # order 81 over limit 27, although each factor is within it
-        G = DirectProductGroup(H(1, 1), CyclicPGroup(3, 1))
-        z = (G.g1.gen_z(), 0)
         with pytest.raises(MaterializationLimitError):
-            QuotientGroup(G, [G.identity()], limit=27)
+            SubgroupGroup(G, [G.gen_z()], limit=27)
+        # a product is refused by its order, although it is never tabled
+        # and each factor is within the limit
+        P = DirectProductGroup(H(1, 1), CyclicPGroup(3, 1))
         with pytest.raises(MaterializationLimitError):
-            SubgroupGroup(G, [z], limit=27)
-        K = H(1, 2)
+            QuotientGroup(P, [P.identity()], limit=27)
         with pytest.raises(MaterializationLimitError):
-            SubgroupGroup(K, [K.gen_z()], limit=27)
+            SubgroupGroup(P, [(P.g1.gen_z(), 0)], limit=27)
         with pytest.raises(MaterializationLimitError):
             central_product(H(1, 1), H(1, 1), limit=243)
         with pytest.raises(MaterializationLimitError):
