@@ -48,6 +48,7 @@ from .pgroups import (
     make_group,
     minimal_nonabelian_quotient,
     parse_group_descriptor,
+    tables,
 )
 from .ramcalc import (
     BreakMultiset,
@@ -684,12 +685,6 @@ def _action_to_perm(P: PGroup, action) -> list[int] | None:
     """None for the trivial action, else the permutation of element indices."""
     if action is None or action == "trivial":
         return None
-    idx = P.index_map()
-    elems = P.elements()
-    if isinstance(action, dict):
-        if set(action) != set(elems):
-            raise ParameterError("action map must be defined on every element")
-        return [idx[action[g]] for g in elems]
     perm = [int(x) for x in action]
     if sorted(perm) != list(range(P.order)):
         raise ParameterError("action permutation is not a bijection on indices")
@@ -707,8 +702,8 @@ def derive_chat(
     break), or G = P x C_m with P nonabelian and a quotient construction
     supplies the witness.
 
-    ``action`` is None/"trivial", a full element map, or a permutation of
-    element indices giving the image of a generator of C_m on P.
+    ``action`` is None/"trivial" or a permutation of element indices
+    giving the image of a generator of C_m on P.
     """
     P = parse_group_descriptor(group_descriptor)
     p = P.p
@@ -716,6 +711,7 @@ def derive_chat(
         raise ParameterError(f"m must be positive, got {m}")
     if gcd(m, p) != 1:
         raise ParameterError(f"m = {m} must be prime to p = {p}")
+    tables(P)  # refuses an over-limit group before any element is enumerated
     perm = _action_to_perm(P, action)
     action_text = "trivial" if perm is None else "perm " + ",".join(map(str, perm))
     elems = P.elements()
@@ -767,8 +763,7 @@ def derive_chat(
             "wild-part-nonabelian", (("group", group_descriptor),), (("nonabelian", "true"),)
         )
         kernel, quotient, cls = minimal_nonabelian_quotient(P)
-        idx = P.index_map()
-        kernel_text = ",".join(str(idx[g]) for g in kernel)
+        kernel_text = ",".join(map(str, kernel))
         deriv.step(
             "minimal-quotient",
             (("group", group_descriptor),),

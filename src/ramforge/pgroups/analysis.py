@@ -10,13 +10,13 @@ the table's generators: the center (elements commuting with every
 generator), commutativity, [G, G] and Phi(G) (normal closures of the
 generator commutators, and of those with the generator p-th powers),
 conjugacy classes (orbits under conjugation by the generators) and the
-homomorphism check of an automorphism.  Quotients are index-native:
-their cosets and tables come from the parent's index law (a direct
-product's through its factors' tables, so central and fiber products
-never table their ambient product), and normality is checked by
-conjugating N by the parent's generators only.  Element orders
-(computed once per table), exponents and the p-th power conditions of the
-structural checks remain exhaustive over all elements.
+homomorphism check of an automorphism.  Subgroups and quotients are
+built from parent indices (see `subgroup` and `quotient`), so central and
+fiber products never enumerate or table their ambient product, and the
+Burnside check decides triviality on P/Phi(P) as g^-1 alpha(g) in Phi(P)
+without building the quotient.  Element orders (computed once per table),
+exponents and the p-th power conditions of the structural checks remain
+exhaustive over all elements.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .base import (
     GroupTables,
     HGroup,
     PGroup,
-    QuotientGroup,
-    SubgroupGroup,
     _extend_partial,
     closure,
+    quotient,
+    subgroup,
     tables,
 )
 
@@ -232,12 +232,10 @@ def is_minimal_nonabelian(G: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
     conditions.  Disagreement is a fatal internal error.
     """
     t = tables(G, limit)
-    elems = G.elements()
     method1 = not is_abelian(G, limit)
     if method1:
         for sub in _central_order_p_subgroups(t):
-            Q = QuotientGroup(G, [elems[i] for i in sub], limit)
-            if not is_abelian(Q, limit):
+            if not is_abelian(quotient(G, sub, limit), limit):
                 method1 = False
                 break
     method2 = check_abcd(G, limit).all_true
@@ -276,21 +274,10 @@ def classify_minimal(G: PGroup, limit: int = DEFAULT_LIMIT) -> ClassifyResult:
     return ClassifyResult(kind=kind, n=n2 // 2, d=d)
 
 
-def _canonical_central_pairing(n1: PGroup, n2: PGroup, limit: int = DEFAULT_LIMIT):
-    """The standard gluing datum (w1, w2^-1) with w_i generating the unique
-    order-p subgroup of the (cyclic) center of each factor."""
-    picks = []
-    for G in (n1, n2):
-        t = tables(G, limit)
-        z = center_idx(t)
-        if not _is_cyclic_idx(t, z):
-            raise ParameterError(
-                f"{G.descriptor()} has non-cyclic center; supply the gluing datum explicitly"
-            )
-        orders = t.orders()
-        socle = sorted(g for g in z if g != t.e and orders[g] == G.p)
-        picks.append(G.elements()[socle[0]])
-    return picks[0], n2.inv(picks[1])
+def _glued(G: PGroup, g: int, limit: int) -> PGroup:
+    """G/<g> for the index g of a central element of G."""
+    law = G._index_law(limit)
+    return quotient(G, closure([law.e], [g], law.mul), limit)
 
 
 def central_product(
@@ -302,66 +289,67 @@ def central_product(
     """(N1 x N2) / B with B generated by a central order-p pair (g1, g2).
 
     Both components must be nontrivial so that B meets neither factor and
-    each embeds in the quotient.  The quotient multiplies through the
-    factors' tables, so the product N1 x N2 is never tabled; its order
-    must still be within ``limit``.
+    each embeds in the quotient.  Without a ``pairing`` (elements of N1
+    and N2) the standard datum (w1, w2^-1) is used, with w_i the least
+    index generating the unique order-p subgroup of the (cyclic) center of
+    each factor.  The quotient multiplies through the factors' tables, so
+    the product N1 x N2 is never tabled; its order must still be within
+    ``limit``.
     """
     if n1.p != n2.p:
         raise ParameterError(f"prime mismatch: {n1.p} vs {n2.p}")
     p = n1.p
-    if pairing is None:
-        pairing = _canonical_central_pairing(n1, n2, limit)
-    g1, g2 = pairing
-    prod = DirectProductGroup(n1, n2)
     t1 = tables(n1, limit)
     t2 = tables(n2, limit)
-    i1 = n1.index_map()
-    i2 = n2.index_map()
-    if i1[g1] not in center_idx(t1) or i2[g2] not in center_idx(t2):
+    if pairing is None:
+        picks = []
+        for G, t in ((n1, t1), (n2, t2)):
+            z = center_idx(t)
+            if not _is_cyclic_idx(t, z):
+                raise ParameterError(
+                    f"{G.descriptor()} has non-cyclic center; supply the gluing datum explicitly"
+                )
+            orders = t.orders()
+            picks.append(min(g for g in z if g != t.e and orders[g] == p))
+        g1, g2 = picks[0], t2.inv[picks[1]]
+    else:
+        g1, g2 = n1.index_map()[pairing[0]], n2.index_map()[pairing[1]]
+    if g1 not in center_idx(t1) or g2 not in center_idx(t2):
         raise ParameterError("gluing datum must be central in each factor")
-    if g1 == n1.identity() or g2 == n2.identity():
+    if g1 == t1.e or g2 == t2.e:
         raise ParameterError("gluing datum must meet both factors nontrivially")
-    if t1.orders()[i1[g1]] != p or t2.orders()[i2[g2]] != p:
+    if t1.orders()[g1] != p or t2.orders()[g2] != p:
         raise ParameterError("gluing datum must have order p in each factor")
-    b = []
-    x = prod.identity()
-    for _ in range(p):
-        b.append(x)
-        x = prod.mul(x, (g1, g2))
-    return QuotientGroup(prod, b, limit)
+    # (g1, g2) has index g1 n2 + g2 in the product
+    return _glued(DirectProductGroup(n1, n2), g1 * t2.n + g2, limit)
 
 
 def build_A1d_via_Gd(p: int, d: int, limit: int = DEFAULT_LIMIT) -> PGroup:
     """Realize A(1, d) as a quotient of a subgroup of H(1,1) x C_(p^(d+1)).
 
-    The subgroup is generated by (x1, w), (y1, 0), (z, 0); the quotient
+    The subgroup G_d is generated by (x1, w), (y1, 0), (z, 0); the quotient
     identifies w^(p^d) with z.  The order is checked along the way.  The
     subgroup and the quotient multiply through the factors' tables, so
     neither the product (order p^(d+4), which must be within ``limit``)
-    nor the subgroup is tabled.
+    nor G_d is tabled.
     """
     if d < 1:
         raise ParameterError(f"d >= 1 required, got {d}")
-    h = HGroup(p, 1, 1)
-    c = CyclicPGroup(p, d + 1)
-    prod = DirectProductGroup(h, c)
-    gens = [
-        (h.gen_x(0), c.gen()),
-        (h.gen_y(0), c.identity()),
-        (h.gen_z(), c.identity()),
-    ]
-    gd = SubgroupGroup(prod, gens, limit)
+    prod = DirectProductGroup(HGroup(p, 1, 1), CyclicPGroup(p, d + 1))
+    # the product's generators: (x1, 0), (y1, 0), (z, 0), (1, w)
+    law = prod._index_law(limit)
+    x, y, z, w = law.gens
+    gd = subgroup(prod, [law.mul(x, w), y, z], limit)
     if gd.order != p ** (d + 3):
         raise InternalCheckError(
             f"ambient subgroup has order {gd.order}, expected p^{d + 3}"
         )
-    glue = (h.inv(h.gen_z()), (p ** d) % c.mod)
-    b = []
-    x = prod.identity()
-    for _ in range(p):
-        b.append(x)
-        x = prod.mul(x, glue)
-    q = QuotientGroup(gd, b, limit)
+    # the glue (z^-1, w^(p^d)) is z^-1 (x1, w)^(p^d) in G_d, as x1 has order p
+    xw, _, z = gd.generators()
+    glue = gd.inv(z)
+    for _ in range(p**d):
+        glue = gd.mul(glue, xw)
+    q = _glued(gd, glue, limit)
     if q.order != p ** (2 + d):
         raise InternalCheckError(f"quotient has order {q.order}, expected p^{2 + d}")
     return q
@@ -408,7 +396,8 @@ def _normal_subgroups_avoiding(t: GroupTables, forbidden: frozenset[int]) -> lis
 def minimal_nonabelian_quotient(
     G: PGroup, limit: int = DEFAULT_LIMIT
 ) -> tuple[tuple, PGroup, ClassifyResult]:
-    """A largest normal subgroup N with G/N minimal nonabelian.
+    """A largest normal subgroup N with G/N minimal nonabelian: the
+    sorted indices of N in G, G/N and its classification.
 
     Candidates are scanned largest-first with ties broken by element
     indices, so the witness is deterministic.
@@ -417,12 +406,9 @@ def minimal_nonabelian_quotient(
         raise ParameterError(f"{G.descriptor()} is abelian; no nonabelian quotient")
     t = tables(G, limit)
     der = frozenset(commutator_subgroup_idx(t))
-    candidates = _normal_subgroups_avoiding(t, der)
-    candidates.sort(key=lambda s: (-len(s), tuple(sorted(s))))
-    elems = G.elements()
-    for cand in candidates:
-        N = tuple(elems[i] for i in sorted(cand))
-        Q = QuotientGroup(G, N, limit)
+    candidates = [tuple(sorted(s)) for s in _normal_subgroups_avoiding(t, der)]
+    for N in sorted(candidates, key=lambda s: (-len(s), s)):
+        Q = quotient(G, N, limit)
         if is_minimal_nonabelian(Q, limit):
             return N, Q, classify_minimal(Q, limit)
     raise InternalCheckError(
@@ -503,12 +489,9 @@ def burnside_action_check(
     if m % order:
         raise ParameterError(f"alpha has order {order}, which does not divide m = {m}")
     nontrivial_group = any(perm[g] != g for g in range(t.n))
-    fr = frattini_idx(t)
-    Q = QuotientGroup(P, tuple(elems[i] for i in fr), limit)
-    coset_of = Q._coset_of
-    nontrivial_quotient = any(
-        coset_of[alpha[g]] != coset_of[g] for g in elems
-    )
+    # alpha is trivial on P/Phi when every g^-1 alpha(g) lies in Phi
+    fr = set(frattini_idx(t))
+    nontrivial_quotient = any(t.mul[t.inv[g]][perm[g]] not in fr for g in range(t.n))
     if nontrivial_group != nontrivial_quotient:
         raise InternalCheckError(
             "triviality on the group and on its Frattini quotient disagree "

@@ -8,12 +8,14 @@ closed form before any element is enumerated, and `tables` builds the
 multiplication table from one row per generator.  No table calls a group
 law: H, A and C compute their generator rows and inverses by arithmetic
 on their normal-form index layout, an explicit table reads them from
-itself, and direct products, subgroups and quotients compose theirs from
-their parents by integer arithmetic.  A direct product multiplies indices
-through its factors' tables, so a subgroup or quotient of a product never
-tables the product itself; a quotient checks normality by conjugating N
-by the parent's generators only.  The laws stay the public API and the
-test oracle for the tables.
+itself, and a direct product pairs its factors' rows.  `subgroup` and
+`quotient` take parent indices and return a group whose elements are the
+indices 0..n-1 and whose law is composed from the parent's index law, so
+they keep no element view.  A direct product multiplies indices through
+its factors' tables, so a subgroup or quotient of a product never tables
+the product itself; a quotient checks normality by conjugating N by the
+parent's generators only.  The laws of H, A, C and products stay the
+public API and the test oracle for the tables.
 """
 
 from __future__ import annotations
@@ -63,13 +65,16 @@ class PGroup:
     def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
         """The identity's index, the row ``b -> s b`` of each generator
         index ``s`` (without the identity or repeats, in generator order),
-        and the inverse of every index, all without calling the law."""
-        raise NotImplementedError
+        and the inverse of every index, all without calling the law.  By
+        default they are read from `_index_law`."""
+        law = self._index_law(limit)
+        n = len(law.inv)
+        return law.e, {s: [law.mul(s, b) for b in range(n)] for s in law.gens}, law.inv
 
     def _index_law(self, limit: int) -> _IndexLaw:
         """The group law on element indices, for subgroups and quotients:
         read from this group's tables unless a group can multiply indices
-        without them."""
+        without them.  A group defines this or `_generator_rows`."""
         t = tables(self, limit)
         rows = t.mul
         return _IndexLaw(t.e, t.gens, lambda a, b: rows[a][b], t.inv)
@@ -570,148 +575,117 @@ class DirectProductGroup(PGroup):
         return f"{self.g1.descriptor()} x {self.g2.descriptor()}"
 
 
-class SubgroupGroup(PGroup):
-    """The subgroup generated by ``gens`` inside ``parent``.
+class _IndexGroup(PGroup):
+    """A subgroup or quotient of ``parent``: its elements are the indices
+    0..n-1 and its law, composed from the parent's, is ``mul`` and ``inv``
+    on them.  ``gens`` become its generators, without the identity ``e``
+    or repeats."""
 
-    Its closure, rows and inverses use the parent's index law (materialized
-    under ``limit``), and its elements are ordered by their parent index.
-    """
-
-    def __init__(self, parent: PGroup, gens, limit: int = DEFAULT_LIMIT):
+    def __init__(self, parent: PGroup, kind: str, e: int, gens, mul, inv: list[int]):
+        own = dict.fromkeys(gens)
+        own.pop(e, None)
         self.p = parent.p
-        self.parent = parent
-        self._gens = list(gens)
-        law = parent._index_law(limit)
-        idx = parent.index_map()
-        self._gen_idx = [idx[g] for g in self._gens]
-        self._members = sorted(closure([law.e], self._gen_idx, law.mul))
-        self._order = len(self._members)
+        self._law = _IndexLaw(e, tuple(own), mul, inv)
+        self._order = len(inv)
+        self._descriptor = f"{kind}(order={self._order}) of {parent.descriptor()}"
 
     def identity(self):
-        return self.parent.identity()
+        return self._law.e
 
     def mul(self, a, b):
-        return self.parent.mul(a, b)
+        return self._law.mul(a, b)
 
     def inv(self, a):
-        return self.parent.inv(a)
+        return self._law.inv[a]
 
     def generators(self) -> list:
-        return list(self._gens)
+        return list(self._law.gens)
 
     def _index_law(self, limit: int) -> _IndexLaw:
-        # the k-th member has index k: map to the parent and back
-        law = self.parent._index_law(limit)
-        members = self._members
-        pos = {m: k for k, m in enumerate(members)}
-        e = pos[law.e]
-        gens = dict.fromkeys(pos[g] for g in self._gen_idx)
-        gens.pop(e, None)
-        pmul = law.mul
-        return _IndexLaw(
-            e,
-            tuple(gens),
-            lambda a, b: pos[pmul(members[a], members[b])],
-            [pos[law.inv[m]] for m in members],
-        )
-
-    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
-        law = self._index_law(limit)
-        rows = {s: [law.mul(s, b) for b in range(self._order)] for s in law.gens}
-        return law.e, rows, law.inv
+        _check_limit(self, limit)
+        return self._law
 
     def _element_list(self):
-        elems = self.parent.elements()
-        return [elems[m] for m in self._members]
+        return list(range(self._order))
 
     def descriptor(self) -> str:
-        return f"subgroup(order={self._order}) of {self.parent.descriptor()}"
+        return self._descriptor
 
 
-class QuotientGroup(PGroup):
-    """G/N for a normal subgroup N, with cosets as frozensets of elements.
+def _parent_indices(law: _IndexLaw, xs, what: str) -> list[int]:
+    xs = list(xs)
+    n = len(law.inv)
+    if not all(isinstance(x, int) and 0 <= x < n for x in xs):
+        raise ParameterError(f"{what} has elements outside the group")
+    return xs
 
-    Cosets are ordered by the parent index of their first member, which is
-    their representative, so the element order is deterministic.  Cosets,
-    the normality check and the quotient's tables all use the parent's
-    index law (materialized under ``limit``; a direct product multiplies
-    through its factors' tables).  Normality is tested on the parent's
-    generators only: conjugation is a bijection, so s^-1 N s within N
-    gives s^-1 N s = N, and the elements fixing N form a subgroup.
+
+def subgroup(parent: PGroup, gen_indices, limit: int = DEFAULT_LIMIT) -> PGroup:
+    """The subgroup of ``parent`` generated by the elements with the parent
+    indices ``gen_indices``.  Its k-th element is the k-th smallest parent
+    index in it; its generators are those of ``gen_indices``, in order,
+    without the identity or repeats.  Closure, rows and inverses use the
+    parent's index law (materialized under ``limit``)."""
+    law = parent._index_law(limit)
+    gens = _parent_indices(law, gen_indices, "generating set")
+    members = sorted(closure([law.e], gens, law.mul))
+    pos = {m: k for k, m in enumerate(members)}
+    pmul = law.mul
+    return _IndexGroup(
+        parent,
+        "subgroup",
+        pos[law.e],
+        (pos[g] for g in gens),
+        lambda a, b: pos[pmul(members[a], members[b])],
+        [pos[law.inv[m]] for m in members],
+    )
+
+
+def quotient(parent: PGroup, normal_indices, limit: int = DEFAULT_LIMIT) -> PGroup:
+    """G/N for the normal subgroup N of ``parent`` with the parent indices
+    ``normal_indices``.
+
+    Coset k is the k-th coset in the order of the least parent index in
+    it, which is its representative, so the element order is
+    deterministic.  Cosets, the normality check and the quotient's law all
+    use the parent's index law (materialized under ``limit``; a direct
+    product multiplies through its factors' tables).  Normality is tested
+    on the parent's generators only: conjugation is a bijection, so
+    s^-1 N s within N gives s^-1 N s = N, and the elements fixing N form a
+    subgroup.
     """
-
-    def __init__(self, parent: PGroup, normal_elements, limit: int = DEFAULT_LIMIT):
-        self.p = parent.p
-        self.parent = parent
-        law = parent._index_law(limit)
-        mul = law.mul
-        nset = set(normal_elements)
-        if parent.identity() not in nset:
-            raise ParameterError("normal subgroup must contain the identity")
-        idx = parent.index_map()
-        if not nset <= idx.keys():
-            raise ParameterError("normal subgroup has elements outside the group")
-        if parent.order % len(nset):
-            raise ParameterError("subgroup size does not divide the group order")
-        elems = parent.elements()
-        nidx = {idx[h] for h in nset}
-        coset_id = [-1] * len(elems)
-        reps: list[int] = []
-        cosets: list[frozenset] = []
-        for g in range(len(elems)):  # the first unassigned index leads its coset
-            if coset_id[g] >= 0:
-                continue
-            members = {mul(g, h) for h in nidx}
-            if len(members) != len(nidx):
-                raise ParameterError("coset size mismatch: not a subgroup")
-            for x in members:
-                if coset_id[x] >= 0:
-                    raise ParameterError("cosets overlap: not a subgroup")
-                coset_id[x] = len(reps)
-            reps.append(g)
-            cosets.append(frozenset(elems[x] for x in members))
-        if any(mul(mul(law.inv[s], h), s) not in nidx for s in law.gens for h in nidx):
-            raise ParameterError("subgroup is not normal")
-        self._cosets = cosets
-        self._coset_of = {elems[x]: cid for x, cid in enumerate(coset_id)}
-        self._rep = [elems[r] for r in reps]
-        self._coset_idx = coset_id
-        self._rep_idx = reps
-        self._order = len(reps)
-
-    def identity(self):
-        return self._cosets[self._coset_of[self.parent.identity()]]
-
-    def mul(self, a, b):
-        ra = self._rep[self._coset_of[next(iter(a))]]
-        rb = self._rep[self._coset_of[next(iter(b))]]
-        return self._cosets[self._coset_of[self.parent.mul(ra, rb)]]
-
-    def inv(self, a):
-        ra = self._rep[self._coset_of[next(iter(a))]]
-        return self._cosets[self._coset_of[self.parent.inv(ra)]]
-
-    def generators(self) -> list:
-        return [self._cosets[self._coset_of[g]] for g in self.parent.generators()]
-
-    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
-        # coset c times coset d is the coset of rep(c) rep(d)
-        law = self.parent._index_law(limit)
-        cid = self._coset_idx
-        reps = self._rep_idx
-        e = cid[law.e]
-        gens = dict.fromkeys(cid[s] for s in law.gens)
-        gens.pop(e, None)
-        rows = {c: [cid[law.mul(reps[c], r)] for r in reps] for c in gens}
-        return e, rows, [cid[law.inv[r]] for r in reps]
-
-    def _element_list(self):
-        return list(self._cosets)
-
-    def descriptor(self) -> str:
-        return (
-            f"quotient(order={len(self._cosets)}) of {self.parent.descriptor()}"
-        )
+    law = parent._index_law(limit)
+    mul = law.mul
+    nidx = set(_parent_indices(law, normal_indices, "normal subgroup"))
+    if law.e not in nidx:
+        raise ParameterError("normal subgroup must contain the identity")
+    n = len(law.inv)
+    if n % len(nidx):
+        raise ParameterError("subgroup size does not divide the group order")
+    coset_id = [-1] * n
+    reps: list[int] = []
+    for g in range(n):  # the first unassigned index leads its coset
+        if coset_id[g] >= 0:
+            continue
+        members = {mul(g, h) for h in nidx}
+        if len(members) != len(nidx):
+            raise ParameterError("coset size mismatch: not a subgroup")
+        for x in members:
+            if coset_id[x] >= 0:
+                raise ParameterError("cosets overlap: not a subgroup")
+            coset_id[x] = len(reps)
+        reps.append(g)
+    if any(mul(mul(law.inv[s], h), s) not in nidx for s in law.gens for h in nidx):
+        raise ParameterError("subgroup is not normal")
+    # coset c times coset d is the coset of rep(c) rep(d)
+    return _IndexGroup(
+        parent,
+        "quotient",
+        coset_id[law.e],
+        (coset_id[s] for s in law.gens),
+        lambda a, b: coset_id[mul(reps[a], reps[b])],
+        [coset_id[law.inv[r]] for r in reps],
+    )
 
 
 class TableGroup(PGroup):

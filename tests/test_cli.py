@@ -1,5 +1,6 @@
 import contextlib
 import io
+import time
 
 import pytest
 
@@ -192,6 +193,26 @@ class TestVerifyCommand:
         code, out, _ = run(["verify", "--seed-corpus", str(tmp_path)])
         assert code == EXIT_OK
         assert out.count("verified") == 2
+
+    def test_over_limit_chat_group_exits_at_once(self, tmp_path):
+        # H(12, 1) has order 3^25: refused by its order, never enumerated
+        path = tmp_path / "huge.cert"
+        path.write_text(
+            "RAMFORGE CERTIFICATE v1\n"
+            "kind: chat\n"
+            "param group = kind=H p=3 n=12 d=1\n"
+            "param m = 2\n"
+            "param action = trivial\n"
+            "param precision = 400\n"
+            "step 1: RULE coprime-check | in m = 2 | in p = 3 | out gcd = 1\n"
+            "ASSUMPTIONS:\n"
+            "PREDICTED: none\n"
+            "VERIFIED: none\n"
+        )
+        start = time.perf_counter()
+        code, _, err = run(["verify", str(path)])
+        assert code == EXIT_LIMIT and "limit" in err
+        assert time.perf_counter() - start < 1
 
     def test_missing_file(self, tmp_path):
         code, out, err = run(["verify", str(tmp_path / "absent.cert")])

@@ -6,6 +6,7 @@ from ramforge.astower import ASExtension, as_reduce_F
 from ramforge import forge
 from ramforge.errors import (
     InternalCheckError,
+    MaterializationLimitError,
     ParameterError,
     ParseError,
     VerificationMismatchError,
@@ -378,6 +379,12 @@ class TestDeriveChat:
     def test_m_not_coprime_rejected(self):
         with pytest.raises(ParameterError):
             derive_chat("kind=H p=3 n=1 d=1", 3)
+
+    @pytest.mark.parametrize("action", [None, [0, 2, 1]], ids=["trivial", "perm"])
+    def test_over_limit_group_refused_before_enumeration(self, action):
+        # order 3^25: enumerating it first would exhaust memory
+        with pytest.raises(MaterializationLimitError):
+            derive_chat("kind=H p=3 n=12 d=1", 2, action)
 
     def test_deterministic(self):
         a = derive_chat("kind=H p=3 n=1 d=1", 2).render()

@@ -12,8 +12,6 @@ from ramforge.pgroups import (
     DEFAULT_LIMIT,
     CyclicPGroup,
     DirectProductGroup,
-    QuotientGroup,
-    SubgroupGroup,
     TableGroup,
     automorphism_from_generator_images,
     build_A1d_via_Gd,
@@ -28,6 +26,8 @@ from ramforge.pgroups import (
     make_group,
     minimal_nonabelian_quotient,
     parse_group_descriptor,
+    quotient,
+    subgroup,
     tables,
 )
 from ramforge.pgroups import analysis, base
@@ -72,11 +72,16 @@ def relabelled(rows, seed):
     return [[new[rows[old[a]][old[b]]] for b in range(n)] for a in range(n)]
 
 
+def indices(G, elems):
+    idx = G.index_map()
+    return [idx[g] for g in elems]
+
+
 def law_quotient(G, N):
     """G/N the way the law gives it: cosets g N through `G.mul` in element
     order, each led by its least member, and normality by conjugating N
-    by every element.  The oracle for `QuotientGroup`; None when N is not
-    normal."""
+    by every element.  The oracle for `quotient`: its multiplication table
+    and inverses on coset numbers, or None when N is not normal."""
     nset = set(N)
     coset_of = {}
     cosets = []
@@ -92,7 +97,7 @@ def law_quotient(G, N):
     reps = [min(c, key=idx.__getitem__) for c in cosets]
     mul = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
     inv = [coset_of[G.inv(a)] for a in reps]
-    return cosets, coset_of, reps, mul, inv
+    return mul, inv
 
 
 def counting_law(G):
@@ -108,20 +113,20 @@ def counting_law(G):
 
 def subgroup_x_z():
     G = H(1, 2)
-    return SubgroupGroup(G, [G.gen_x(0), G.gen_z()])
+    return subgroup(G, indices(G, [G.gen_x(0), G.gen_z()]))
 
 
 def subgroup_of_product():
     # <(x, 1), (y, 0)> in H(1,1) x C(3,2): order 81, neither factor
     G = DirectProductGroup(H(1, 1), CyclicPGroup(3, 2))
     h = G.g1
-    return SubgroupGroup(G, [(h.gen_x(0), 1), (h.gen_y(0), 0)])
+    return subgroup(G, indices(G, [(h.gen_x(0), 1), (h.gen_y(0), 0)]))
 
 
 def quotient_by_center():
     G = H(1, 1)
     z = G.gen_z()
-    return QuotientGroup(G, [G.identity(), z, G.mul(z, z)])
+    return quotient(G, indices(G, [G.identity(), z, G.mul(z, z)]))
 
 
 # Every kind of group `tables` meets, up to order 729.
@@ -391,9 +396,11 @@ class TestCentralProduct:
 class TestMinQuot:
     def test_extra_factor(self):
         G = DirectProductGroup(H(1, 1), CyclicPGroup(3, 1))
-        kernel, quotient, cls = minimal_nonabelian_quotient(G)
+        kernel, Q, cls = minimal_nonabelian_quotient(G)
         assert len(kernel) == 3
         assert (cls.kind, cls.n, cls.d) == ("H", 1, 1)
+        # the kernel is given by its indices in G
+        assert tables(quotient(G, kernel)).mul == tables(Q).mul
 
     def test_already_minimal(self):
         kernel, quotient, cls = minimal_nonabelian_quotient(H(1, 1))
@@ -570,30 +577,35 @@ class TestQuotientDeterminism:
     def test_coset_order(self):
         G = H(1, 1)
         z = G.gen_z()
-        N = [G.identity(), z, G.mul(z, z)]
-        q1 = QuotientGroup(G, N)
-        q2 = QuotientGroup(G, N)
-        assert q1.elements() == q2.elements()
+        N = indices(G, [G.identity(), z, G.mul(z, z)])
+        q1 = quotient(G, N)
+        q2 = quotient(G, list(reversed(N)))
+        assert tables(q1).mul == tables(q2).mul
         assert is_abelian(q1)
 
     def test_rejects_non_normal(self):
         G = H(1, 1)
         x = G.gen_x(0)
-        sub = [G.identity(), x, G.mul(x, x)]
         with pytest.raises(ParameterError, match="not normal"):
-            QuotientGroup(G, sub)
+            quotient(G, indices(G, [G.identity(), x, G.mul(x, x)]))
 
     def test_rejects_non_subgroup(self):
         G = H(1, 1)
-        x, y = G.gen_x(0), G.gen_y(0)
+        e, x, x2, y = indices(G, [G.identity(), G.gen_x(0), G.mul(G.gen_x(0), G.gen_x(0)), G.gen_y(0)])
         with pytest.raises(ParameterError, match="not a subgroup"):
-            QuotientGroup(G, [G.identity(), x, y])
+            quotient(G, [e, x, y])
         with pytest.raises(ParameterError, match="identity"):
-            QuotientGroup(G, [x, G.mul(x, x), y])
-        with pytest.raises(ParameterError, match="outside"):
-            QuotientGroup(G, [G.identity(), "foreign", 7])
+            quotient(G, [x, x2, y])
         with pytest.raises(ParameterError, match="divide"):
-            QuotientGroup(G, [G.identity(), x])
+            quotient(G, [e, x])
+
+    @pytest.mark.parametrize("build", [quotient, subgroup])
+    @pytest.mark.parametrize("bad", [1.0, "1", (0, 1), -1, 27], ids=repr)
+    def test_rejects_non_indices(self, build, bad):
+        # a non-integer, an element instead of its index, or an index out of range
+        G = H(1, 1)
+        with pytest.raises(ParameterError, match="outside"):
+            build(G, [0, bad, 2])
 
 
 # Parents for the quotient differential test: every normal subgroup of each.
@@ -616,14 +628,12 @@ class TestQuotientDifferential:
         normals = _normal_subgroups_avoiding(t, frozenset({t.n}))
         assert len(normals) > 3
         for sub in normals:
-            N = [elems[i] for i in sorted(sub)]
-            cosets, coset_of, reps, mul, inv = law_quotient(G, N)
-            Q = QuotientGroup(G, N)
-            assert Q.elements() == tuple(cosets)
-            assert Q._rep == reps
-            assert Q._coset_of == coset_of
-            assert Q.order == len(cosets) == t.n // len(N)
+            N = sorted(sub)
+            mul, inv = law_quotient(G, [elems[i] for i in N])
+            Q = quotient(G, N)
+            assert Q.order == len(mul) == t.n // len(N)
             tq = tables(Q)
+            # equal tables on coset numbers: the same cosets in the same order
             assert [list(row) for row in tq.mul] == mul == law_tables(Q)
             assert tq.inv == inv
 
@@ -637,14 +647,14 @@ class TestQuotientDifferential:
         cyclic = {frozenset(t.power(g, k) for k in range(m)) for g, m in enumerate(t.orders())}
         verdicts = Counter()
         for sub in cyclic:
-            N = [elems[i] for i in sorted(sub)]
-            want = law_quotient(G, N)
+            N = sorted(sub)
+            want = law_quotient(G, [elems[i] for i in N])
             verdicts[want is None] += 1
             if want is None:
                 with pytest.raises(ParameterError, match="not normal"):
-                    QuotientGroup(G, N)
+                    quotient(G, N)
             else:
-                assert QuotientGroup(G, N).elements() == tuple(want[0])
+                assert [list(row) for row in tables(quotient(G, N)).mul] == want[0]
         assert verdicts[True] > 0 and verdicts[False] > 0
 
 
@@ -713,18 +723,27 @@ class TestIndexNative:
     def test_constructions_table_no_ambient_product(self, monkeypatch, build, factors):
         # the ambient products have order 729 and G_d has order 243
         built = table_spy(monkeypatch)
+        enumerated = []
+        for name in ("_element_list", "index_map"):
+
+            def spy(self, _real=getattr(DirectProductGroup, name), _name=name):
+                enumerated.append(_name)
+                return _real(self)
+
+            monkeypatch.setattr(DirectProductGroup, name, spy)
         Q = build()
         assert built and max(built) <= factors
         assert base.tables(Q).n == Q.order
         assert max(built) == max(factors, Q.order) < 729
+        assert enumerated == []
 
     def test_quotient_makes_no_parent_law_calls(self):
         G = H(1, 2)
         z3 = G.mul(G.gen_z(), G.mul(G.gen_z(), G.gen_z()))
-        N = [G.identity(), z3, G.mul(z3, z3)]
+        N = indices(G, [G.identity(), z3, G.mul(z3, z3)])
         tables(G)
         calls = counting_law(G)
-        Q = QuotientGroup(G, N)
+        Q = quotient(G, N)
         tables(Q)
         assert Q.order == 27
         assert calls == Counter()
@@ -740,18 +759,18 @@ class TestIndexNative:
     def test_limit_reaches_the_parent(self):
         G = H(1, 2)
         with pytest.raises(MaterializationLimitError):
-            QuotientGroup(G, [G.identity()], limit=27)
+            quotient(G, [0], limit=27)
         with pytest.raises(MaterializationLimitError):
             tables(DirectProductGroup(H(1, 1), CyclicPGroup(3, 1)), limit=27)
         with pytest.raises(MaterializationLimitError):
-            SubgroupGroup(G, [G.gen_z()], limit=27)
+            subgroup(G, [1], limit=27)
         # a product is refused by its order, although it is never tabled
         # and each factor is within the limit
         P = DirectProductGroup(H(1, 1), CyclicPGroup(3, 1))
         with pytest.raises(MaterializationLimitError):
-            QuotientGroup(P, [P.identity()], limit=27)
+            quotient(P, [0], limit=27)
         with pytest.raises(MaterializationLimitError):
-            SubgroupGroup(P, [(P.g1.gen_z(), 0)], limit=27)
+            subgroup(P, [3], limit=27)
         with pytest.raises(MaterializationLimitError):
             central_product(H(1, 1), H(1, 1), limit=243)
         with pytest.raises(MaterializationLimitError):

@@ -16,10 +16,10 @@ from ramforge.errors import ParameterError
 from ramforge.pgroups import (
     CyclicPGroup,
     DirectProductGroup,
-    SubgroupGroup,
     TableGroup,
     make_group,
     parse_group_descriptor,
+    subgroup,
     tables,
 )
 from ramforge.pgroups.analysis import center_idx, commutator_subgroup_idx
@@ -65,7 +65,7 @@ def make(desc):
     if desc == WREATH:
         return wreath()[0]
     if desc == WREATH_AB:
-        return SubgroupGroup(*wreath())
+        return subgroup(*wreath())
     return parse_group_descriptor(desc)
 
 
