@@ -39,6 +39,7 @@ from .pgroups import (
     minimal_nonabelian_quotient,
     parse_group_descriptor,
 )
+from .pgroups.base import _check_limit
 from .ramcalc import (
     compose_disjoint,
     fact1_resolve,
@@ -76,11 +77,14 @@ def _load_group(descriptor: str, p_hint: int | None, limit: int):
     """A group descriptor, or @path to a whitespace-separated Cayley table."""
     if descriptor.startswith("@"):
         rows = []
-        text = Path(descriptor[1:]).read_text()
+        with open(descriptor[1:]) as fh:  # open("") is a missing file; Path("") is "."
+            text = fh.read()
         for line in text.splitlines():
             if line.strip():
                 rows.append([int(tok) for tok in line.split()])
         n = len(rows)
+        if n == 0:
+            raise ParameterError(f"no Cayley table in {descriptor[1:]!r}")
         if n > limit:
             raise MaterializationLimitError(
                 f"table of order {n} exceeds materialization limit {limit}"
@@ -89,10 +93,7 @@ def _load_group(descriptor: str, p_hint: int | None, limit: int):
             p_hint = _infer_prime(n)
         return TableGroup(p_hint, rows)
     G = parse_group_descriptor(descriptor)
-    if G.order > limit:
-        raise MaterializationLimitError(
-            f"group of order {G.order} exceeds materialization limit {limit}"
-        )
+    _check_limit(G, limit)
     return G
 
 
@@ -127,7 +128,7 @@ def cmd_group(args) -> int:
         same = is_isomorphic(lhs, rhs, args.limit)
         print("isomorphic" if same else "not isomorphic")
         return EXIT_OK
-    G = _load_group(args.table and f"@{args.table}" or args.descriptor, args.p, args.limit)
+    G = _load_group(args.descriptor if args.table is None else f"@{args.table}", args.p, args.limit)
     if args.group_cmd == "make":
         _report(
             [("group", G.descriptor()), ("order", G.order)],

@@ -39,7 +39,6 @@ from .laurent import LaurentSeries, monomial, parse_series, require_odd_prime
 from .pgroups import (
     CyclicPGroup,
     DirectProductGroup,
-    PGroup,
     build_A1d_via_Gd,
     burnside_action_check,
     central_product,
@@ -681,16 +680,6 @@ def derive_nonint(
     )
 
 
-def _action_to_perm(P: PGroup, action) -> list[int] | None:
-    """None for the trivial action, else the permutation of element indices."""
-    if action is None or action == "trivial":
-        return None
-    perm = [int(x) for x in action]
-    if sorted(perm) != list(range(P.order)):
-        raise ParameterError("action permutation is not a bijection on indices")
-    return perm
-
-
 def derive_chat(
     group_descriptor: str,
     m: int,
@@ -711,12 +700,13 @@ def derive_chat(
         raise ParameterError(f"m must be positive, got {m}")
     if gcd(m, p) != 1:
         raise ParameterError(f"m = {m} must be prime to p = {p}")
-    tables(P)  # refuses an over-limit group before any element is enumerated
-    perm = _action_to_perm(P, action)
-    action_text = "trivial" if perm is None else "perm " + ",".join(map(str, perm))
-    elems = P.elements()
-    images = elems if perm is None else [elems[i] for i in perm]
-    burn = burnside_action_check(P, dict(zip(elems, images)), m)
+    tables(P)  # refuses an over-limit group before the action is read
+    if action is None or action == "trivial":
+        action_text, perm = "trivial", range(P.order)
+    else:
+        perm = [int(x) for x in action]
+        action_text = "perm " + ",".join(map(str, perm))
+    burn = burnside_action_check(P, perm, m)  # also checks that perm permutes P's indices
     nontrivial = burn.nontrivial_on_group
     deriv = _Derivation()
     deriv.step("coprime-check", (("m", str(m)), ("p", str(p))), (("gcd", "1"),))

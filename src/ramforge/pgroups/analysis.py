@@ -12,11 +12,13 @@ generator commutators, and of those with the generator p-th powers),
 conjugacy classes (orbits under conjugation by the generators) and the
 homomorphism check of an automorphism.  Subgroups and quotients are
 built from parent indices (see `subgroup` and `quotient`), so central and
-fiber products never enumerate or table their ambient product, and the
-Burnside check decides triviality on P/Phi(P) as g^-1 alpha(g) in Phi(P)
-without building the quotient.  Element orders (computed once per table),
-exponents and the p-th power conditions of the structural checks remain
-exhaustive over all elements.
+fiber products never enumerate or table their ambient product.  The
+Burnside check takes the automorphism as a permutation of indices and
+decides triviality on P/Phi(P) as g^-1 alpha(g) in Phi(P) without
+building the quotient; only `automorphism_from_generator_images` and
+`group_basics` speak in group elements.  Element orders (computed once
+per table), exponents and the p-th power conditions of the structural
+checks remain exhaustive over all elements.
 """
 
 from __future__ import annotations
@@ -280,46 +282,28 @@ def _glued(G: PGroup, g: int, limit: int) -> PGroup:
     return quotient(G, closure([law.e], [g], law.mul), limit)
 
 
-def central_product(
-    n1: PGroup,
-    n2: PGroup,
-    pairing: tuple | None = None,
-    limit: int = DEFAULT_LIMIT,
-) -> PGroup:
-    """(N1 x N2) / B with B generated by a central order-p pair (g1, g2).
+def central_product(n1: PGroup, n2: PGroup, limit: int = DEFAULT_LIMIT) -> PGroup:
+    """(N1 x N2) / B with B generated by the central order-p pair (w1, w2^-1).
 
-    Both components must be nontrivial so that B meets neither factor and
-    each embeds in the quotient.  Without a ``pairing`` (elements of N1
-    and N2) the standard datum (w1, w2^-1) is used, with w_i the least
-    index generating the unique order-p subgroup of the (cyclic) center of
-    each factor.  The quotient multiplies through the factors' tables, so
-    the product N1 x N2 is never tabled; its order must still be within
-    ``limit``.
+    w_i is the least index generating the unique order-p subgroup of the
+    center of N_i, which must be cyclic.  Both components are nontrivial,
+    so B meets neither factor and each embeds in the quotient.  The
+    quotient multiplies through the factors' tables, so the product
+    N1 x N2 is never tabled; its order must still be within ``limit``.
     """
     if n1.p != n2.p:
         raise ParameterError(f"prime mismatch: {n1.p} vs {n2.p}")
     p = n1.p
     t1 = tables(n1, limit)
     t2 = tables(n2, limit)
-    if pairing is None:
-        picks = []
-        for G, t in ((n1, t1), (n2, t2)):
-            z = center_idx(t)
-            if not _is_cyclic_idx(t, z):
-                raise ParameterError(
-                    f"{G.descriptor()} has non-cyclic center; supply the gluing datum explicitly"
-                )
-            orders = t.orders()
-            picks.append(min(g for g in z if g != t.e and orders[g] == p))
-        g1, g2 = picks[0], t2.inv[picks[1]]
-    else:
-        g1, g2 = n1.index_map()[pairing[0]], n2.index_map()[pairing[1]]
-    if g1 not in center_idx(t1) or g2 not in center_idx(t2):
-        raise ParameterError("gluing datum must be central in each factor")
-    if g1 == t1.e or g2 == t2.e:
-        raise ParameterError("gluing datum must meet both factors nontrivially")
-    if t1.orders()[g1] != p or t2.orders()[g2] != p:
-        raise ParameterError("gluing datum must have order p in each factor")
+    picks = []
+    for G, t in ((n1, t1), (n2, t2)):
+        z = center_idx(t)
+        if not _is_cyclic_idx(t, z):
+            raise ParameterError(f"{G.descriptor()} has non-cyclic center")
+        orders = t.orders()
+        picks.append(min(g for g in z if g != t.e and orders[g] == p))
+    g1, g2 = picks[0], t2.inv[picks[1]]
     # (g1, g2) has index g1 n2 + g2 in the product
     return _glued(DirectProductGroup(n1, n2), g1 * t2.n + g2, limit)
 
@@ -463,21 +447,21 @@ def perm_order(perm: list[int]) -> int:
 
 
 def burnside_action_check(
-    P: PGroup, alpha: dict, m: int, limit: int = DEFAULT_LIMIT
+    P: PGroup, perm, m: int, limit: int = DEFAULT_LIMIT
 ) -> BurnsideResult:
     """Check triviality of a prime-to-p automorphism on P and on P/Phi(P).
 
-    The two answers must agree (an automorphism of order prime to p acting
-    trivially mod Frattini is trivial); disagreement is a fatal error.
+    The automorphism alpha is ``perm``: the index of alpha(g) for each
+    index g of P.  The two answers must agree (an automorphism of order
+    prime to p acting trivially mod Frattini is trivial); disagreement is
+    a fatal error.
     """
     if m < 1 or gcd(m, P.p) != 1:
         raise ParameterError(f"m = {m} must be positive and prime to p = {P.p}")
     t = tables(P, limit)
-    elems = P.elements()
-    idx = P.index_map()
-    if set(alpha) != set(elems) or set(alpha.values()) != set(elems):
-        raise ParameterError("alpha is not a bijection on the group")
-    perm = [idx[alpha[g]] for g in elems]
+    perm = list(perm)
+    if not all(isinstance(x, int) for x in perm) or sorted(perm) != list(range(t.n)):
+        raise ParameterError("alpha is not a permutation of the group's indices")
     # a bijection with alpha(a s) = alpha(a) alpha(s) for every generator s
     # fixes the identity, so by induction on word length it is multiplicative
     for s in t.gens:

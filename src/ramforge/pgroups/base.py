@@ -7,11 +7,12 @@ from timing, so repeated runs give identical answers.  Orders are known in
 closed form before any element is enumerated, and `tables` builds the
 multiplication table from one row per generator.  No table calls a group
 law: H, A and C compute their generator rows and inverses by arithmetic
-on their normal-form index layout, an explicit table reads them from
-itself, and a direct product pairs its factors' rows.  `subgroup` and
-`quotient` take parent indices and return a group whose elements are the
-indices 0..n-1 and whose law is composed from the parent's index law, so
-they keep no element view.  A direct product multiplies indices through
+on their normal-form index layout, and a direct product pairs its
+factors' rows.  Every other group is an index group: its elements are the
+indices 0..n-1.  An explicit table is one once its axioms are checked, and
+its checked rows are its tables.  `subgroup` and `quotient` take parent
+indices and return one whose law is composed from the parent's index law,
+so they keep no element view.  A direct product multiplies indices through
 its factors' tables, so a subgroup or quotient of a product never tables
 the product itself; a quotient checks normality by conjugating N by the
 parent's generators only.  The laws of H, A, C and products stay the
@@ -234,9 +235,12 @@ def _extend_partial(tg: GroupTables, th: GroupTables, pairs: list[tuple[int, int
 
 
 def _check_limit(G: PGroup, limit: int) -> None:
+    """Refuse a group of order above ``limit``.  The message names the
+    group by its descriptor: an order such as 3^10001 is too long for
+    Python to print in decimal."""
     if G.order > limit:
         raise MaterializationLimitError(
-            f"group of order {G.order} exceeds materialization limit {limit}"
+            f"group {G.descriptor()} exceeds materialization limit {limit}"
         )
 
 
@@ -246,9 +250,11 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     The group supplies one row per generator and the inverses (by index
     arithmetic, or from its parents); every other row is composed from
     those breadth-first from the identity, so the table agrees with the
-    law whenever the law is associative and the rows agree with it.
-    ``limit`` applies to every table built on the way, and to the order of
-    any product multiplied through its factors instead.
+    law whenever the law is associative and the rows agree with it.  An
+    explicit table's checked rows are its tables, cached when it is made.
+    ``limit`` applies to every group, cached or not, to every table built
+    on the way, and to the order of any product multiplied through its
+    factors instead.
     """
     _check_limit(G, limit)
     n = G.order
@@ -576,18 +582,18 @@ class DirectProductGroup(PGroup):
 
 
 class _IndexGroup(PGroup):
-    """A subgroup or quotient of ``parent``: its elements are the indices
-    0..n-1 and its law, composed from the parent's, is ``mul`` and ``inv``
-    on them.  ``gens`` become its generators, without the identity ``e``
-    or repeats."""
+    """A group whose elements are the indices 0..n-1 and whose law is
+    ``mul`` and ``inv`` on them: a subgroup or a quotient, with its law
+    composed from its parent's, or an explicit table.  ``gens`` become its
+    generators, without the identity ``e`` or repeats."""
 
-    def __init__(self, parent: PGroup, kind: str, e: int, gens, mul, inv: list[int]):
+    def __init__(self, p: int, descriptor: str, e: int, gens, mul, inv: list[int]):
         own = dict.fromkeys(gens)
         own.pop(e, None)
-        self.p = parent.p
+        self.p = p
         self._law = _IndexLaw(e, tuple(own), mul, inv)
         self._order = len(inv)
-        self._descriptor = f"{kind}(order={self._order}) of {parent.descriptor()}"
+        self._descriptor = descriptor
 
     def identity(self):
         return self._law.e
@@ -632,8 +638,8 @@ def subgroup(parent: PGroup, gen_indices, limit: int = DEFAULT_LIMIT) -> PGroup:
     pos = {m: k for k, m in enumerate(members)}
     pmul = law.mul
     return _IndexGroup(
-        parent,
-        "subgroup",
+        parent.p,
+        f"subgroup(order={len(members)}) of {parent.descriptor()}",
         pos[law.e],
         (pos[g] for g in gens),
         lambda a, b: pos[pmul(members[a], members[b])],
@@ -679,8 +685,8 @@ def quotient(parent: PGroup, normal_indices, limit: int = DEFAULT_LIMIT) -> PGro
         raise ParameterError("subgroup is not normal")
     # coset c times coset d is the coset of rep(c) rep(d)
     return _IndexGroup(
-        parent,
-        "quotient",
+        parent.p,
+        f"quotient(order={len(reps)}) of {parent.descriptor()}",
         coset_id[law.e],
         (coset_id[s] for s in law.gens),
         lambda a, b: coset_id[mul(reps[a], reps[b])],
@@ -688,7 +694,7 @@ def quotient(parent: PGroup, normal_indices, limit: int = DEFAULT_LIMIT) -> PGro
     )
 
 
-class TableGroup(PGroup):
+class TableGroup(_IndexGroup):
     """A group given by an explicit Cayley table of 0-based indices.
 
     Used for foreign groups fed to the CLI; the constructor checks the
@@ -697,7 +703,8 @@ class TableGroup(PGroup):
     Associativity is Light's test: x (a y) = (x a) y for every x, y and
     every a in a generating set, which holds for all a exactly when it
     holds for the generators (the elements passing it are closed under
-    products).
+    products).  The checked rows, inverses, identity and generators are
+    the group's tables, so `tables` composes no second table.
     """
 
     def __init__(self, p: int, table: list[list[int]]):
@@ -741,33 +748,10 @@ class TableGroup(PGroup):
                     raise ParameterError(
                         f"table is not associative at ({x}, {a}, {y})"
                     )
-        self.p = p
-        self._table = rows
-        self._inv_list = inverse
-        self._ident = ident
-        self._gens = gens
-        self._order = n
-
-    def identity(self):
-        return self._ident
-
-    def mul(self, a, b):
-        return self._table[a][b]
-
-    def inv(self, a):
-        return self._inv_list[a]
-
-    def generators(self) -> list:
-        return list(self._gens)
-
-    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
-        return self._ident, {s: self._table[s] for s in self._gens}, self._inv_list
-
-    def _element_list(self):
-        return list(range(len(self._table)))
-
-    def descriptor(self) -> str:
-        return f"table(order={len(self._table)}, p={self.p})"
+        super().__init__(
+            p, f"table(order={n}, p={p})", ident, gens, lambda a, b: rows[a][b], inverse
+        )
+        self._tables = GroupTables(p, n, ident, rows, inverse, tuple(gens))
 
 
 def make_group(kind: str, p: int, n: int, d: int) -> PGroup:

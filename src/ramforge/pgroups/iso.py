@@ -74,16 +74,21 @@ def is_isomorphic(G: PGroup, H: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
     for h, s in enumerate(sig_h):
         by_sig.setdefault(s, []).append(h)
 
-    def search(pairs: list[tuple[int, int]], phi: dict[int, int]) -> bool:
+    # depth first over the images of gens[0], gens[1], ..., each tried
+    # among H's elements of the same signature in index order; a loop,
+    # since a recursive closure would keep both tables alive in a
+    # reference cycle until the cyclic collector runs
+    stack = [[]]
+    while stack:
+        pairs = stack.pop()
+        phi = _extend_partial(tg, th, pairs)
+        if phi is None:
+            continue
         k = len(pairs)
         if k == len(gens):
-            return len(phi) == tg.n
-        g = gens[k]
-        for h in by_sig.get(sig_g[g], ()):
-            pairs2 = pairs + [(g, h)]
-            phi2 = _extend_partial(tg, th, pairs2)
-            if phi2 is not None and search(pairs2, phi2):
+            if len(phi) == tg.n:
                 return True
-        return False
-
-    return search([], {tg.e: th.e})
+            continue
+        g = gens[k]
+        stack.extend(pairs + [(g, h)] for h in reversed(by_sig.get(sig_g[g], ())))
+    return False

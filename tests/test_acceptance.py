@@ -37,6 +37,8 @@ from ramforge.ramcalc import (
     upper_to_lower,
 )
 
+from conftest import index_perm
+
 P3_INSTANCES = [(3, 1, 4), (3, 2, 11), (3, 5, 8), (5, 1, 2), (5, 3, 4)]
 
 
@@ -329,7 +331,7 @@ def test_criterion_7_burnside_agreement():
     assert len(cases) >= 50, len(cases)
     for G, alpha, m in cases:
         assert G.order <= 81
-        res = burnside_action_check(G, alpha, m)  # raises on disagreement
+        res = burnside_action_check(G, index_perm(G, alpha), m)  # raises on disagreement
         assert res.nontrivial_on_group == res.nontrivial_on_frattini_quotient
     report(7, True, f"{len(cases)} automorphisms, triviality booleans agree")
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +224,47 @@ class TestVerifyCommand:
     def test_nothing_to_verify(self):
         code, _, _ = run(["verify"])
         assert code == EXIT_USAGE
+
+
+CHAT_CERT = Path(__file__).resolve().parent.parent / "certs" / "chat-H11-m2-trivial.cert"
+H11 = "kind=H p=3 n=1 d=1"
+HUGE = "kind=H p=3 n=5000 d=1"  # order 3^10001: more than 4,300 decimal digits
+
+# name: (argv with {f} for the input file, the file's text or None, exit code)
+HOSTILE = {
+    "empty file": (["group", "basics", "--table", "{f}"], "", EXIT_USAGE),
+    "blank file": (["group", "basics", "--table", "{f}"], " \n\n\t \n", EXIT_USAGE),
+    "empty file as iso operand": (["group", "iso", "--lhs", "@{f}", "--rhs", H11], "", EXIT_USAGE),
+    "empty table path": (["group", "basics", "--table", ""], None, EXIT_USAGE),
+    "non-square table": (["group", "basics", "--table", "{f}"], "0 1 2\n1 2 0\n", EXIT_USAGE),
+    "non-integer token": (["group", "basics", "--table", "{f}"], "0 1 2\n1 2 0\n2 0 x\n", EXIT_USAGE),
+    "over-limit table": (["--limit", "27", "group", "basics", "--table", "{f}"], "0\n" * 28, EXIT_LIMIT),
+    "huge descriptor": (["group", "make", "--descriptor", HUGE], None, EXIT_LIMIT),
+    "huge chat certificate": (["verify", "{f}"], CHAT_CERT.read_text().replace(H11, HUGE, 1), EXIT_LIMIT),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_group_input(tmp_path, case):
+    """Each input is refused with its exit code and one error line, within
+    1 s; a hang fails by the alarm instead of stalling the suite."""
+    argv, text, want = HOSTILE[case]
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+
+    def hang(signum, frame):
+        pytest.fail(f"{case}: still running after 1 s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out, err = run([a.replace("{f}", str(path)) for a in argv])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == want
+    assert not out and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExitCodes:

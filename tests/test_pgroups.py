@@ -34,6 +34,8 @@ from ramforge.pgroups import analysis, base
 from ramforge.pgroups.analysis import _normal_subgroups_avoiding
 from ramforge.pgroups.base import _extend_partial
 
+from conftest import index_perm
+
 
 def H(n, d, p=3):
     return make_group("H", p, n, d)
@@ -272,14 +274,17 @@ class TestTables:
             tables(G)
 
     def test_dropped_group_frees_its_tables(self):
-        # the tables hold no reference back to the group, so dropping the
-        # group frees them without the cycle collector
+        # the tables hold no reference back to the group, and an
+        # isomorphism search keeps none in a reference cycle, so dropping
+        # the group frees them without the cycle collector
         gc.disable()
         try:
-            G = H(1, 1)
-            ref = weakref.ref(tables(G))
-            del G
-            assert ref() is None
+            for make in (lambda: H(1, 1), lambda: TableGroup(3, relabelled(law_tables(H(1, 1)), 5))):
+                G = make()
+                ref = weakref.ref(tables(G))
+                assert is_isomorphic(G, H(1, 1))
+                del G
+                assert ref() is None
         finally:
             gc.enable()
 
@@ -370,15 +375,13 @@ class TestCentralProduct:
         assert cp.order == 243
         assert is_isomorphic(cp, H(2, 1))
 
-    def test_bad_pairing(self):
-        G = H(1, 1)
-        with pytest.raises(ParameterError):
-            central_product(G, G, pairing=(G.identity(), G.gen_z()))
-        with pytest.raises(ParameterError):
-            central_product(G, G, pairing=(G.gen_x(0), G.gen_z()))  # not central
-        K = H(1, 2)
-        with pytest.raises(ParameterError, match="order p"):
-            central_product(K, G, pairing=(K.gen_z(), G.gen_z()))  # z of H(1, 2) has order 9
+    def test_rejects_non_cyclic_center(self):
+        # H(1,1) x C_3 has center C_3 x C_3: no canonical order-p subgroup
+        G = DirectProductGroup(H(1, 1), CyclicPGroup(3, 1))
+        with pytest.raises(ParameterError, match="non-cyclic center"):
+            central_product(G, H(1, 1))
+        with pytest.raises(ParameterError, match="non-cyclic center"):
+            central_product(H(1, 1), G)
 
     def test_cyclic_times_heisenberg(self):
         # H(0, 2) is cyclic of order 9; gluing it to H(1, 1) gives H(1, 2)
@@ -434,13 +437,13 @@ def inversion_map(G):
 class TestBurnside:
     def test_inversion_on_elementary(self):
         G = DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1))
-        res = burnside_action_check(G, inversion_map(G), 2)
+        res = burnside_action_check(G, index_perm(G, inversion_map(G)), 2)
         assert res.nontrivial_on_group and res.nontrivial_on_frattini_quotient
         assert res.order == 2
 
     def test_identity(self):
         G = CyclicPGroup(3, 2)
-        res = burnside_action_check(G, {g: g for g in G.elements()}, 2)
+        res = burnside_action_check(G, range(G.order), 2)
         assert not res.nontrivial_on_group
         assert not res.nontrivial_on_frattini_quotient
         assert res.order == 1
@@ -453,7 +456,7 @@ class TestBurnside:
             G.gen_z(): G.inv(G.gen_z()),
         }
         alpha = automorphism_from_generator_images(G, images)
-        res = burnside_action_check(G, alpha, 2)
+        res = burnside_action_check(G, index_perm(G, alpha), 2)
         assert res.nontrivial_on_group and res.nontrivial_on_frattini_quotient
         assert res.order == 2
 
@@ -461,10 +464,10 @@ class TestBurnside:
         # x -> y, y -> x^-1 rotates the Frattini quotient F_3^2 by a quarter turn
         G = H(1, 1)
         x, y = G.gen_x(0), G.gen_y(0)
-        alpha = automorphism_from_generator_images(G, {x: y, y: G.inv(x)})
-        assert burnside_action_check(G, alpha, 4).order == 4
+        perm = index_perm(G, automorphism_from_generator_images(G, {x: y, y: G.inv(x)}))
+        assert burnside_action_check(G, perm, 4).order == 4
         with pytest.raises(ParameterError, match="order 4"):
-            burnside_action_check(G, alpha, 2)
+            burnside_action_check(G, perm, 2)
 
     def test_generator_images_must_be_injective(self):
         # a -> a, b -> a is a homomorphism of C_3 x C_3 onto one factor
@@ -491,25 +494,26 @@ class TestBurnside:
                 automorphism_from_generator_images(G, images)
 
     def test_rejects_non_automorphism(self):
+        # a repeat, wrong lengths, an index out of range, non-integers
         G = CyclicPGroup(3, 1)
-        e, g1, g2 = G.elements()
-        with pytest.raises(ParameterError):
-            burnside_action_check(G, {e: e, g1: g1, g2: g1}, 2)
+        for perm in ([0, 1, 1], [0, 1], [0, 1, 2, 0], [0, 2, 3], [0, 1.0, 2], [0, "1", 2]):
+            with pytest.raises(ParameterError, match="not a permutation"):
+                burnside_action_check(G, perm, 2)
 
     def test_rejects_map_multiplicative_on_one_generator_only(self):
         # (a, b, c) -> (a, b, c + b^2) respects the first generator only
         G = parse_group_descriptor("kind=C p=3 k=1 x kind=C p=3 k=1 x kind=C p=3 k=1")
         alpha = {((a, b), c): ((a, b), (c + b * b) % 3) for ((a, b), c) in G.elements()}
         with pytest.raises(ParameterError, match="not a homomorphism"):
-            burnside_action_check(G, alpha, 2)
+            burnside_action_check(G, index_perm(G, alpha), 2)
 
     def test_rejects_p_order(self):
         G = DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1))
-        shear = {(a, b): ((a + b) % 3, b) for (a, b) in G.elements()}
-        with pytest.raises(ParameterError):
-            burnside_action_check(G, shear, 3)  # m must be prime to p
-        with pytest.raises(ParameterError):
-            burnside_action_check(G, shear, 2)  # order 3 does not divide 2
+        shear = index_perm(G, {(a, b): ((a + b) % 3, b) for (a, b) in G.elements()})
+        with pytest.raises(ParameterError, match="prime to p"):
+            burnside_action_check(G, shear, 3)
+        with pytest.raises(ParameterError, match="does not divide"):
+            burnside_action_check(G, shear, 2)
 
 
 class TestIsomorphism:
@@ -571,6 +575,19 @@ class TestTableGroup:
     def test_rejects_wrong_order(self):
         with pytest.raises(ParameterError):
             TableGroup(3, [[0, 1], [1, 0]])
+
+    def test_tables_are_the_checked_rows(self, monkeypatch):
+        # the rows given (tuples are kept as they are) are the table's
+        # rows: nothing is composed, and only the limit is checked
+        rows = [tuple(row) for row in relabelled(law_tables(A(1, 2)), 4)]
+        G = TableGroup(3, rows)
+        monkeypatch.setattr(G, "_generator_rows", None)
+        t = tables(G)
+        assert all(a is b for a, b in zip(t.mul, rows)) and len(t.mul) == len(rows)
+        assert (t.e, t.gens) == (G.identity(), tuple(G.generators()))
+        assert t.inv == [G.inv(a) for a in range(t.n)]
+        with pytest.raises(MaterializationLimitError):
+            tables(G, limit=27)
 
 
 class TestQuotientDeterminism:
