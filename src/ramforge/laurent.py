@@ -43,16 +43,36 @@ from .errors import InsufficientPrecisionError, ParameterError, ParseError
 INF = float("inf")
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below
+# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n at or above the bound is refused."""
+    if n >= _MR_BOUND:
+        raise ParameterError(f"{n} is too large: primality is decided only below {_MR_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -278,10 +298,6 @@ class LaurentSeries:
         """Artin-Schreier image x^p - x (additive in characteristic p)."""
         return self.frobenius() - self
 
-    def shift(self, k: int) -> "LaurentSeries":
-        """Exact multiplication by pi^k."""
-        return _from_dense(self.p, self._val_floor() + k, self.coeffs, self.prec + k)
-
     # -- comparison / io ----------------------------------------------------
 
     def __eq__(self, other):
@@ -330,10 +346,6 @@ def monomial(p: int, coeff, exp: int, prec: int) -> LaurentSeries:
 
 def zero(p: int, prec: int) -> LaurentSeries:
     return LaurentSeries(p, [], prec)
-
-
-def one(p: int, prec: int) -> LaurentSeries:
-    return monomial(p, 1, 0, prec)
 
 
 def wp(a: LaurentSeries) -> LaurentSeries:

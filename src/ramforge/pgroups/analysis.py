@@ -35,6 +35,7 @@ from .base import (
     HGroup,
     PGroup,
     _extend_partial,
+    _log_p,
     closure,
     quotient,
     subgroup,
@@ -94,16 +95,6 @@ def frattini_idx(t: GroupTables) -> list[int]:
     return normal_closure_idx(
         t, powers + [t.commutator(a, b) for a in t.gens for b in t.gens]
     )
-
-
-def _log_p(n: int, p: int) -> int:
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        raise ParameterError(f"{n} is not a power of {p}")
-    return k
 
 
 @dataclass(frozen=True)
@@ -257,13 +248,18 @@ class ClassifyResult:
 
 
 def classify_minimal(G: PGroup, limit: int = DEFAULT_LIMIT) -> ClassifyResult:
-    """Classify a minimal nonabelian p-group as H(n, d) or A(n, d).
+    """Classify a minimal nonabelian p-group as H(n, d) or A(n, d)."""
+    if not is_minimal_nonabelian(G, limit):
+        raise ParameterError(f"{G.descriptor()} is not minimal nonabelian")
+    return _classify(G, limit)
+
+
+def _classify(G: PGroup, limit: int) -> ClassifyResult:
+    """H(n, d) or A(n, d) for a group known to be minimal nonabelian.
 
     The discriminator: the group is of H type exactly when every p-th power
     lands in the p-th powers of the center.
     """
-    if not is_minimal_nonabelian(G, limit):
-        raise ParameterError(f"{G.descriptor()} is not minimal nonabelian")
     t = tables(G, limit)
     p = G.p
     z = center_idx(t)
@@ -298,6 +294,8 @@ def central_product(n1: PGroup, n2: PGroup, limit: int = DEFAULT_LIMIT) -> PGrou
     t2 = tables(n2, limit)
     picks = []
     for G, t in ((n1, t1), (n2, t2)):
+        if t.n == 1:
+            raise ParameterError(f"{G.descriptor()} is trivial")
         z = center_idx(t)
         if not _is_cyclic_idx(t, z):
             raise ParameterError(f"{G.descriptor()} has non-cyclic center")
@@ -394,7 +392,7 @@ def minimal_nonabelian_quotient(
     for N in sorted(candidates, key=lambda s: (-len(s), s)):
         Q = quotient(G, N, limit)
         if is_minimal_nonabelian(Q, limit):
-            return N, Q, classify_minimal(Q, limit)
+            return N, Q, _classify(Q, limit)
     raise InternalCheckError(
         f"no minimal nonabelian quotient found for {G.descriptor()}"
     )

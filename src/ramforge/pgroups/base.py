@@ -3,28 +3,31 @@ quotients, Cayley-table groups, and lazy materialization to index tables.
 
 Every group exposes a deterministic element order and a generating set;
 all searches and constructions derive their results from that order, never
-from timing, so repeated runs give identical answers.  Orders are known in
-closed form before any element is enumerated, and `tables` builds the
-multiplication table from one row per generator.  No table calls a group
-law: H, A and C compute their generator rows and inverses by arithmetic
-on their normal-form index layout, and a direct product pairs its
-factors' rows.  Every other group is an index group: its elements are the
-indices 0..n-1.  An explicit table is one once its axioms are checked, and
-its checked rows are its tables.  `subgroup` and `quotient` take parent
-indices and return one whose law is composed from the parent's index law,
-so they keep no element view.  A direct product multiplies indices through
-its factors' tables, so a subgroup or quotient of a product never tables
-the product itself; a quotient checks normality by conjugating N by the
-parent's generators only.  The laws of H, A, C and products stay the
-public API and the test oracle for the tables.
+from timing, so repeated runs give identical answers.  Every group knows
+its order as p^e before any element is enumerated, and a limit check
+decides on e before p^e is computed.  `tables` builds the multiplication
+table from one row per generator.  No table calls a group law: H(n, d),
+A(n, d) and the cyclic C(p^k) = H(0, k) share one class-two normal form,
+which computes generator rows and inverses by arithmetic on its
+mixed-radix index layout, and a direct product pairs its factors' rows.
+Every other group is an index group: its elements are the indices
+0..n-1.  An explicit table is one once its axioms are checked, and its
+checked rows are its tables.  `subgroup` and `quotient` take parent
+indices and return one whose law is composed from the parent's index
+law, so they keep no element view.  A direct product multiplies indices
+through its factors' tables, so a subgroup or quotient of a product never
+tables the product itself; a quotient checks normality by conjugating N
+by the parent's generators only.  The laws of H, A, C and products stay
+the public API and the test oracle for the tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import gcd, prod
-from operator import itemgetter
+from operator import add, itemgetter, mod, neg
 from typing import Callable, NamedTuple
 
 from ..errors import (
@@ -41,11 +44,13 @@ DEFAULT_LIMIT = 10000
 class PGroup:
     """A finite p-group over hashable normal-form elements.
 
-    Subclasses set ``p`` and ``_order`` in ``__init__``.
+    Subclasses set ``p``, ``_exp`` (the order is p^_exp) and
+    ``_descriptor`` in ``__init__``.
     """
 
     p: int
-    _order: int
+    _exp: int
+    _descriptor: str
 
     def identity(self):
         raise NotImplementedError
@@ -81,7 +86,7 @@ class PGroup:
         return _IndexLaw(t.e, t.gens, lambda a, b: rows[a][b], t.inv)
 
     def descriptor(self) -> str:
-        raise NotImplementedError
+        return self._descriptor
 
     # -- cached element order / index tables --------------------------------
 
@@ -94,7 +99,7 @@ class PGroup:
 
     @property
     def order(self) -> int:
-        return self._order
+        return self.p**self._exp
 
     def index_map(self) -> dict:
         cached = getattr(self, "_index_map", None)
@@ -234,11 +239,24 @@ def _extend_partial(tg: GroupTables, th: GroupTables, pairs: list[tuple[int, int
     return phi
 
 
+def _log_p(n: int, p: int) -> int:
+    """The k with p^k = n."""
+    k, m = 0, n
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise ParameterError(f"order {n} is not a power of p = {p}")
+    return k
+
+
 def _check_limit(G: PGroup, limit: int) -> None:
-    """Refuse a group of order above ``limit``.  The message names the
-    group by its descriptor: an order such as 3^10001 is too long for
-    Python to print in decimal."""
-    if G.order > limit:
+    """Refuse a group of order p^e above ``limit``, deciding on e first:
+    p >= 3, so p^e exceeds ``limit`` once e exceeds its bit length, and
+    p^e for e in the millions takes seconds to compute.  The message
+    names the group by its descriptor: an order such as 3^10001 is too
+    long for Python to print in decimal."""
+    if G._exp > limit.bit_length() or G.order > limit:
         raise MaterializationLimitError(
             f"group {G.descriptor()} exceeds materialization limit {limit}"
         )
@@ -289,18 +307,6 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     return t
 
 
-def _vec_add(a: tuple, b: tuple, p: int) -> tuple:
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def _vec_neg(a: tuple, p: int) -> tuple:
-    return tuple((-x) % p for x in a)
-
-
-def _dot(a: tuple, b: tuple) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _step(radix: list[int], i: int) -> list[int]:
     """For each index of a mixed-radix digit vector (first digit most
     significant), the index after adding 1 to digit i modulo radix[i]."""
@@ -313,215 +319,144 @@ def _step(radix: list[int], i: int) -> list[int]:
     ]
 
 
-def _negated(vecs: list[tuple], p: int) -> list[int]:
-    """The index of -v for each v in ``vecs = product(range(p), repeat=k)``."""
-    pos = {v: i for i, v in enumerate(vecs)}
-    return [pos[_vec_neg(v, p)] for v in vecs]
+class _ClassTwoGroup(PGroup):
+    """The class-two normal form behind H(n, d), A(n, d) and C(p^k):
+    generators x_1..x_n, y_1..y_n and a central z, with
+    [x_i, y_i] = z^(p^(d-1)) the only nontrivial commutator.
 
+    An element is the tuple of its mixed-radix digits, first digit most
+    significant: the exponents of x_1..x_n, then of y_1..y_n, and its
+    index is their mixed-radix value.  z lives on the central digit
+    ``zpos`` in steps of ``zstep``: H(n, d) gives z a last digit of its
+    own (step 1), A(n, d) counts it on x_1's digit (step p, as
+    x_1^p = z).  Every digit has radix p except the central one, whose
+    radix is zstep p^d, and the commutator is shift = zstep p^(d-1) on
+    it.  Collecting y^b x^a' = x^a' y^b z^(-p^(d-1) a'.b) gives the law:
+    digits add, and the central digit loses shift * sum_i (a'_i mod p) b_i.
 
-class HGroup(PGroup):
-    """H(n, d): generators x_i, y_i of order p and central z of order p^d,
-    with [x_i, y_i] = z^(p^(d-1)) the only nontrivial commutation.
-
-    Elements are normal forms (a, b, c) for x^a y^b z^c; the collection
-    convention y^b x^a' = x^a' y^b z^(-p^(d-1) a'.b) fixes the product law.
-    H(0, d) is the cyclic group of order p^d.
+    The digit list is built when first needed, never by a limit check:
+    an over-limit group can have millions of digits.
     """
 
-    def __init__(self, p: int, n: int, d: int):
+    def __init__(self, p: int, n: int, d: int, zpos: int, zstep: int, descriptor: str):
         require_odd_prime(p)
+        self.p = p
+        self.n = n
+        self.d = d
+        self._zpos = zpos
+        self._zstep = zstep
+        self._exp = 2 * n + d
+        self._descriptor = descriptor
+
+    @cached_property
+    def _radix(self) -> list[int]:
+        radix = [self.p] * (2 * self.n + (self._zpos == 2 * self.n))
+        radix[self._zpos] = self._zstep * self.p**self.d
+        return radix
+
+    def _collected(self, digits: list[int], xs: tuple, ys: tuple) -> tuple:
+        """``digits`` with shift * sum_i (x_i mod p) y_i taken off the
+        central digit, reduced by their radices; x_i is digit i of ``xs``
+        and y_i is digit n + i of ``ys``."""
+        n = self.n
+        if n:
+            p, z = self.p, self._zpos
+            digits[z] -= self._radix[z] // p * sum(x % p * y for x, y in zip(xs[:n], ys[n:]))
+        return tuple(map(mod, digits, self._radix))
+
+    def identity(self):
+        return (0,) * len(self._radix)
+
+    def mul(self, g, h):
+        return self._collected(list(map(add, g, h)), h, g)
+
+    def inv(self, g):
+        return self._collected(list(map(neg, g)), g, g)
+
+    def _element_list(self):
+        return list(product(*map(range, self._radix)))
+
+    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+        # Each generator steps its digit; y_i also takes shift * (x_i mod p)
+        # off the central digit.  The inverse negates every digit and takes
+        # shift * sum_i (x_i mod p) y_i off the central one.  Entry 0 of a
+        # row is its generator's index.
+        radix, n, p, z = self._radix, self.n, self.p, self._zpos
+        size = prod(radix)
+        rz, wz, shift = radix[z], prod(radix[z + 1 :]), radix[z] // p
+
+        def digit(j: int, m: int, sign: int = 1) -> list[int]:
+            # sign times digit j of every index, mod m
+            w, r = prod(radix[j + 1 :]), radix[j]
+            return [sign * d % m for d in range(r) for _ in range(w)] * (size // (r * w))
+
+        def twisted(row, cs, ts):
+            # row with shift * t taken off the central digit c of each entry
+            return [j + ((c - shift * t) % rz - c) * wz for j, c, t in zip(row, cs, ts)]
+
+        xs = [digit(i, p) for i in range(n)]
+        rows = [_step(radix, j) for j in range(len(radix))]
+        cs = digit(z, rz)
+        rows[n : 2 * n] = [twisted(rows[n + i], cs, xs[i]) for i in range(n)]
+        negated = [0]
+        for r in radix:
+            negated = [a * r + (-b) % r for a in negated for b in range(r)]
+        ts = [0] * size
+        for i in range(n):
+            ts = [t + x * y for t, x, y in zip(ts, xs[i], digit(n + i, p))]
+        inv = twisted(negated, digit(z, rz, -1), ts)
+        return 0, {row[0]: row for row in rows}, inv
+
+    def generators(self) -> list:
+        # one per digit: x_1..x_n, y_1..y_n, and z where it has its own
+        return [self._unit(j) for j in range(len(self._radix))]
+
+    def _unit(self, j: int, step: int = 1) -> tuple:
+        return tuple(step if i == j else 0 for i in range(len(self._radix)))
+
+    def gen_x(self, i: int):
+        return self._unit(i)
+
+    def gen_y(self, i: int):
+        return self._unit(self.n + i)
+
+    def gen_z(self):
+        return self._unit(self._zpos, self._zstep)
+
+
+class HGroup(_ClassTwoGroup):
+    """H(n, d): x_i, y_i of order p and central z of order p^d.  Digits
+    (a_1..a_n, b_1..b_n, c) for x^a y^b z^c.  H(0, d) is the cyclic group
+    of order p^d."""
+
+    def __init__(self, p: int, n: int, d: int):
+        super().__init__(p, n, d, 2 * n, 1, f"kind=H p={p} n={n} d={d}")
         if n < 0 or d < 1:
             raise ParameterError(f"H(n, d) needs n >= 0 and d >= 1, got n={n} d={d}")
-        self.p = p
-        self.n = n
-        self.d = d
-        self.zmod = p**d
-        self.shift = p ** (d - 1)
-        self._order = p ** (2 * n + d)
-
-    def identity(self):
-        return ((0,) * self.n, (0,) * self.n, 0)
-
-    def mul(self, g, h):
-        (a1, b1, c1), (a2, b2, c2) = g, h
-        c = (c1 + c2 - self.shift * _dot(a2, b1)) % self.zmod
-        return (_vec_add(a1, a2, self.p), _vec_add(b1, b2, self.p), c)
-
-    def inv(self, g):
-        a, b, c = g
-        ci = (-c - self.shift * _dot(a, b)) % self.zmod
-        return (_vec_neg(a, self.p), _vec_neg(b, self.p), ci)
-
-    def _element_list(self):
-        vecs = list(product(range(self.p), repeat=self.n))
-        return [(a, b, c) for a in vecs for b in vecs for c in range(self.zmod)]
-
-    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
-        # An index has the digits (a_1..a_n, b_1..b_n, c) of its normal
-        # form.  x_i steps a_i; y_i steps b_i and subtracts p^(d-1) a_i
-        # from c; z steps c.  Entry 0 of a row is its generator's index.
-        p, n, zm, sh = self.p, self.n, self.zmod, self.shift
-        radix = [p] * (2 * n) + [zm]
-        ys = []
-        for i in range(n):
-            w = prod(radix[i + 1 :])  # the weight of a_i
-            step = _step(radix, n + i)
-            ys.append([j - k % zm + (k - sh * (k // w % p)) % zm for k, j in enumerate(step)])
-        rows = [_step(radix, i) for i in range(n)] + ys + [_step(radix, 2 * n)]
-        vecs = list(product(range(p), repeat=n))
-        neg = _negated(vecs, p)
-        inv = []
-        for a, va in enumerate(vecs):
-            for b, vb in enumerate(vecs):
-                base = (neg[a] * len(vecs) + neg[b]) * zm
-                t = sh * _dot(va, vb)
-                inv.extend(base + (-c - t) % zm for c in range(zm))
-        return 0, {row[0]: row for row in rows}, inv
-
-    def generators(self) -> list:
-        xs = [self.gen_x(i) for i in range(self.n)]
-        ys = [self.gen_y(i) for i in range(self.n)]
-        return xs + ys + [self.gen_z()]
-
-    def descriptor(self) -> str:
-        return f"kind=H p={self.p} n={self.n} d={self.d}"
-
-    def gen_x(self, i: int):
-        a = tuple(1 if j == i else 0 for j in range(self.n))
-        return (a, (0,) * self.n, 0)
-
-    def gen_y(self, i: int):
-        b = tuple(1 if j == i else 0 for j in range(self.n))
-        return ((0,) * self.n, b, 0)
-
-    def gen_z(self):
-        return ((0,) * self.n, (0,) * self.n, 1)
 
 
-class AGroup(PGroup):
+class AGroup(_ClassTwoGroup):
     """A(n, d): like H(n, d) but x_1 has order p^(d+1) with x_1^p = z.
-
-    Elements are normal forms (a1, rest, b) for x_1^a1 x_2^a2 ... y^b with
-    a1 mod p^(d+1); the commutator [x_i, y_i] = z^(p^(d-1)) = x_1^(p^d)
-    feeds corrections into the a1 coordinate.
-    """
+    Digits (a1, a_2..a_n, b_1..b_n) for x_1^a1 x_2^a2 ... y^b, with a1
+    mod p^(d+1) and z on a1 in steps of p."""
 
     def __init__(self, p: int, n: int, d: int):
-        require_odd_prime(p)
+        super().__init__(p, n, d, 0, p, f"kind=A p={p} n={n} d={d}")
         if n < 1 or d < 1:
             raise ParameterError(f"A(n, d) needs n >= 1 and d >= 1, got n={n} d={d}")
-        self.p = p
-        self.n = n
-        self.d = d
-        self.x1mod = p ** (d + 1)
-        self.shift = p**d
-        self._order = p ** (2 * n + d)
-
-    def identity(self):
-        return (0, (0,) * (self.n - 1), (0,) * self.n)
-
-    def _avec(self, g):
-        a1, rest, _ = g
-        return (a1 % self.p,) + rest
-
-    def mul(self, g, h):
-        (a1, r1, b1), (a2, r2, b2) = g, h
-        a1n = (a1 + a2 - self.shift * _dot(self._avec(h), b1)) % self.x1mod
-        return (a1n, _vec_add(r1, r2, self.p), _vec_add(b1, b2, self.p))
-
-    def inv(self, g):
-        a1, rest, b = g
-        a1i = (-a1 - self.shift * _dot(self._avec(g), b)) % self.x1mod
-        return (a1i, _vec_neg(rest, self.p), _vec_neg(b, self.p))
-
-    def _element_list(self):
-        rests = list(product(range(self.p), repeat=self.n - 1))
-        bvecs = list(product(range(self.p), repeat=self.n))
-        return [(a1, r, b) for a1 in range(self.x1mod) for r in rests for b in bvecs]
-
-    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
-        # An index has the digits (a1, a_2..a_n, b_1..b_n) of its normal
-        # form, with a_1 = a1 mod p.  x_i steps a1 or a_i; y_i steps b_i and
-        # subtracts p^d a_i from a1.  Entry 0 of a row is its generator's index.
-        p, n, m, sh = self.p, self.n, self.x1mod, self.shift
-        radix = [m] + [p] * (2 * n - 1)
-        top = prod(radix[1:])  # the weight of a1
-        ys = []
-        for i in range(n):
-            w = prod(radix[i + 1 :])  # the weight of a_i
-            step = _step(radix, n + i)
-            ys.append(
-                [j + ((k // top - sh * (k // w % p)) % m - k // top) * top for k, j in enumerate(step)]
-            )
-        rows = [_step(radix, i) for i in range(n)] + ys
-        rests = list(product(range(p), repeat=n - 1))
-        bvecs = list(product(range(p), repeat=n))
-        rneg, bneg = _negated(rests, p), _negated(bvecs, p)
-        inv = []
-        for a1 in range(m):
-            for R, rv in enumerate(rests):
-                av = (a1 % p,) + rv
-                for B, bv in enumerate(bvecs):
-                    a1i = (-a1 - sh * _dot(av, bv)) % m
-                    inv.append((a1i * len(rests) + rneg[R]) * len(bvecs) + bneg[B])
-        return 0, {row[0]: row for row in rows}, inv
-
-    def generators(self) -> list:
-        # z = x_1^p, so the x_i and y_i suffice
-        return [self.gen_x(i) for i in range(self.n)] + [self.gen_y(i) for i in range(self.n)]
-
-    def descriptor(self) -> str:
-        return f"kind=A p={self.p} n={self.n} d={self.d}"
-
-    def gen_x(self, i: int):
-        if i == 0:
-            return (1, (0,) * (self.n - 1), (0,) * self.n)
-        rest = tuple(1 if j == i - 1 else 0 for j in range(self.n - 1))
-        return (0, rest, (0,) * self.n)
-
-    def gen_y(self, i: int):
-        b = tuple(1 if j == i else 0 for j in range(self.n))
-        return (0, (0,) * (self.n - 1), b)
-
-    def gen_z(self):
-        return (self.p, (0,) * (self.n - 1), (0,) * self.n)
 
 
-class CyclicPGroup(PGroup):
-    """Cyclic group of order p^k, written additively on 0..p^k-1."""
+class CyclicPGroup(_ClassTwoGroup):
+    """The cyclic group of order p^k, as H(0, k): its elements are the
+    1-tuples (c,) for gen()^c."""
 
     def __init__(self, p: int, k: int):
-        require_odd_prime(p)
+        super().__init__(p, 0, k, 0, 1, f"kind=C p={p} k={k}")
         if k < 1:
             raise ParameterError(f"cyclic p-group needs k >= 1, got {k}")
-        self.p = p
-        self.k = k
-        self.mod = p**k
-        self._order = self.mod
-
-    def identity(self):
-        return 0
-
-    def mul(self, a, b):
-        return (a + b) % self.mod
-
-    def inv(self, a):
-        return (-a) % self.mod
-
-    def _element_list(self):
-        return list(range(self.mod))
-
-    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
-        return 0, {1: [*range(1, self.mod), 0]}, [0, *range(self.mod - 1, 0, -1)]
-
-    def generators(self) -> list:
-        return [self.gen()]
-
-    def descriptor(self) -> str:
-        return f"kind=C p={self.p} k={self.k}"
 
     def gen(self):
-        return 1
+        return self.gen_z()
 
 
 class DirectProductGroup(PGroup):
@@ -533,7 +468,8 @@ class DirectProductGroup(PGroup):
         self.p = g1.p
         self.g1 = g1
         self.g2 = g2
-        self._order = g1.order * g2.order
+        self._exp = g1._exp + g2._exp
+        self._descriptor = f"{g1.descriptor()} x {g2.descriptor()}"
 
     def identity(self):
         return (self.g1.identity(), self.g2.identity())
@@ -577,9 +513,6 @@ class DirectProductGroup(PGroup):
     def _element_list(self):
         return [(a, b) for a in self.g1.elements() for b in self.g2.elements()]
 
-    def descriptor(self) -> str:
-        return f"{self.g1.descriptor()} x {self.g2.descriptor()}"
-
 
 class _IndexGroup(PGroup):
     """A group whose elements are the indices 0..n-1 and whose law is
@@ -592,7 +525,7 @@ class _IndexGroup(PGroup):
         own.pop(e, None)
         self.p = p
         self._law = _IndexLaw(e, tuple(own), mul, inv)
-        self._order = len(inv)
+        self._exp = _log_p(len(inv), p)
         self._descriptor = descriptor
 
     def identity(self):
@@ -612,10 +545,7 @@ class _IndexGroup(PGroup):
         return self._law
 
     def _element_list(self):
-        return list(range(self._order))
-
-    def descriptor(self) -> str:
-        return self._descriptor
+        return list(range(len(self._law.inv)))
 
 
 def _parent_indices(law: _IndexLaw, xs, what: str) -> list[int]:
@@ -712,11 +642,7 @@ class TableGroup(_IndexGroup):
         n = len(table)
         if n < 1 or any(len(row) != n for row in table):
             raise ParameterError("Cayley table must be square")
-        m = n
-        while m % p == 0:
-            m //= p
-        if m != 1:
-            raise ParameterError(f"order {n} is not a power of p = {p}")
+        _log_p(n, p)
         rows = [tuple(row) for row in table]
         for row in rows:
             if min(row) < 0 or max(row) >= n:

@@ -263,16 +263,22 @@ def _harvest_automorphisms():
         if order == 1:
             continue
         alpha = {
-            (x, y): ((M[0][0] * x + M[0][1] * y) % 3, (M[1][0] * x + M[1][1] * y) % 3)
-            for (x, y) in V.elements()
+            ((x,), (y,)): (
+                ((M[0][0] * x + M[0][1] * y) % 3,),
+                ((M[1][0] * x + M[1][1] * y) % 3,),
+            )
+            for ((x,), (y,)) in V.elements()
         }
         cases.append((V, alpha, order))
 
     W = D(C(3, 1), D(C(3, 1), C(3, 1)))
     for signs in ((2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (2, 2, 2)):
         alpha = {
-            (x, (y, z)): ((signs[0] * x) % 3, ((signs[1] * y) % 3, (signs[2] * z) % 3))
-            for (x, (y, z)) in W.elements()
+            ((x,), ((y,), (z,))): (
+                ((signs[0] * x) % 3,),
+                (((signs[1] * y) % 3,), ((signs[2] * z) % 3,)),
+            )
+            for ((x,), ((y,), (z,))) in W.elements()
         }
         cases.append((W, alpha, 2))
     swap = {(x, (y, z)): (y, (x, z)) for (x, (y, z)) in W.elements()}

@@ -229,6 +229,8 @@ class TestVerifyCommand:
 CHAT_CERT = Path(__file__).resolve().parent.parent / "certs" / "chat-H11-m2-trivial.cert"
 H11 = "kind=H p=3 n=1 d=1"
 HUGE = "kind=H p=3 n=5000 d=1"  # order 3^10001: more than 4,300 decimal digits
+VAST = "kind=H p=3 n=10000000 d=1"  # order 3^20000001: seconds to compute
+BIG_P = 10000000000000061  # prime: hours by trial division
 
 # name: (argv with {f} for the input file, the file's text or None, exit code)
 HOSTILE = {
@@ -241,7 +243,26 @@ HOSTILE = {
     "over-limit table": (["--limit", "27", "group", "basics", "--table", "{f}"], "0\n" * 28, EXIT_LIMIT),
     "huge descriptor": (["group", "make", "--descriptor", HUGE], None, EXIT_LIMIT),
     "huge chat certificate": (["verify", "{f}"], CHAT_CERT.read_text().replace(H11, HUGE, 1), EXIT_LIMIT),
+    "vast descriptor": (["group", "make", "--descriptor", VAST], None, EXIT_LIMIT),
+    "vast chat certificate": (["verify", "{f}"], CHAT_CERT.read_text().replace(H11, VAST, 1), EXIT_LIMIT),
 }
+
+
+@contextlib.contextmanager
+def within_1s(case):
+    """Fail ``case`` by an alarm if it runs for more than 1 s, instead of
+    stalling the suite."""
+
+    def hang(signum, frame):
+        pytest.fail(f"{case}: still running after 1 s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
@@ -252,19 +273,20 @@ def test_hostile_group_input(tmp_path, case):
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text)
-
-    def hang(signum, frame):
-        pytest.fail(f"{case}: still running after 1 s")
-
-    old = signal.signal(signal.SIGALRM, hang)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with within_1s(case):
         code, out, err = run([a.replace("{f}", str(path)) for a in argv])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
     assert code == want
     assert not out and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_large_prime_within_1s():
+    with within_1s("17-digit p"):
+        code, out, _ = run(["breaks", "tolower", f"upper m=1 p={BIG_P} : 1"])
+    assert code == EXIT_OK and out.strip() == f"lower m=1 p={BIG_P} : 1"
+    # a prime beyond the range where Miller-Rabin with bases 2..41 decides
+    with within_1s("26-digit p"):
+        code, out, err = run(["breaks", "tolower", f"upper m=1 p={10**25 + 13} : 1"])
+    assert code == EXIT_USAGE and not out and "too large" in err
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import time
 import weakref
@@ -121,8 +122,8 @@ def subgroup_x_z():
 def subgroup_of_product():
     # <(x, 1), (y, 0)> in H(1,1) x C(3,2): order 81, neither factor
     G = DirectProductGroup(H(1, 1), CyclicPGroup(3, 2))
-    h = G.g1
-    return subgroup(G, indices(G, [(h.gen_x(0), 1), (h.gen_y(0), 0)]))
+    h, c = G.g1, G.g2
+    return subgroup(G, indices(G, [(h.gen_x(0), c.gen()), (h.gen_y(0), c.identity())]))
 
 
 def quotient_by_center():
@@ -215,6 +216,47 @@ class TestConstruction:
                     t.power(t.commutator(b, a), k)
                 ]
                 assert lhs == rhs
+
+
+# sha256 of repr((e, gens, inv, mul)) of `tables`, first 16 hex digits,
+# for every H, A and C up to order 729 at p = 3 and 625 at p = 5.  Law and
+# rows share one normal form, so only pinned tables catch a change of the
+# index order, which certificates and kernel indices depend on.
+LAYOUT_DIGESTS = {
+    "kind=C p=3 k=1": "7da3c52fbc020726",
+    "kind=C p=3 k=2": "b9303b7b1f6165be",
+    "kind=C p=3 k=3": "944c16009cb003f2",
+    "kind=C p=3 k=4": "5970cb286b2f681b",
+    "kind=C p=3 k=5": "af98051cafa75b76",
+    "kind=C p=3 k=6": "1c8a670f84bbf2b6",
+    "kind=H p=3 n=1 d=1": "b4ae62124ef59c7c",
+    "kind=H p=3 n=1 d=2": "00e6677dc0e71d2f",
+    "kind=H p=3 n=1 d=3": "f779f6ba87237255",
+    "kind=H p=3 n=1 d=4": "685778c6fcb4da42",
+    "kind=H p=3 n=2 d=1": "b4cc62cf8a3b870d",
+    "kind=H p=3 n=2 d=2": "1e946837e9d34270",
+    "kind=A p=3 n=1 d=1": "b83b5911601ae4da",
+    "kind=A p=3 n=1 d=2": "fc04b79388d8692e",
+    "kind=A p=3 n=1 d=3": "94dd061692453611",
+    "kind=A p=3 n=1 d=4": "70791eb71c96ec8a",
+    "kind=A p=3 n=2 d=1": "39f6473b2d8c24a3",
+    "kind=A p=3 n=2 d=2": "9e1131f22ba29969",
+    "kind=C p=5 k=1": "81cc4d4154c8415c",
+    "kind=C p=5 k=2": "a2e99a5d33b877e1",
+    "kind=C p=5 k=3": "6e54a15e88402aea",
+    "kind=C p=5 k=4": "c525b26243f6b4ed",
+    "kind=H p=5 n=1 d=1": "0e37f44cc6672e1b",
+    "kind=H p=5 n=1 d=2": "4027d1beca5018fa",
+    "kind=A p=5 n=1 d=1": "cbf76dbb52726412",
+    "kind=A p=5 n=1 d=2": "9deaebee8dcc20d9",
+}
+
+
+@pytest.mark.parametrize("descriptor", LAYOUT_DIGESTS)
+def test_layout_is_pinned(descriptor):
+    t = tables(parse_group_descriptor(descriptor))
+    digest = hashlib.sha256(repr((t.e, t.gens, t.inv, t.mul)).encode()).hexdigest()
+    assert digest[:16] == LAYOUT_DIGESTS[descriptor]
 
 
 class TestTables:
@@ -376,12 +418,16 @@ class TestCentralProduct:
         assert is_isomorphic(cp, H(2, 1))
 
     def test_rejects_non_cyclic_center(self):
-        # H(1,1) x C_3 has center C_3 x C_3: no canonical order-p subgroup
-        G = DirectProductGroup(H(1, 1), CyclicPGroup(3, 1))
-        with pytest.raises(ParameterError, match="non-cyclic center"):
-            central_product(G, H(1, 1))
-        with pytest.raises(ParameterError, match="non-cyclic center"):
-            central_product(H(1, 1), G)
+        # H(1,1) x C_3 has center C_3 x C_3: no canonical order-p subgroup;
+        # the trivial group has no order-p subgroup at all
+        for G, why in (
+            (DirectProductGroup(H(1, 1), CyclicPGroup(3, 1)), "non-cyclic center"),
+            (TableGroup(3, [[0]]), r"table\(order=1, p=3\) is trivial"),
+        ):
+            with pytest.raises(ParameterError, match=why):
+                central_product(G, H(1, 1))
+            with pytest.raises(ParameterError, match=why):
+                central_product(H(1, 1), G)
 
     def test_cyclic_times_heisenberg(self):
         # H(0, 2) is cyclic of order 9; gluing it to H(1, 1) gives H(1, 2)
@@ -410,11 +456,17 @@ class TestMinQuot:
         assert len(kernel) == 1
         assert (cls.kind, cls.n, cls.d) == ("H", 1, 1)
 
-    def test_minimal_group_is_its_own_quotient(self):
+    def test_minimal_group_is_its_own_quotient(self, monkeypatch):
         # every proper quotient of H(2, 1) is abelian, so the search
-        # returns the trivial kernel
+        # returns the trivial kernel, recognized once and not again to
+        # classify it
+        calls = []
+        check = analysis.is_minimal_nonabelian
+        monkeypatch.setattr(
+            analysis, "is_minimal_nonabelian", lambda *a: calls.append(a) or check(*a)
+        )
         kernel, quotient, cls = minimal_nonabelian_quotient(H(2, 1))
-        assert len(kernel) == 1
+        assert len(kernel) == 1 and len(calls) == 1
         assert (cls.kind, cls.n, cls.d) == ("H", 2, 1)
 
     def test_abelian_rejected(self):
@@ -503,13 +555,17 @@ class TestBurnside:
     def test_rejects_map_multiplicative_on_one_generator_only(self):
         # (a, b, c) -> (a, b, c + b^2) respects the first generator only
         G = parse_group_descriptor("kind=C p=3 k=1 x kind=C p=3 k=1 x kind=C p=3 k=1")
-        alpha = {((a, b), c): ((a, b), (c + b * b) % 3) for ((a, b), c) in G.elements()}
+        alpha = {
+            ((a, (b,)), (c,)): ((a, (b,)), ((c + b * b) % 3,)) for ((a, (b,)), (c,)) in G.elements()
+        }
         with pytest.raises(ParameterError, match="not a homomorphism"):
             burnside_action_check(G, index_perm(G, alpha), 2)
 
     def test_rejects_p_order(self):
         G = DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1))
-        shear = index_perm(G, {(a, b): ((a + b) % 3, b) for (a, b) in G.elements()})
+        shear = index_perm(
+            G, {((a,), (b,)): (((a + b) % 3,), (b,)) for ((a,), (b,)) in G.elements()}
+        )
         with pytest.raises(ParameterError, match="prime to p"):
             burnside_action_check(G, shear, 3)
         with pytest.raises(ParameterError, match="does not divide"):
