@@ -2,10 +2,11 @@
 
 The datum beta must satisfy v_K(beta) = -b < 0 with p not dividing b, which
 makes F/K totally ramified of degree p with ramification break b.  Elements
-of F are stored as polynomials c_0 + c_1 y + ... + c_{p-1} y^{p-1} with
-Laurent series components; since gcd(b, p) = 1 the valuations
-p*v_K(c_i) - i*b of the monomials are pairwise distinct mod p, so the
-valuation of a nonzero element is always attained by a unique component.
+of F are polynomials c_0 + c_1 y + ... + c_{p-1} y^{p-1} with Laurent series
+components, of which only the present ones are stored.  Since gcd(b, p) = 1
+the valuations p*v_K(c_i) - i*b of the monomials are pairwise distinct mod
+p, so the valuation of a nonzero element is always attained by a unique
+component.
 
 The reduction functions replace a datum by a representative of the same
 class modulo the Artin-Schreier operator with maximal valuation, which
@@ -17,10 +18,9 @@ claim can be re-checked by direct arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import InsufficientPrecisionError, InternalCheckError, ParameterError
-from .laurent import INF, LaurentSeries, require_odd_prime, zero
+from .laurent import INF, LaurentSeries, _from_dense, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -68,141 +68,140 @@ class ASExtension:
         self.p = p
         self.beta = beta
         self.b = -v
-        self._beta_powers = None
+        self._beta_powers = [_from_dense(p, 0, (1,), beta.prec - v)]
 
     def beta_power(self, k: int) -> LaurentSeries:
-        """beta^k for 0 <= k <= p-1, cached."""
-        if self._beta_powers is None:
-            window = self.beta.prec - self.beta.val
-            powers = [LaurentSeries(self.p, [(0, 1)], window)]
-            for _ in range(self.p - 1):
-                powers.append(powers[-1] * self.beta)
-            self._beta_powers = tuple(powers)
-        return self._beta_powers[k]
+        """beta^k for 0 <= k <= p-1, computed up to the largest k asked for."""
+        powers = self._beta_powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * self.beta)
+        return powers[k]
 
     def element(self, comps: dict[int, LaurentSeries]) -> "ASElement":
         """Build an element from a sparse degree -> component mapping."""
-        for i in comps:
-            if not 0 <= i < self.p:
-                raise ParameterError(f"y-degree must lie in [0, {self.p}), got {i}")
         precs = [c.prec for c in comps.values()]
-        fill = max(precs) if precs else self.beta.prec
-        full = []
-        for i in range(self.p):
-            c = comps.get(i)
-            if c is None:
-                c = zero(self.p, fill)
-            full.append(c)
-        return ASElement(self, tuple(full))
+        return ASElement(self, dict(comps), max(precs) if precs else self.beta.prec)
 
     def y(self, prec: int | None = None) -> "ASElement":
         pr = self.beta.prec if prec is None else prec
-        return self.element({1: LaurentSeries(self.p, [(0, 1)], pr)})
+        return self.element({1: _from_dense(self.p, 0, (1,), pr)})
 
     def monomial_element(self, coeff: int, exp: int, degree: int, prec: int) -> "ASElement":
-        if not 0 <= degree < self.p:
-            raise ParameterError(f"y-degree must lie in [0, {self.p}), got {degree}")
-        return self.element({degree: LaurentSeries(self.p, [(exp, coeff)], prec)})
+        return self.element({degree: _from_dense(self.p, exp, (coeff % self.p,), prec)})
 
     def zero_element(self, prec: int) -> "ASElement":
-        return ASElement(self, tuple(zero(self.p, prec) for _ in range(self.p)))
+        return ASElement(self, {}, prec)
 
     def __repr__(self):
         return f"ASExtension(p={self.p}, b={self.b})"
 
 
+def _accumulate(acc: dict[int, LaurentSeries], k: int, term: LaurentSeries) -> None:
+    acc[k] = acc[k] + term if k in acc else term
+
+
 class ASElement:
-    """An element sum(c_i * y^i, i < p) of F = K(y)."""
+    """An element sum(c_i * y^i, i < p) of F = K(y).
 
-    __slots__ = ("ext", "comps")
+    Only the components it has are stored, in ``terms`` (y-degree ->
+    series); every absent degree is a zero known to precision ``fill``.
+    """
 
-    def __init__(self, ext: ASExtension, comps: tuple[LaurentSeries, ...]):
-        if len(comps) != ext.p:
-            raise ParameterError(f"need {ext.p} components, got {len(comps)}")
-        for c in comps:
+    __slots__ = ("ext", "terms", "fill")
+
+    def __init__(self, ext: ASExtension, terms: dict[int, LaurentSeries], fill: int):
+        for i, c in terms.items():
+            if not 0 <= i < ext.p:
+                raise ParameterError(f"y-degree must lie in [0, {ext.p}), got {i}")
             if c.p != ext.p:
                 raise ParameterError("component modulus mismatch")
         self.ext = ext
-        self.comps = comps
+        self.terms = terms
+        self.fill = fill
+
+    def _comp(self, i: int) -> LaurentSeries:
+        c = self.terms.get(i)
+        return _from_dense(self.ext.p, 0, (), self.fill) if c is None else c
+
+    @property
+    def comps(self) -> tuple[LaurentSeries, ...]:
+        """All p components, the absent ones as zeros known to ``fill``."""
+        return tuple(self._comp(i) for i in range(self.ext.p))
 
     def _check_same_ext(self, other: "ASElement") -> None:
         if not isinstance(other, ASElement):
             raise TypeError(f"expected ASElement, got {type(other).__name__}")
-        if other.ext.p != self.ext.p or other.ext.beta != self.ext.beta:
+        if other.ext is not self.ext and (
+            other.ext.p != self.ext.p or other.ext.beta != self.ext.beta
+        ):
             raise ParameterError("elements live in different extensions")
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _componentwise(self, other: "ASElement", op) -> "ASElement":
         self._check_same_ext(other)
-        return ASElement(
-            self.ext, tuple(a + b for a, b in zip(self.comps, other.comps))
-        )
+        keys = self.terms.keys() | other.terms.keys()
+        terms = {i: op(self._comp(i), other._comp(i)) for i in keys}
+        return ASElement(self.ext, terms, min(self.fill, other.fill))
+
+    def __add__(self, other):
+        return self._componentwise(other, LaurentSeries.__add__)
 
     def __sub__(self, other):
-        self._check_same_ext(other)
-        return ASElement(
-            self.ext, tuple(a - b for a, b in zip(self.comps, other.comps))
-        )
+        return self._componentwise(other, LaurentSeries.__sub__)
 
     def __neg__(self):
-        return ASElement(self.ext, tuple(-a for a in self.comps))
+        return ASElement(self.ext, {i: -c for i, c in self.terms.items()}, self.fill)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ASElement(self.ext, tuple(c * other for c in self.comps))
+            return ASElement(self.ext, {i: c * other for i, c in self.terms.items()}, self.fill)
         self._check_same_ext(other)
         p = self.ext.p
         beta = self.ext.beta
-        conv: list[LaurentSeries | None] = [None] * (2 * p - 1)
-        for i, a in enumerate(self.comps):
+        conv: dict[int, LaurentSeries] = {}
+        for i, a in self.terms.items():
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.comps):
-                if b.is_zero():
-                    continue
-                prod = a * b
-                k = i + j
-                conv[k] = prod if conv[k] is None else conv[k] + prod
-        # fold y^k = y^(k-p) * (y + beta) for k >= p
-        for k in range(2 * p - 2, p - 1, -1):
-            c = conv[k]
-            if c is None:
-                continue
-            conv[k] = None
-            lo = k - p
-            conv[lo + 1] = c if conv[lo + 1] is None else conv[lo + 1] + c
-            cb = c * beta
-            conv[lo] = cb if conv[lo] is None else conv[lo] + cb
-        present = [c.prec for c in conv[:p] if c is not None]
-        fill = max(present) if present else beta.prec
-        comps = tuple(zero(p, fill) if c is None else c for c in conv[:p])
-        return ASElement(self.ext, comps)
+            for j, b in other.terms.items():
+                if not b.is_zero():
+                    _accumulate(conv, i + j, a * b)
+        # fold y^k = y^(k-p) * (y + beta) for k >= p; k - p + 1 < p
+        for k in [k for k in conv if k >= p]:
+            c = conv.pop(k)
+            _accumulate(conv, k - p + 1, c)
+            _accumulate(conv, k - p, c * beta)
+        return self.ext.element(conv)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ParameterError("negative powers are not supported in F")
-        out = self.ext.element({0: LaurentSeries(self.ext.p, [(0, 1)], self._max_prec())})
+        out = self.ext.element({0: _from_dense(self.ext.p, 0, (1,), self._max_prec())})
         for _ in range(k):
             out = out * self
         return out
 
     def _max_prec(self) -> int:
-        return max(c.prec for c in self.comps)
+        precs = [c.prec for c in self.terms.values()]
+        if len(self.terms) < self.ext.p:
+            precs.append(self.fill)
+        return max(precs)
 
     def pth_power(self) -> "ASElement":
         """Frobenius power via (sum c_i y^i)^p = sum c_i^p (y + beta)^i."""
         p = self.ext.p
         acc: dict[int, LaurentSeries] = {}
-        for i, c in enumerate(self.comps):
+        for i, c in self.terms.items():
             if c.is_zero():
                 continue
             cf = c.frobenius()
+            binom = 1  # C(i, k) mod p, as C(i, k - 1) * (i - k + 1) / k
             for k in range(i + 1):
-                term = cf * self.ext.beta_power(i - k) * comb(i, k)
-                acc[k] = acc[k] + term if k in acc else term
+                if k:
+                    binom = binom * (i - k + 1) * pow(k, -1, p) % p
+                _accumulate(acc, k, cf * self.ext.beta_power(i - k) * binom)
         return self.ext.element(acc)
 
     def wp(self) -> "ASElement":
@@ -215,15 +214,16 @@ class ASElement:
         """(exact min over nonzero components, floor from precision windows)."""
         b = self.ext.b
         p = self.ext.p
-        exact = None
-        floor = None
-        for i, c in enumerate(self.comps):
-            u = p * c.prec - i * b
-            floor = u if floor is None else min(floor, u)
-            if not c.is_zero():
-                v = p * c.val - i * b
-                exact = v if exact is None else min(exact, v)
-        return exact, floor
+        exact = min(
+            (p * c.val - i * b for i, c in self.terms.items() if not c.is_zero()),
+            default=None,
+        )
+        floors = [p * c.prec - i * b for i, c in self.terms.items()]
+        # absent degrees are zeros known to fill: the largest has the lowest floor
+        top = next((i for i in range(p - 1, -1, -1) if i not in self.terms), None)
+        if top is not None:
+            floors.append(p * self.fill - top * b)
+        return exact, min(floors)
 
     def valuation(self):
         """Certified valuation in Z, or INF for zero-up-to-precision."""
@@ -237,22 +237,20 @@ class ASElement:
         return exact
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
+        return all(c.is_zero() for c in self.terms.values())
 
     def leading_term(self) -> tuple[int, int, int]:
         """(y-degree, pi-exponent, coefficient) of the valuation-minimal term."""
         b = self.ext.b
         p = self.ext.p
-        best = None
-        for i, c in enumerate(self.comps):
-            if c.is_zero():
-                continue
-            v = p * c.val - i * b
-            if best is None or v < best[0]:
-                best = (v, i, c.val, c.leading_coefficient())
-        if best is None:
+        terms = [
+            (p * c.val - i * b, i, c.val, c.leading_coefficient())
+            for i, c in self.terms.items()
+            if not c.is_zero()
+        ]
+        if not terms:
             raise ValueError("zero to precision has no leading term")
-        return best[1], best[2], best[3]
+        return min(terms)[1:]
 
     # -- comparison / io ----------------------------------------------------
 
@@ -262,7 +260,10 @@ class ASElement:
         return (
             self.ext.p == other.ext.p
             and self.ext.beta == other.ext.beta
-            and all(a == b for a, b in zip(self.comps, other.comps))
+            and all(
+                self._comp(i) == other._comp(i)
+                for i in self.terms.keys() | other.terms.keys()
+            )
         )
 
     __hash__ = None
@@ -298,7 +299,7 @@ def as_reduce_K(delta: LaurentSeries) -> KReduction:
     ramification break.
     """
     p = delta.p
-    witness = zero(p, delta.prec)
+    witness = _from_dense(p, 0, (), delta.prec)
     reduced = delta
     guard = 0
     while True:
@@ -317,7 +318,7 @@ def as_reduce_K(delta: LaurentSeries) -> KReduction:
             outcome = BreakOutcome("wild", -v)
             break
         c = reduced.leading_coefficient()
-        step = LaurentSeries(p, [(v // p, c)], max(reduced.prec, v // p + 1))
+        step = _from_dense(p, v // p, (c,), max(reduced.prec, v // p + 1))
         reduced = reduced - step.wp()
         witness = witness + step
         guard += 1

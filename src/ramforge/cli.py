@@ -9,6 +9,7 @@ carries only the artifact; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -211,7 +212,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="ramforge", description=__doc__)
     ap.add_argument(
         "--precision",

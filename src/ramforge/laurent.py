@@ -373,5 +373,4 @@ def parse_series(text: str) -> LaurentSeries:
             pairs.append((int(e), int(c)))
     except ValueError as exc:
         raise ParseError(f"malformed series text: {text!r}") from exc
-    require_odd_prime(p)
-    return LaurentSeries(p, pairs, prec)
+    return LaurentSeries(p, pairs, prec)  # checks p

@@ -1,6 +1,5 @@
 import contextlib
 import io
-import signal
 import time
 from pathlib import Path
 
@@ -13,6 +12,7 @@ from ramforge.cli import (
     EXIT_PRECISION,
     EXIT_UNREALIZABLE,
     EXIT_USAGE,
+    _build_parser,
     _exit_code_for,
     main,
 )
@@ -25,6 +25,8 @@ from ramforge.errors import (
 )
 from ramforge.forge import P3Parameters, build_p3_tower
 from ramforge.pgroups import CyclicPGroup, DirectProductGroup, make_group, tables
+
+from conftest import within
 
 
 def run(argv):
@@ -248,23 +250,6 @@ HOSTILE = {
 }
 
 
-@contextlib.contextmanager
-def within_1s(case):
-    """Fail ``case`` by an alarm if it runs for more than 1 s, instead of
-    stalling the suite."""
-
-    def hang(signum, frame):
-        pytest.fail(f"{case}: still running after 1 s")
-
-    old = signal.signal(signal.SIGALRM, hang)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 @pytest.mark.parametrize("case", sorted(HOSTILE))
 def test_hostile_group_input(tmp_path, case):
     """Each input is refused with its exit code and one error line, within
@@ -273,20 +258,70 @@ def test_hostile_group_input(tmp_path, case):
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text)
-    with within_1s(case):
+    with within(1, case):
         code, out, err = run([a.replace("{f}", str(path)) for a in argv])
     assert code == want
     assert not out and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_large_prime_within_1s():
-    with within_1s("17-digit p"):
+    with within(1, "17-digit p"):
         code, out, _ = run(["breaks", "tolower", f"upper m=1 p={BIG_P} : 1"])
     assert code == EXIT_OK and out.strip() == f"lower m=1 p={BIG_P} : 1"
     # a prime beyond the range where Miller-Rabin with bases 2..41 decides
-    with within_1s("26-digit p"):
+    with within(1, "26-digit p"):
         code, out, err = run(["breaks", "tolower", f"upper m=1 p={10**25 + 13} : 1"])
     assert code == EXIT_USAGE and not out and "too large" in err
+
+
+def test_large_p_tower_verifies_within_1s(tmp_path):
+    """The tower certificate at p = 1000003, (b, a) = (1, 4): its witness
+    degree i' is 5, so checking it costs what p = 3 costs."""
+    path = tmp_path / "tower.cert"
+    path.write_text(build_p3_tower(P3Parameters.derive(1000003, 1, 4)).render())
+    with within(1, "p = 1000003 tower"):
+        code, out, _ = run(["verify", str(path)])
+    assert code == EXIT_OK and out.endswith(": verified\n")
+
+
+TOWER_CERT = Path(__file__).resolve().parent.parent / "certs" / "p3-tower-p3-b1-a4.cert"
+# (argv, RAMFORGE_PRECISION or None)
+PARSER_CALLS = [
+    (["p3", "--p", "3"], None),
+    (["--help"], None),
+    (["p3", "--p", "3", "--b", "1", "--a", "4"], "512"),
+    (["verify", str(TOWER_CERT)], None),
+    (["breaks", "tolower", "upper m=1 p=3 : 1, 4"], None),
+    (["p3", "--p", "3", "--b", "1", "--a", "4"], None),
+    (["group", "classify", "--kind", "H", "--p", "3", "--n", "1", "--d", "2"], None),
+    (["breaks", "compose"], None),
+]
+
+
+def test_parser_reused_across_calls(monkeypatch):
+    """One parser serves every call in a process: interleaved usage
+    errors, help, builds, verifies, queries and an environment change
+    give the exit code and stdout that a freshly built parser gives."""
+
+    def call(argv, precision):
+        if precision is None:
+            monkeypatch.delenv("RAMFORGE_PRECISION", raising=False)
+        else:
+            monkeypatch.setenv("RAMFORGE_PRECISION", precision)
+        return run(argv)[:2]
+
+    fresh = []
+    for argv, precision in PARSER_CALLS:
+        _build_parser.cache_clear()
+        fresh.append(call(argv, precision))
+    assert [code for code, _ in fresh] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE]
+    assert "param precision = 512" in fresh[2][1] and "param precision = 400" in fresh[5][1]
+    _build_parser.cache_clear()
+    parser = _build_parser()
+    for _ in range(2):
+        for (argv, precision), want in zip(PARSER_CALLS, fresh):
+            assert call(argv, precision) == want, argv
+    assert _build_parser() is parser
 
 
 class TestExitCodes:

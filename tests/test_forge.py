@@ -24,6 +24,8 @@ from ramforge.laurent import monomial, parse_series
 from ramforge.pgroups import CyclicPGroup
 from ramforge.ramcalc import parse_multiset, upper_to_lower
 
+from conftest import within
+
 
 class TestParameters:
     def test_pick(self):
@@ -390,3 +392,12 @@ class TestDeriveChat:
         a = derive_chat("kind=H p=3 n=1 d=1", 2).render()
         b = derive_chat("kind=H p=3 n=1 d=1", 2).render()
         assert a == b
+
+
+def test_large_p_tower_within_3s():
+    """p = 10007, (b, a) = (2, 7): the F-reduction's witness has y-degree
+    i' = 5008, so build and verify cost O(i') series operations."""
+    with within(3, "p = 10007 tower"):
+        cert = build_p3_tower(P3Parameters.derive(10007, 2, 7), precision=400)
+        verify_certificate(cert.render())
+    assert cert.witness == Fraction(7 * 10007 + 2, 10007)
