@@ -3,10 +3,16 @@
 The datum beta must satisfy v_K(beta) = -b < 0 with p not dividing b, which
 makes F/K totally ramified of degree p with ramification break b.  Elements
 of F are polynomials c_0 + c_1 y + ... + c_{p-1} y^{p-1} with Laurent series
-components, of which only the present ones are stored.  Since gcd(b, p) = 1
-the valuations p*v_K(c_i) - i*b of the monomials are pairwise distinct mod
-p, so the valuation of a nonzero element is always attained by a unique
-component.
+components, of which only the present ones are stored: an absent y-degree
+is an exact zero, and a stored component that is zero to its precision is
+a zero known only that far.  Arithmetic combines the stored components
+with the series' own precision rules, so no result claims a coefficient
+that its operands leave undetermined (the standard model of p-adic
+precision; X. Caruso, "Computations with p-adic numbers", 2017).
+
+Since gcd(b, p) = 1 the valuations p*v_K(c_i) - i*b of the monomials are
+pairwise distinct mod p, so the valuation of a nonzero element is always
+attained by a unique component.
 
 The reduction functions replace a datum by a representative of the same
 class modulo the Artin-Schreier operator with maximal valuation, which
@@ -79,8 +85,7 @@ class ASExtension:
 
     def element(self, comps: dict[int, LaurentSeries]) -> "ASElement":
         """Build an element from a sparse degree -> component mapping."""
-        precs = [c.prec for c in comps.values()]
-        return ASElement(self, dict(comps), max(precs) if precs else self.beta.prec)
+        return ASElement(self, dict(comps))
 
     def y(self, prec: int | None = None) -> "ASElement":
         pr = self.beta.prec if prec is None else prec
@@ -90,7 +95,8 @@ class ASExtension:
         return self.element({degree: _from_dense(self.p, exp, (coeff % self.p,), prec)})
 
     def zero_element(self, prec: int) -> "ASElement":
-        return ASElement(self, {}, prec)
+        """Zero known to ``prec``, stored as the degree-0 component."""
+        return self.element({0: _from_dense(self.p, 0, (), prec)})
 
     def __repr__(self):
         return f"ASExtension(p={self.p}, b={self.b})"
@@ -104,12 +110,14 @@ class ASElement:
     """An element sum(c_i * y^i, i < p) of F = K(y).
 
     Only the components it has are stored, in ``terms`` (y-degree ->
-    series); every absent degree is a zero known to precision ``fill``.
+    series), and every absent degree is an exact zero.  A stored component
+    that is zero to its precision stays stored: it bounds what the element
+    is known to.
     """
 
-    __slots__ = ("ext", "terms", "fill")
+    __slots__ = ("ext", "terms")
 
-    def __init__(self, ext: ASExtension, terms: dict[int, LaurentSeries], fill: int):
+    def __init__(self, ext: ASExtension, terms: dict[int, LaurentSeries]):
         for i, c in terms.items():
             if not 0 <= i < ext.p:
                 raise ParameterError(f"y-degree must lie in [0, {ext.p}), got {i}")
@@ -117,16 +125,13 @@ class ASElement:
                 raise ParameterError("component modulus mismatch")
         self.ext = ext
         self.terms = terms
-        self.fill = fill
-
-    def _comp(self, i: int) -> LaurentSeries:
-        c = self.terms.get(i)
-        return _from_dense(self.ext.p, 0, (), self.fill) if c is None else c
 
     @property
     def comps(self) -> tuple[LaurentSeries, ...]:
-        """All p components, the absent ones as zeros known to ``fill``."""
-        return tuple(self._comp(i) for i in range(self.ext.p))
+        """All p components; an absent degree, an exact zero, shows as a
+        zero series at the largest stored precision."""
+        zero = _from_dense(self.ext.p, 0, (), self._max_prec())
+        return tuple(self.terms.get(i, zero) for i in range(self.ext.p))
 
     def _check_same_ext(self, other: "ASElement") -> None:
         if not isinstance(other, ASElement):
@@ -138,40 +143,39 @@ class ASElement:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _componentwise(self, other: "ASElement", op) -> "ASElement":
-        self._check_same_ext(other)
-        keys = self.terms.keys() | other.terms.keys()
-        terms = {i: op(self._comp(i), other._comp(i)) for i in keys}
-        return ASElement(self.ext, terms, min(self.fill, other.fill))
-
     def __add__(self, other):
-        return self._componentwise(other, LaurentSeries.__add__)
+        self._check_same_ext(other)
+        terms = dict(self.terms)
+        for i, c in other.terms.items():
+            _accumulate(terms, i, c)
+        return ASElement(self.ext, terms)
 
     def __sub__(self, other):
-        return self._componentwise(other, LaurentSeries.__sub__)
+        self._check_same_ext(other)
+        terms = dict(self.terms)
+        for i, c in other.terms.items():
+            terms[i] = terms[i] - c if i in terms else -c
+        return ASElement(self.ext, terms)
 
     def __neg__(self):
-        return ASElement(self.ext, {i: -c for i, c in self.terms.items()}, self.fill)
+        return ASElement(self.ext, {i: -c for i, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ASElement(self.ext, {i: c * other for i, c in self.terms.items()}, self.fill)
+            return ASElement(self.ext, {i: c * other for i, c in self.terms.items()})
         self._check_same_ext(other)
         p = self.ext.p
         beta = self.ext.beta
         conv: dict[int, LaurentSeries] = {}
         for i, a in self.terms.items():
-            if a.is_zero():
-                continue
             for j, b in other.terms.items():
-                if not b.is_zero():
-                    _accumulate(conv, i + j, a * b)
+                _accumulate(conv, i + j, a * b)
         # fold y^k = y^(k-p) * (y + beta) for k >= p; k - p + 1 < p
         for k in [k for k in conv if k >= p]:
             c = conv.pop(k)
             _accumulate(conv, k - p + 1, c)
             _accumulate(conv, k - p, c * beta)
-        return self.ext.element(conv)
+        return ASElement(self.ext, conv)
 
     __rmul__ = __mul__
 
@@ -184,25 +188,21 @@ class ASElement:
         return out
 
     def _max_prec(self) -> int:
-        precs = [c.prec for c in self.terms.values()]
-        if len(self.terms) < self.ext.p:
-            precs.append(self.fill)
-        return max(precs)
+        """The largest stored precision; beta's for an exact zero."""
+        return max((c.prec for c in self.terms.values()), default=self.ext.beta.prec)
 
     def pth_power(self) -> "ASElement":
         """Frobenius power via (sum c_i y^i)^p = sum c_i^p (y + beta)^i."""
         p = self.ext.p
         acc: dict[int, LaurentSeries] = {}
         for i, c in self.terms.items():
-            if c.is_zero():
-                continue
             cf = c.frobenius()
             binom = 1  # C(i, k) mod p, as C(i, k - 1) * (i - k + 1) / k
             for k in range(i + 1):
                 if k:
                     binom = binom * (i - k + 1) * pow(k, -1, p) % p
                 _accumulate(acc, k, cf * self.ext.beta_power(i - k) * binom)
-        return self.ext.element(acc)
+        return ASElement(self.ext, acc)
 
     def wp(self) -> "ASElement":
         """Artin-Schreier operator on F: u -> u^p - u."""
@@ -210,20 +210,17 @@ class ASElement:
 
     # -- valuation ----------------------------------------------------------
 
-    def _valuation_parts(self) -> tuple[int | None, int]:
-        """(exact min over nonzero components, floor from precision windows)."""
+    def _valuation_parts(self) -> tuple[int | None, int | float]:
+        """(exact min over nonzero components, floor from the precision
+        windows of the stored components; INF for an exact zero)."""
         b = self.ext.b
         p = self.ext.p
         exact = min(
             (p * c.val - i * b for i, c in self.terms.items() if not c.is_zero()),
             default=None,
         )
-        floors = [p * c.prec - i * b for i, c in self.terms.items()]
-        # absent degrees are zeros known to fill: the largest has the lowest floor
-        top = next((i for i in range(p - 1, -1, -1) if i not in self.terms), None)
-        if top is not None:
-            floors.append(p * self.fill - top * b)
-        return exact, min(floors)
+        floor = min((p * c.prec - i * b for i, c in self.terms.items()), default=INF)
+        return exact, floor
 
     def valuation(self):
         """Certified valuation in Z, or INF for zero-up-to-precision."""
@@ -260,16 +257,14 @@ class ASElement:
         return (
             self.ext.p == other.ext.p
             and self.ext.beta == other.ext.beta
-            and all(
-                self._comp(i) == other._comp(i)
-                for i in self.terms.keys() | other.terms.keys()
-            )
+            and (self - other).is_zero()
         )
 
     __hash__ = None
 
     def to_text(self) -> str:
-        return " | ".join(f"y^{i}: {c.to_text()}" for i, c in enumerate(self.comps))
+        """The stored components in degree order."""
+        return " | ".join(f"y^{i}: {c.to_text()}" for i, c in sorted(self.terms.items()))
 
     def __repr__(self):
         return f"ASElement({self.to_text()!r})"
@@ -318,7 +313,8 @@ def as_reduce_K(delta: LaurentSeries) -> KReduction:
             outcome = BreakOutcome("wild", -v)
             break
         c = reduced.leading_coefficient()
-        step = _from_dense(p, v // p, (c,), max(reduced.prec, v // p + 1))
+        # exact, and known far enough that its wp loses none of reduced.prec
+        step = _from_dense(p, v // p, (c,), max(reduced.prec, -(-reduced.prec // p)))
         reduced = reduced - step.wp()
         witness = witness + step
         guard += 1

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramforge.astower import ASExtension, as_reduce_F, as_reduce_K
 from ramforge.errors import InsufficientPrecisionError, ParameterError
@@ -177,6 +179,30 @@ class TestReduceK:
         delta = monomial(3, 1, -9, -8)  # window of one known coefficient
         with pytest.raises(InsufficientPrecisionError):
             as_reduce_K(delta)
+
+    def test_negative_precision(self):
+        # known only below pi^-4: the step at pi^-9 must not lose that
+        res = as_reduce_K(LaurentSeries(3, [(-9, 1), (-5, 1)], -4))
+        assert res.outcome.is_wild and res.outcome.break_value == 5
+        assert res.reduced == monomial(3, 1, -5, -4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.integers(-40, 8),
+        st.lists(st.integers(0, 6), max_size=16),
+        st.integers(1, 16),
+    )
+    @example(p=3, val=-9, coeffs=[1, 1], window=5)
+    def test_reduction_keeps_precision(self, p, val, coeffs, window):
+        """A reduction that ends knows its residual as far as its datum,
+        negative precisions included."""
+        delta = LaurentSeries(p, enumerate(coeffs, val), val + window)
+        try:
+            res = as_reduce_K(delta)
+        except InsufficientPrecisionError:
+            return
+        assert res.reduced.prec == delta.prec
 
 
 def p3_delta(params, window=WINDOW):

@@ -17,9 +17,11 @@ break over F without `ASExtension`.
 Component precisions carry over: unknown coefficients of c_i from x^prec on
 map to t-valuations p*prec - i*b and up, so an image is known exactly as far
 as `ASElement` claims to know the element (the model's own window is chosen
-wide enough never to be the limit in the valuation test).
+wide enough never to be the limit in the valuation test).  An absent
+y-degree is an exact zero and adds nothing to the image.
 """
 
+import operator
 from fractions import Fraction
 from functools import cache
 
@@ -76,9 +78,9 @@ class FModel:
         return self._horner(c) * shift + cut
 
     def of_F(self, elt) -> LaurentSeries:
-        """The image of an ASElement, over all p components."""
+        """The image of an ASElement, over its stored components."""
         out = zero(self.p, EXACT)
-        for i, c in enumerate(elt.comps):
+        for i, c in elt.terms.items():
             out = out + self.of_K(c) * self.y**i
         return out
 
@@ -187,8 +189,7 @@ def _window(ext):
 @settings(max_examples=40, deadline=None)
 @given(elements(2))
 def test_add_sub_match_model(drawn):
-    """Sums are known exactly as far as the model knows them: absent
-    degrees count at the smaller fill."""
+    """Sums are known exactly as far as the model knows them."""
     ext, (cu, cv) = drawn
     m = model(ext.beta, _window(ext))
     u, v = ext.element(cu), ext.element(cv)
@@ -230,19 +231,53 @@ def _check_valuation(m, elt):
 @given(elements(1))
 def test_valuation_matches_model(drawn):
     """A valuation is certified exactly when the model knows the image's
-    leading term, and then they agree; absent degrees count at the
-    element's fill precision."""
+    leading term, and then they agree."""
     ext, (cu,) = drawn
     _check_valuation(model(ext.beta, _window(ext)), ext.element(cu))
 
 
 @pytest.mark.parametrize("p,b", [(3, 2), (5, 3), (7, 4)])
-def test_absent_degrees_bound_valuation(p, b):
+def test_absent_degrees_are_exact_zeros(p, b):
     """A lone degree-0 component known one coefficient past its valuation:
-    absent degrees, known to the same precision, leave that valuation
-    uncertified once (p - 1) b > p."""
+    the absent degrees are exact zeros, so its valuation -2p is certified
+    even where (p - 1) b > p."""
     ext = ASExtension(p, _datum(p, b, False))
     elt = ext.element({0: monomial(p, 1, -2, -1)})
-    with pytest.raises(InsufficientPrecisionError):
-        elt.valuation()
+    assert elt.valuation() == -2 * p
     _check_valuation(model(ext.beta, _window(ext)), elt)
+
+
+def _perturb(data, comps):
+    """Each component with random coefficients added at and above its
+    precision, and known further: an element its original precision
+    cannot tell from the original."""
+    out = {}
+    for i, c in comps.items():
+        noise = data.draw(st.lists(st.integers(0, c.p - 1), min_size=1, max_size=6))
+        pairs = list(c.pairs()) + [(c.prec + k, x) for k, x in enumerate(noise)]
+        out[i] = LaurentSeries(c.p, pairs, c.prec + len(noise))
+    return out
+
+
+def _assert_agrees(got, want, what):
+    """``got`` equals ``want`` on every component, up to the precision that
+    component of ``want`` claims; a degree ``want`` lacks is zero in ``got``."""
+    for i, w in want.terms.items():
+        g = got.terms.get(i, zero(w.p, w.prec))
+        assert g.prec >= w.prec and g == w, f"{what}: y^{i} is {g}, claimed {w}"
+    for i, g in got.terms.items():
+        assert i in want.terms or g.is_zero(), f"{what}: y^{i} is {g}, claimed exact 0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(2), st.data())
+def test_arithmetic_sound_under_perturbation(drawn, data):
+    """Changing the operands beyond their precision changes no result
+    within the precision the result claims."""
+    ext, (cu, cv) = drawn
+    u, v = ext.element(cu), ext.element(cv)
+    u2, v2 = ext.element(_perturb(data, cu)), ext.element(_perturb(data, cv))
+    for name, op in (("+", operator.add), ("-", operator.sub), ("*", operator.mul)):
+        _assert_agrees(op(u2, v2), op(u, v), f"u {name} v")
+    _assert_agrees(u2.pth_power(), u.pth_power(), "u^p")
+    _assert_agrees(u2.wp(), u.wp(), "wp(u)")

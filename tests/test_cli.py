@@ -4,6 +4,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ramforge.cli import (
     EXIT_LIMIT,
@@ -282,6 +284,52 @@ def test_large_p_tower_verifies_within_1s(tmp_path):
     with within(1, "p = 1000003 tower"):
         code, out, _ = run(["verify", str(path)])
     assert code == EXIT_OK and out.endswith(": verified\n")
+
+
+CORPUS = sorted((Path(__file__).resolve().parent.parent / "certs").glob("*.cert"))
+
+
+@st.composite
+def cert_mutants(draw):
+    """(what, text): a corpus certificate with one line deleted, duplicated
+    or swapped with the next, or one character of a non-``param`` line
+    changed.  Param values are left alone: an edited one can cost without
+    bound, or name another genuine certificate."""
+    path = draw(st.sampled_from(CORPUS))
+    lines = path.read_text().splitlines()
+    how = draw(st.sampled_from(["delete", "duplicate", "swap", "edit"]))
+    if how == "edit":
+        i = draw(st.sampled_from([k for k, ln in enumerate(lines) if not ln.startswith("param ")]))
+        k = draw(st.integers(0, len(lines[i]) - 1))
+        ch = draw(st.characters(min_codepoint=32, max_codepoint=126).filter(lambda c: c != lines[i][k]))
+        mutant = lines[:i] + [lines[i][:k] + ch + lines[i][k + 1 :]] + lines[i + 1 :]
+    elif how == "swap":
+        i = draw(st.integers(0, len(lines) - 2))
+        mutant = lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2 :]
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        mutant = lines[:i] + lines[i + 1 :] if how == "delete" else lines[: i + 1] + lines[i:]
+    assume(mutant != lines)
+    return f"{path.name}: {how} line {i + 1}", "\n".join(mutant) + "\n"
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant.cert"
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutant=cert_mutants())
+def test_mutated_certificate_refused(mutant_path, mutant):
+    """A certificate changed in one line is refused as malformed (exit 2)
+    or as not matching its rebuild (exit 3), with an error message and no
+    traceback, within 1 s."""
+    what, text = mutant
+    mutant_path.write_text(text)
+    with within(1, what):
+        code, out, err = run(["verify", str(mutant_path)])
+    assert code in (EXIT_USAGE, EXIT_MISMATCH), (what, code, err)
+    assert not out and err.startswith("error: ")
 
 
 TOWER_CERT = Path(__file__).resolve().parent.parent / "certs" / "p3-tower-p3-b1-a4.cert"
