@@ -179,14 +179,6 @@ class ASElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ParameterError("negative powers are not supported in F")
-        out = self.ext.element({0: _from_dense(self.ext.p, 0, (1,), self._max_prec())})
-        for _ in range(k):
-            out = out * self
-        return out
-
     def _max_prec(self) -> int:
         """The largest stored precision; beta's for an exact zero."""
         return max((c.prec for c in self.terms.values()), default=self.ext.beta.prec)
@@ -375,7 +367,15 @@ def as_reduce_F(delta: ASElement) -> FReduction:
             raise InternalCheckError("witness exponent is not divisible by p")
         j_new = (j + i_new * b) // p
         c_new = (c * pow(beta_lead, -i_new, p)) % p
-        prec = max(j_new + 1, reduced._max_prec())
+        # exact, and known far enough that wp(step) loses none of the floor:
+        # its degree-0 p-th power term needs p^2*prec - p*b*i' >= floor,
+        # and -step needs p*prec - b*i' >= floor
+        prec = max(
+            j_new + 1,
+            reduced._max_prec(),
+            -(-(floor + p * b * i_new) // (p * p)),
+            -(-(floor + b * i_new) // p),
+        )
         step = ext.monomial_element(c_new, j_new, i_new, prec)
         reduced = reduced - step.wp()
         witness = witness + step

@@ -161,8 +161,6 @@ def cmd_group(args) -> int:
             ],
             structured,
         )
-    else:
-        raise ParameterError(f"unknown group subcommand {args.group_cmd!r}")
     return EXIT_OK
 
 
@@ -195,8 +193,6 @@ def cmd_breaks(args) -> int:
         )
         for w in res.warnings:
             print(f"warning: {w}", file=sys.stderr)
-    else:
-        raise ParameterError(f"unknown breaks subcommand {args.breaks_cmd!r}")
     return EXIT_OK
 
 

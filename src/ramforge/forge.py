@@ -4,8 +4,9 @@ A certificate is a line-oriented text: a parameter block, numbered steps
 (each naming a rule with its inputs and outputs), a block of named
 assumptions (statements taken on faith, never computed), and the
 predicted / field-verified upper break multisets with the nonintegral
-witness.  Construction emits steps and assumptions in derivation order
-into one accumulator, so a step's number is its position.  A verifier
+witness.  Construction opens the `Certificate` first and emits its steps
+and assumptions into it in derivation order, so a step's number is its
+position; the certificate writes every recorded value as text.  A verifier
 rebuilds the whole derivation from the parameter block, re-executing
 every non-assumption step, and demands bit-exact agreement with the
 text; the first diverging line is reported.
@@ -22,7 +23,7 @@ materialized groups or recorded as named assumptions.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import zip_longest
@@ -178,19 +179,56 @@ class Step:
         return " | ".join(parts)
 
 
+def _text(value) -> str:
+    """A step or parameter value as certificate text."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 @dataclass
 class Certificate:
+    """A certificate, opened before its derivation and filled by it: the
+    parameter block, the steps in emission order, the assumption names in
+    first-use order, and the conclusion (predicted and verified multisets,
+    witness), which the last leg to conclude sets.
+
+    ``params`` (a mapping or pairs) and the inputs and outputs of ``step``
+    take raw values; each is stored as its ``_text``.  ``render`` refuses
+    a witness that is an integer or not a predicted break."""
+
     kind: str
-    params: tuple[tuple[str, str], ...]
-    steps: tuple[Step, ...]
-    assumptions: tuple[str, ...]
-    predicted: BreakMultiset | None
-    verified: BreakMultiset | None
-    witness: Fraction | None
+    params: tuple[tuple[str, str], ...] = ()
+    steps: list[Step] = field(default_factory=list)
+    assumptions: list[str] = field(default_factory=list)
+    predicted: BreakMultiset | None = None
+    verified: BreakMultiset | None = None
+    witness: Fraction | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown certificate kind {self.kind!r}")
+        self.params = tuple((k, _text(v)) for k, v in dict(self.params).items())
+
+    def step(self, rule: str, inputs=(), outputs=()) -> None:
+        if rule not in RULES:
+            raise InternalCheckError(f"unregistered rule {rule!r}")
+        self.steps.append(
+            Step(
+                rule,
+                tuple((k, _text(v)) for k, v in inputs),
+                tuple((k, _text(v)) for k, v in outputs),
+            )
+        )
+
+    def assume(self, *names: str) -> None:
+        for name in names:
+            if name not in ASSUMPTION_STATEMENTS:
+                raise InternalCheckError(f"unregistered assumption {name!r}")
+            if name not in self.assumptions:
+                self.assumptions.append(name)
+
+    def render(self) -> str:
         if self.witness is not None:
             if self.witness.denominator <= 1:
                 raise InternalCheckError(
@@ -198,8 +236,6 @@ class Certificate:
                 )
             if self.predicted is None or self.witness not in self.predicted.breaks:
                 raise InternalCheckError("witness must be a predicted break")
-
-    def render(self) -> str:
         lines = [HEADER, f"kind: {self.kind}"]
         lines += [f"param {k} = {v}" for k, v in self.params]
         lines += [s.render(i) for i, s in enumerate(self.steps, 1)]
@@ -211,42 +247,6 @@ class Certificate:
         lines.append(f"VERIFIED: {self.verified.to_text() if self.verified else 'none'}")
         lines.append(f"WITNESS: {self.witness if self.witness is not None else 'none'}")
         return "\n".join(lines) + "\n"
-
-
-class _Derivation:
-    """One certificate's derivation: its steps in emission order, its
-    assumption names in first-use order, and its conclusion (predicted and
-    verified multisets, witness), which the last leg to conclude sets."""
-
-    def __init__(self):
-        self.steps: list[Step] = []
-        self.assumptions: list[str] = []
-        self.predicted: BreakMultiset | None = None
-        self.verified: BreakMultiset | None = None
-        self.witness: Fraction | None = None
-
-    def step(self, rule: str, inputs=(), outputs=()) -> None:
-        if rule not in RULES:
-            raise InternalCheckError(f"unregistered rule {rule!r}")
-        self.steps.append(Step(rule, tuple(inputs), tuple(outputs)))
-
-    def assume(self, *names: str) -> None:
-        for name in names:
-            if name not in ASSUMPTION_STATEMENTS:
-                raise InternalCheckError(f"unregistered assumption {name!r}")
-            if name not in self.assumptions:
-                self.assumptions.append(name)
-
-    def certificate(self, kind: str, params) -> Certificate:
-        return Certificate(
-            kind=kind,
-            params=tuple(params),
-            steps=tuple(self.steps),
-            assumptions=tuple(self.assumptions),
-            predicted=self.predicted,
-            verified=self.verified,
-            witness=self.witness,
-        )
 
 
 @dataclass(frozen=True)
@@ -310,24 +310,24 @@ def _upper(p: int, breaks) -> BreakMultiset:
     return BreakMultiset("upper", 1, p, tuple(sorted(Fraction(x) for x in breaks)))
 
 
-def _case_split(deriv: _Derivation, upper: BreakMultiset, u, v):
+def _case_split(cert: Certificate, upper: BreakMultiset, u, v):
     """The central C_p x C_p case split adding breaks u < v to ``upper``."""
-    deriv.assume("central-cp2", "top-multiplicity-one")
+    cert.assume("central-cp2", "top-multiplicity-one")
     f1 = fact1_resolve(upper, u, v)
-    deriv.step(
+    cert.step(
         "central-cp2-cases",
-        (("upper", upper.to_text()), ("u", str(u)), ("v", str(v))),
+        (("upper", upper), ("u", u), ("v", v)),
         (
-            ("lower_u", str(f1.lower_u)),
-            ("lower_v", str(f1.lower_v)),
-            ("carrier_break", str(f1.l0_relative_break)),
+            ("lower_u", f1.lower_u),
+            ("lower_v", f1.lower_v),
+            ("carrier_break", f1.l0_relative_break),
         ),
     )
     return f1
 
 
 def _p3_steps(
-    deriv: _Derivation,
+    cert: Certificate,
     params: P3Parameters,
     precision: int,
     beta_unit: LaurentSeries | None,
@@ -348,7 +348,7 @@ def _p3_steps(
         raise InternalCheckError(
             f"base datum reduced to {red1.outcome}, expected wild break {b}"
         )
-    deriv.step("cp-break-base", (("beta", beta.to_text()),), (("break", str(b)),))
+    cert.step("cp-break-base", (("beta", beta),), (("break", b),))
 
     alpha = monomial(p, 1, -p * s, -p * s + window) * beta**t
     red2 = as_reduce_K(alpha)
@@ -356,15 +356,11 @@ def _p3_steps(
         raise InternalCheckError(
             f"auxiliary datum reduced to {red2.outcome}, expected wild break {a}"
         )
-    deriv.assume("disjoint-compositum")
+    cert.assume("disjoint-compositum")
     u_m = compose_disjoint(_upper(p, [b]), _upper(p, [a]))
-    deriv.step(
-        "cp-break-aux",
-        (("alpha", alpha.to_text()),),
-        (("break", str(a)), ("upper", u_m.to_text())),
-    )
+    cert.step("cp-break-aux", (("alpha", alpha),), (("break", a), ("upper", u_m)))
 
-    deriv.assume("heisenberg-closure")
+    cert.assume("heisenberg-closure")
     ext = ASExtension(p, beta)
     delta = ext.element({0: alpha * beta * r, 1: alpha})
     red3 = as_reduce_F(delta)
@@ -378,17 +374,17 @@ def _p3_steps(
     check = delta - red3.witness.wp() - red3.reduced
     if not check.is_zero():
         raise InternalCheckError("reduction witness identity failed")
-    deriv.step(
+    cert.step(
         "wild-reduce-ext",
-        (("t", str(t)), ("s", str(s)), ("r", str(r))),
+        (("t", t), ("s", s), ("r", r)),
         (
-            ("machine_break", str(red3.outcome.break_value)),
-            ("closed_form", str(closed_form)),
-            ("residual_valuation", str(residual_val)),
+            ("machine_break", red3.outcome.break_value),
+            ("closed_form", closed_form),
+            ("residual_valuation", residual_val),
         ),
     )
 
-    f1 = _case_split(deriv, _upper(p, []), b, a)
+    f1 = _case_split(cert, _upper(p, []), b, a)
     mid_break = b + p * (a - b)
     if f1.l0_relative_break != mid_break:
         raise InternalCheckError(
@@ -399,23 +395,15 @@ def _p3_steps(
         _upper(p, [mid_break]), _upper(p, [closed_form])
     )
     lf_lower = upper_to_lower(lf_upper)
-    deriv.step(
-        "compose-convert",
-        (("upper", lf_upper.to_text()),),
-        (("lower", lf_lower.to_text()),),
-    )
+    cert.step("compose-convert", (("upper", lf_upper),), (("lower", lf_lower),))
 
-    deriv.assume("commutator-smallest")
+    cert.assume("commutator-smallest")
     mk_lower = upper_to_lower(u_m)
     top = max(lf_lower.breaks)
     merged = BreakMultiset(
         "lower", 1, p, tuple(sorted(mk_lower.breaks + (top,)))
     )
-    deriv.step(
-        "merge-lowers",
-        (("sub_lower", mk_lower.to_text()), ("top", str(top))),
-        (("lower", merged.to_text()),),
-    )
+    cert.step("merge-lowers", (("sub_lower", mk_lower), ("top", top)), (("lower", merged),))
 
     predicted = lower_to_upper(merged)
     witness = Fraction(a * p + b, p)
@@ -424,12 +412,8 @@ def _p3_steps(
         raise InternalCheckError(
             f"predicted multiset {predicted.to_text()} != {expect.to_text()}"
         )
-    deriv.step(
-        "lower-to-upper",
-        (("lower", merged.to_text()),),
-        (("upper", predicted.to_text()), ("witness", str(witness))),
-    )
-    deriv.predicted, deriv.verified, deriv.witness = predicted, _upper(p, [b, a]), witness
+    cert.step("lower-to-upper", (("lower", merged),), (("upper", predicted), ("witness", witness)))
+    cert.predicted, cert.verified, cert.witness = predicted, _upper(p, [b, a]), witness
 
 
 def build_p3_tower(
@@ -438,17 +422,12 @@ def build_p3_tower(
     beta_unit: LaurentSeries | None = None,
 ) -> Certificate:
     """Build and machine-check the order-p^3 tower certificate."""
-    deriv = _Derivation()
-    _p3_steps(deriv, params, precision, beta_unit)
-    cert_params = [
-        ("p", str(params.p)),
-        ("b", str(params.b)),
-        ("a", str(params.a)),
-        ("precision", str(precision)),
-    ]
+    cert_params = dict(p=params.p, b=params.b, a=params.a, precision=precision)
     if beta_unit is not None:
-        cert_params.append(("beta_unit", beta_unit.to_text()))
-    return deriv.certificate("p3-tower", cert_params)
+        cert_params["beta_unit"] = beta_unit
+    cert = Certificate("p3-tower", cert_params)
+    _p3_steps(cert, params, precision, beta_unit)
+    return cert
 
 
 def _claimed_cyclic_chain(p: int, length: int) -> BreakMultiset:
@@ -496,7 +475,7 @@ def _synth_base(kind: str, p: int, n: int, d: int) -> BreakMultiset:
     return base
 
 
-def _group_check_steps(deriv: _Derivation, kind: str, p: int, n: int, d: int) -> None:
+def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> None:
     """Distinctness of the compositum side field and the central-product
     (or fiber-product) form of the target group; machine-checked when the
     ambient orders stay small, recorded as assumptions otherwise."""
@@ -522,21 +501,21 @@ def _group_check_steps(deriv: _Derivation, kind: str, p: int, n: int, d: int) ->
             raise InternalCheckError("side field group matches the target group")
         distinct = "false"
     else:
-        deriv.assume("group-distinctness-assumed")
+        cert.assume("group-distinctness-assumed")
         distinct = "assumed-false"
     if ambient_order <= CERT_GROUP_LIMIT:
         if not is_isomorphic(construction(), target, CERT_GROUP_LIMIT):
             raise InternalCheckError("group construction does not realize the target group")
         form = "true"
     else:
-        deriv.assume("central-product-assumed")
+        cert.assume("central-product-assumed")
         form = "assumed-true"
-    deriv.step(
+    cert.step(
         "distinct-side-group",
         (("lhs", side.descriptor()), ("rhs", target.descriptor())),
         (("isomorphic", distinct),),
     )
-    deriv.step(
+    cert.step(
         "quotient-group-form",
         form_inputs + (("target", target.descriptor()),),
         (("isomorphic", form),),
@@ -544,7 +523,7 @@ def _group_check_steps(deriv: _Derivation, kind: str, p: int, n: int, d: int) ->
 
 
 def _nonint_steps(
-    deriv: _Derivation,
+    cert: Certificate,
     kind: str,
     p: int,
     n: int,
@@ -553,14 +532,10 @@ def _nonint_steps(
     precision: int,
 ) -> None:
     """Composite construction for H(n, d), A(n, d) (n >= 2), or A(1, d)."""
-    deriv.assume("base-extension-exists")
+    cert.assume("base-extension-exists")
     base_lower = upper_to_lower(base)  # realizability gate
     v = max(base.breaks)
-    deriv.step(
-        "base-realizable",
-        (("base", base.to_text()),),
-        (("lower", base_lower.to_text()), ("top", str(v))),
-    )
+    cert.step("base-realizable", (("base", base),), (("lower", base_lower), ("top", v)))
 
     b, a, mid = _composite_breaks(kind, p, base)
     if kind == "A1d":
@@ -574,45 +549,41 @@ def _nonint_steps(
             raise ParameterError(
                 f"first break of the cyclic chain must be an integer prime to p, got {base.breaks[0]}"
             )
-        deriv.step("shared-subfield-break", (("base", base.to_text()),), (("b", str(b)),))
-        deriv.assume("shared-base-field")
-        deriv.step("pick-a-above", (("floor", str(v)), ("b", str(b))), (("a", str(a)),))
+        cert.step("shared-subfield-break", (("base", base),), (("b", b),))
+        cert.assume("shared-base-field")
+        cert.step("pick-a-above", (("floor", v), ("b", b)), (("a", a),))
     else:
-        deriv.step("pick-parameters", (("floor", str(v)),), (("b", str(b)), ("a", str(a))))
+        cert.step("pick-parameters", (("floor", v),), (("b", b), ("a", a)))
 
-    _p3_steps(deriv, P3Parameters.derive(p, b, a), precision, None)
-    p3_predicted, witness = deriv.predicted, deriv.witness
+    _p3_steps(cert, P3Parameters.derive(p, b, a), precision, None)
+    p3_predicted, witness = cert.predicted, cert.witness
 
-    union = (("left", base.to_text()), ("right", p3_predicted.to_text()))
+    union = (("left", base), ("right", p3_predicted))
     if kind == "A1d":
-        rule, union = "union-shared", union + (("shared", str(b)),)
+        rule, union = "union-shared", union + (("shared", b),)
         joined = _upper(p, list(base.breaks) + [a, witness])
     else:
         rule, joined = "union-disjoint", compose_disjoint(base, p3_predicted)
-    deriv.step(rule, union, (("upper", joined.to_text()),))
+    cert.step(rule, union, (("upper", joined),))
 
-    deriv.assume("smallest-ramification-peel")
-    deriv.step(
-        "peel-top-breaks",
-        (("left_top", str(v)), ("right_top", str(witness))),
-        (("mid", mid.to_text()),),
-    )
+    cert.assume("smallest-ramification-peel")
+    cert.step("peel-top-breaks", (("left_top", v), ("right_top", witness)), (("mid", mid),))
 
-    predicted = _case_split(deriv, mid, v, witness).other_breaks
-    _group_check_steps(deriv, kind, p, n, d)
+    predicted = _case_split(cert, mid, v, witness).other_breaks
+    _group_check_steps(cert, kind, p, n, d)
 
     if witness != max(predicted.breaks):
         raise InternalCheckError("witness is not the largest predicted break")
-    deriv.step(
+    cert.step(
         "conclude-witness",
-        (("mid", mid.to_text()), ("extra", str(witness))),
+        (("mid", mid), ("extra", witness)),
         (
-            ("upper", predicted.to_text()),
-            ("witness", str(witness)),
-            ("integral", "false"),
+            ("upper", predicted),
+            ("witness", witness),
+            ("integral", False),
         ),
     )
-    deriv.predicted = predicted
+    cert.predicted = predicted
 
 
 def _route(
@@ -666,18 +637,9 @@ def derive_nonint(
         return build_p3_tower(tower, precision)
     if base.numbering != "upper" or base.m != 1 or base.p != p:
         raise ParameterError("base breaks must be upper-numbered with m = 1 and matching p")
-    deriv = _Derivation()
-    _nonint_steps(deriv, kind, p, n, d, base, precision)
-    return deriv.certificate(
-        f"nonint-{kind}",
-        (
-            ("p", str(p)),
-            ("n", str(n)),
-            ("d", str(d)),
-            ("base", base.to_text()),
-            ("precision", str(precision)),
-        ),
-    )
+    cert = Certificate(f"nonint-{kind}", dict(p=p, n=n, d=d, base=base, precision=precision))
+    _nonint_steps(cert, kind, p, n, d, base, precision)
+    return cert
 
 
 def derive_chat(
@@ -707,35 +669,32 @@ def derive_chat(
         perm = [int(x) for x in action]
         action_text = "perm " + ",".join(map(str, perm))
     burn = burnside_action_check(P, perm, m)  # also checks that perm permutes P's indices
-    nontrivial = burn.nontrivial_on_group
-    deriv = _Derivation()
-    deriv.step("coprime-check", (("m", str(m)), ("p", str(p))), (("gcd", "1"),))
-    deriv.step(
+    # a nontrivial action has an order above 1 dividing m, so m = 1 only
+    # comes with the quotient construction
+    cert = Certificate(
+        "pchat" if m == 1 else "chat",
+        dict(group=group_descriptor, m=m, action=action_text, precision=precision),
+    )
+    cert.step("coprime-check", (("m", m), ("p", p)), (("gcd", 1),))
+    cert.step(
         "action-check",
         (("action", action_text),),
-        (
-            ("automorphism", "true"),
-            ("order", str(burn.order)),
-            ("nontrivial", "true" if nontrivial else "false"),
-        ),
+        (("automorphism", True), ("order", burn.order), ("nontrivial", burn.nontrivial_on_group)),
     )
 
-    if nontrivial:
-        deriv.step(
+    if burn.nontrivial_on_group:
+        cert.step(
             "burnside-agreement",
             (("group", group_descriptor),),
             (
-                ("nontrivial_on_group", str(burn.nontrivial_on_group).lower()),
-                (
-                    "nontrivial_on_frattini_quotient",
-                    str(burn.nontrivial_on_frattini_quotient).lower(),
-                ),
+                ("nontrivial_on_group", burn.nontrivial_on_group),
+                ("nontrivial_on_frattini_quotient", burn.nontrivial_on_frattini_quotient),
             ),
         )
-        deriv.assume("abelian-wild-part-nonintegral")
-        deriv.step(
+        cert.assume("abelian-wild-part-nonintegral")
+        cert.step(
             "conclude-universal",
-            (("group", group_descriptor), ("m", str(m))),
+            (("group", group_descriptor), ("m", m)),
             (
                 (
                     "conclusion",
@@ -749,43 +708,28 @@ def derive_chat(
                 "trivial action with abelian wild part gives an abelian group; "
                 "all upper breaks are integral"
             )
-        deriv.step(
-            "wild-part-nonabelian", (("group", group_descriptor),), (("nonabelian", "true"),)
-        )
+        cert.step("wild-part-nonabelian", (("group", group_descriptor),), (("nonabelian", True),))
         kernel, quotient, cls = minimal_nonabelian_quotient(P)
-        kernel_text = ",".join(map(str, kernel))
-        deriv.step(
+        cert.step(
             "minimal-quotient",
             (("group", group_descriptor),),
             (
-                ("kernel_order", str(len(kernel))),
-                ("kernel", kernel_text),
+                ("kernel_order", len(kernel)),
+                ("kernel", ",".join(map(str, kernel))),
                 ("quotient", f"kind={cls.kind} p={p} n={cls.n} d={cls.d}"),
             ),
         )
         kind, tower, base = _route(cls.kind, p, cls.n, cls.d, None)
         if tower is not None:
-            _p3_steps(deriv, tower, precision, None)
+            _p3_steps(cert, tower, precision, None)
         else:
-            _nonint_steps(deriv, kind, p, cls.n, cls.d, base, precision)
-        deriv.assume("embedding-lift")
+            _nonint_steps(cert, kind, p, cls.n, cls.d, base, precision)
+        cert.assume("embedding-lift")
         if m > 1:
-            deriv.assume("tame-base-change")
-        witness = str(deriv.witness)
-        deriv.step(
-            "persist-witness", (("witness", witness), ("m", str(m))), (("witness", witness),)
-        )
-    # a nontrivial action has an order above 1 dividing m, so m = 1 only
-    # reaches here through the quotient construction
-    return deriv.certificate(
-        "pchat" if m == 1 else "chat",
-        (
-            ("group", group_descriptor),
-            ("m", str(m)),
-            ("action", action_text),
-            ("precision", str(precision)),
-        ),
-    )
+            cert.assume("tame-base-change")
+        witness = cert.witness
+        cert.step("persist-witness", (("witness", witness), ("m", m)), (("witness", witness),))
+    return cert
 
 
 # -- parsing and verification -----------------------------------------------
@@ -856,14 +800,13 @@ def _rebuild(parsed: ParsedCertificate) -> Certificate:
                 base_breaks=base,
                 precision=precision,
             )
-        if kind in ("pchat", "chat"):
-            action = params["action"]
-            if action.startswith("perm "):
-                action = [int(x) for x in action[len("perm ") :].split(",")]
-            return derive_chat(params["group"], int(params["m"]), action, precision)
+        # pchat or chat: parse_certificate admits only KINDS
+        action = params["action"]
+        if action.startswith("perm "):
+            action = [int(x) for x in action[len("perm ") :].split(",")]
+        return derive_chat(params["group"], int(params["m"]), action, precision)
     except KeyError as exc:
         raise ParseError(f"certificate is missing parameter {exc}") from exc
-    raise ParseError(f"unknown certificate kind {kind!r}")
 
 
 def verify_certificate(text: str) -> None:

@@ -161,14 +161,9 @@ def check_abcd(G: PGroup, limit: int = DEFAULT_LIMIT) -> AbcdResult:
 
     class_two = len(der) > 1 and derset <= zset
 
-    d = None
-    center_cyclic = False
-    if _is_cyclic_idx(t, z):
-        try:
-            d = _log_p(len(z), p)
-            center_cyclic = d >= 1
-        except ParameterError:
-            center_cyclic = False
+    # Z(G) and G/Z(G) have p-power order by Lagrange
+    d = _log_p(len(z), p)
+    center_cyclic = d >= 1 and _is_cyclic_idx(t, z)
 
     socle = {g for g in z if t.power(g, p) == t.e}
     commutator_is_socle = len(der) == p and derset <= zset and derset == socle
@@ -179,11 +174,7 @@ def check_abcd(G: PGroup, limit: int = DEFAULT_LIMIT) -> AbcdResult:
     nondegenerate_form = False
     n = None
     if class_two and len(der) == p:
-        quotient_size = t.n // len(z)
-        try:
-            r = _log_p(quotient_size, p)
-        except ParameterError:
-            r = -1
+        r = _log_p(t.n // len(z), p)
         elementary = all(t.power(g, p) in zset for g in range(t.n))
         # The pairing's radical on G/Z(G) is trivial by construction: Z(G)
         # is exactly the set of elements commuting with every generator.

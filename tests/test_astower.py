@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramforge.astower import ASExtension, as_reduce_F, as_reduce_K
@@ -56,7 +56,7 @@ class TestElementArith:
         ext = ext_for(3, 1)
         y = ext.y()
         assert (y * 2).comps[1].coefficient(0) == 2
-        assert (y**3).comps[0] == ext.beta
+        assert (y * y * y).comps[0] == ext.beta
 
 
 class TestPthPower:
@@ -267,6 +267,46 @@ class TestReduceF:
                 delta = ext.element(comps)
                 res = as_reduce_F(delta)
                 assert (delta - res.witness.wp() - res.reduced).is_zero()
+
+    def test_negative_precision(self):
+        # known only below pi^-4, floor -12: the step at pi^-9 must not lose that
+        ext = ASExtension(3, monomial(3, 1, -1, 400))
+        delta = ext.element({0: LaurentSeries(3, [(-9, 1), (-5, 1)], -4)})
+        res = as_reduce_F(delta)
+        assert res.outcome.is_wild and res.outcome.break_value == 13
+        assert res.reduced._valuation_parts() == (-13, -12)
+        assert (delta - res.witness.wp() - res.reduced).is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.integers(1, 4),
+        st.dictionaries(
+            st.integers(0, 6),
+            st.tuples(
+                st.integers(-30, 0), st.lists(st.integers(0, 6), max_size=8), st.integers(1, 40)
+            ),
+            max_size=3,
+        ),
+    )
+    @example(p=3, b=1, comps={0: (-4, [1], 4)})  # known to pi^0
+    @example(p=3, b=1, comps={0: (-1, [1], 2)})  # known to pi^1
+    def test_reduction_keeps_floor(self, p, b, comps):
+        """A reduction that ends knows its residual's valuation at least as
+        far down as its datum's, negative precisions included."""
+        assume(b % p)
+        ext = ASExtension(p, monomial(p, 1, -b, 400))
+        delta = ext.element(
+            {
+                i % p: LaurentSeries(p, enumerate(coeffs, val), val + window)
+                for i, (val, coeffs, window) in comps.items()
+            }
+        )
+        try:
+            res = as_reduce_F(delta)
+        except InsufficientPrecisionError:
+            return
+        assert res.reduced._valuation_parts()[1] >= delta._valuation_parts()[1]
 
     def test_strictly_increasing_steps(self):
         # every wp-subtraction must raise the valuation

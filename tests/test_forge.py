@@ -12,6 +12,7 @@ from ramforge.errors import (
     VerificationMismatchError,
 )
 from ramforge.forge import (
+    Certificate,
     P3Parameters,
     build_p3_tower,
     derive_chat,
@@ -208,18 +209,27 @@ class TestDerivation:
         assert f"step {len(rules)}: RULE persist-witness" in cert.render()
 
     def test_unregistered_names_are_rejected(self):
-        deriv = forge._Derivation()
+        cert = Certificate("p3-tower")
         with pytest.raises(InternalCheckError):
-            deriv.step("bogus")
+            cert.step("bogus")
         with pytest.raises(InternalCheckError):
-            deriv.assume("central-cp2", "bogus")
-        assert deriv.steps == [] and deriv.assumptions == ["central-cp2"]
+            cert.assume("central-cp2", "bogus")
+        assert cert.steps == [] and cert.assumptions == ["central-cp2"]
 
     def test_assumptions_keep_first_use_order(self):
-        deriv = forge._Derivation()
-        deriv.assume("embedding-lift", "central-cp2")
-        deriv.assume("central-cp2", "tame-base-change", "embedding-lift")
-        assert deriv.assumptions == ["embedding-lift", "central-cp2", "tame-base-change"]
+        cert = Certificate("p3-tower")
+        cert.assume("embedding-lift", "central-cp2")
+        cert.assume("central-cp2", "tame-base-change", "embedding-lift")
+        assert cert.assumptions == ["embedding-lift", "central-cp2", "tame-base-change"]
+
+    def test_render_refuses_a_vacuous_witness(self):
+        cert = build_p3_tower(P3Parameters.derive(3, 1, 4))
+        cert.witness = Fraction(4)  # a predicted break, but an integer
+        with pytest.raises(InternalCheckError, match="integer"):
+            cert.render()
+        cert.witness = Fraction(14, 3)  # nonintegral, but not predicted
+        with pytest.raises(InternalCheckError, match="predicted break"):
+            cert.render()
 
 
 class TestVerifierFuzz:
