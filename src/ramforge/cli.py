@@ -177,9 +177,11 @@ def cmd_breaks(args) -> int:
             ).to_text()
         )
     elif args.breaks_cmd == "fact1":
-        res = fact1_resolve(
-            parse_multiset(args.multiset), Fraction(args.u), Fraction(args.v)
-        )
+        try:
+            u, v = Fraction(args.u), Fraction(args.v)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"malformed break: --u {args.u!r} --v {args.v!r}") from exc
+        res = fact1_resolve(parse_multiset(args.multiset), u, v)
         _report(
             [
                 ("lower_u", res.lower_u),

@@ -475,6 +475,12 @@ def _synth_base(kind: str, p: int, n: int, d: int) -> BreakMultiset:
     return base
 
 
+def _checkable(p: int, e: int) -> bool:
+    """p^e <= CERT_GROUP_LIMIT, decided on e first as `_check_limit` does:
+    p >= 3, so p^e is over the limit once e exceeds its bit length."""
+    return e <= CERT_GROUP_LIMIT.bit_length() and p**e <= CERT_GROUP_LIMIT
+
+
 def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> None:
     """Distinctness of the compositum side field and the central-product
     (or fiber-product) form of the target group; machine-checked when the
@@ -482,7 +488,7 @@ def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> 
     if kind == "A1d":
         target = make_group("A", p, 1, d)
         side = DirectProductGroup(CyclicPGroup(p, d + 1), CyclicPGroup(p, 1))
-        ambient_order = p ** (d + 4)
+        ambient_exp = d + 4
         construction = partial(build_A1d_via_Gd, p, d, CERT_GROUP_LIMIT)
         form_inputs = (("construction", f"fiber-product p={p} d={d}"),)
     else:
@@ -492,18 +498,18 @@ def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> 
         side = DirectProductGroup(
             DirectProductGroup(base, CyclicPGroup(p, 1)), CyclicPGroup(p, 1)
         )
-        ambient_order = base.order * h11.order
+        ambient_exp = base._exp + h11._exp
         construction = partial(central_product, base, h11, limit=CERT_GROUP_LIMIT)
         form_inputs = (("left", base.descriptor()), ("right", h11.descriptor()))
 
-    if side.order <= CERT_GROUP_LIMIT:
+    if _checkable(p, side._exp):
         if is_isomorphic(side, target, CERT_GROUP_LIMIT):
             raise InternalCheckError("side field group matches the target group")
         distinct = "false"
     else:
         cert.assume("group-distinctness-assumed")
         distinct = "assumed-false"
-    if ambient_order <= CERT_GROUP_LIMIT:
+    if _checkable(p, ambient_exp):
         if not is_isomorphic(construction(), target, CERT_GROUP_LIMIT):
             raise InternalCheckError("group construction does not realize the target group")
         form = "true"

@@ -9,22 +9,25 @@ was aiming for.  Properties decided by a generating set are computed from
 the table's generators: the center (elements commuting with every
 generator), commutativity, [G, G] and Phi(G) (normal closures of the
 generator commutators, and of those with the generator p-th powers),
-conjugacy classes (orbits under conjugation by the generators) and the
-homomorphism check of an automorphism.  Subgroups and quotients are
-built from parent indices (see `subgroup` and `quotient`), so central and
-fiber products never enumerate or table their ambient product.  The
-Burnside check takes the automorphism as a permutation of indices and
-decides triviality on P/Phi(P) as g^-1 alpha(g) in Phi(P) without
-building the quotient; only `automorphism_from_generator_images` and
-`group_basics` speak in group elements.  Element orders (computed once
-per table), exponents and the p-th power conditions of the structural
-checks remain exhaustive over all elements.
+conjugacy classes and the homomorphism check of an automorphism.  Each
+traversal is one `closure`: a normal closure closes the identity under
+its generators and conjugation, classes and cycles are orbits, and the
+minimal-quotient search joins conjugacy classes to the trivial subgroup.
+Subgroups and quotients are built from parent indices (see `subgroup` and
+`quotient`), so central and fiber products never enumerate or table their
+ambient product.  The Burnside check takes the automorphism as a
+permutation of indices and decides triviality on P/Phi(P) as
+g^-1 alpha(g) in Phi(P) without building the quotient; only
+`automorphism_from_generator_images` and `group_basics` speak in group
+elements.  Element orders (computed once per table), exponents and the
+p-th power conditions of the structural checks remain exhaustive over all
+elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import InternalCheckError, ParameterError
 from .base import (
@@ -66,20 +69,15 @@ def closure_idx(t: GroupTables, gens, start=None) -> list[int]:
 
 
 def normal_closure_idx(t: GroupTables, xs) -> list[int]:
-    """The smallest normal subgroup containing ``xs``: a subgroup is normal
-    when its generators' conjugates by the group generators stay inside."""
-    gens = [x for x in dict.fromkeys(xs) if x != t.e]
-    span = set(closure_idx(t, gens))
-    queue = list(gens)
-    while queue:
-        x = queue.pop()
-        for s in t.gens:
-            y = t.conj(x, s)
-            if y not in span:
-                gens.append(y)
-                queue.append(y)
-                span = set(closure_idx(t, gens, span))
-    return sorted(span)
+    """The smallest normal subgroup containing ``xs``: the identity closed
+    under right multiplication by ``xs`` and conjugation by the generators.
+    A generator's inverse is a power of it, so that set is closed under
+    conjugation by every element, hence under right multiplication by every
+    conjugate of ``xs``."""
+    mul, conj = t.mul, t.conj
+    moves = [lambda a, x=x: mul[a][x] for x in set(xs)]
+    moves += [lambda a, s=s: conj(a, s) for s in t.gens]
+    return sorted(closure([t.e], moves, lambda a, move: move(a)))
 
 
 def commutator_subgroup_idx(t: GroupTables) -> list[int]:
@@ -191,20 +189,9 @@ def check_abcd(G: PGroup, limit: int = DEFAULT_LIMIT) -> AbcdResult:
     )
 
 
-def _central_order_p_subgroups(t: GroupTables) -> list[list[int]]:
-    p = t.p
+def _central_order_p_subgroups(t: GroupTables) -> set[tuple[int, ...]]:
     orders = t.orders()
-    z = center_idx(t)
-    seen = set()
-    out = []
-    for g in z:
-        if g == t.e or orders[g] != p:
-            continue
-        sub = frozenset(closure_idx(t, [g]))
-        if sub not in seen:
-            seen.add(sub)
-            out.append(sorted(sub))
-    return out
+    return {tuple(closure_idx(t, [g])) for g in center_idx(t) if orders[g] == t.p}
 
 
 def is_minimal_nonabelian(G: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
@@ -328,42 +315,36 @@ def build_A1d_via_Gd(p: int, d: int, limit: int = DEFAULT_LIMIT) -> PGroup:
     return q
 
 
-def conjugacy_classes_idx(t: GroupTables) -> list[frozenset[int]]:
-    """Classes in order of their least element; each is the orbit of that
-    element under conjugation by the generators."""
-    seen = set()
+def _orbits(n: int, moves, act) -> list[frozenset[int]]:
+    """The orbits of 0..n-1 under ``moves`` applied by ``act``, in order
+    of their least point."""
     out = []
-    for g in range(t.n):
-        if g in seen:
-            continue
-        cls = frozenset(closure([g], t.gens, t.conj))
-        seen |= cls
-        out.append(cls)
+    seen = set()
+    for x in range(n):
+        if x not in seen:
+            out.append(frozenset(closure([x], moves, act)))
+            seen |= out[-1]
     return out
 
 
-def _normal_subgroups_avoiding(t: GroupTables, forbidden: frozenset[int]) -> list[frozenset[int]]:
-    """All normal subgroups N with forbidden ⊄ N, found by closing unions
-    of conjugacy classes upward from the trivial subgroup."""
-    classes = [c for c in conjugacy_classes_idx(t) if c != frozenset({t.e})]
-    start = frozenset({t.e})
-    seen = {start}
-    queue = [start]
-    out = [start]
-    while queue:
-        cur = queue.pop()
-        for cls in classes:
-            if cls <= cur:
-                continue
-            closed = frozenset(closure_idx(t, cls, cur))
-            if closed in seen:
-                continue
-            seen.add(closed)
-            if forbidden <= closed:
-                continue  # quotient would be abelian; also prunes everything above
-            queue.append(closed)
-            out.append(closed)
-    return out
+def conjugacy_classes_idx(t: GroupTables) -> list[frozenset[int]]:
+    """Classes in order of their least element: the orbits under
+    conjugation by the generators."""
+    return _orbits(t.n, t.gens, t.conj)
+
+
+def _normal_subgroups_avoiding(t: GroupTables, forbidden: frozenset[int]) -> set[frozenset[int]]:
+    """All normal subgroups N with forbidden ⊄ N: the trivial subgroup
+    closed under joining a conjugacy class, where a join that contains
+    ``forbidden`` is not taken (nor anything above it)."""
+
+    def join(cur: frozenset[int], cls: frozenset[int]) -> frozenset[int]:
+        if cls <= cur:
+            return cur
+        closed = frozenset(closure_idx(t, cls, cur))
+        return cur if forbidden <= closed else closed
+
+    return closure([frozenset({t.e})], conjugacy_classes_idx(t), join)
 
 
 def minimal_nonabelian_quotient(
@@ -372,21 +353,24 @@ def minimal_nonabelian_quotient(
     """A largest normal subgroup N with G/N minimal nonabelian: the
     sorted indices of N in G, G/N and its classification.
 
-    Candidates are scanned largest-first with ties broken by element
-    indices, so the witness is deterministic.
+    Ties in size are broken by element indices, so the witness is
+    deterministic.
     """
     if is_abelian(G, limit):
         raise ParameterError(f"{G.descriptor()} is abelian; no nonabelian quotient")
     t = tables(G, limit)
     der = frozenset(commutator_subgroup_idx(t))
-    candidates = [tuple(sorted(s)) for s in _normal_subgroups_avoiding(t, der)]
-    for N in sorted(candidates, key=lambda s: (-len(s), s)):
-        Q = quotient(G, N, limit)
-        if is_minimal_nonabelian(Q, limit):
-            return N, Q, _classify(Q, limit)
-    raise InternalCheckError(
-        f"no minimal nonabelian quotient found for {G.descriptor()}"
-    )
+    # A largest normal N with [G, G] ⊄ N gives a nonabelian G/N, and every
+    # normal M ⊋ N is larger, so contains [G, G]: each proper quotient
+    # G/M is abelian.
+    candidates = (tuple(sorted(s)) for s in _normal_subgroups_avoiding(t, der))
+    N = min(candidates, key=lambda s: (-len(s), s))
+    Q = quotient(G, N, limit)
+    if not is_minimal_nonabelian(Q, limit):
+        raise InternalCheckError(
+            f"no minimal nonabelian quotient found for {G.descriptor()}"
+        )
+    return N, Q, _classify(Q, limit)
 
 
 @dataclass(frozen=True)
@@ -420,19 +404,7 @@ def automorphism_from_generator_images(G: PGroup, images: dict, limit: int = DEF
 
 def perm_order(perm: list[int]) -> int:
     """The order of a permutation of 0..n-1: the lcm of its cycle lengths."""
-    order = 1
-    seen = [False] * len(perm)
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        length = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        order = order * length // gcd(order, length)
-    return order
+    return lcm(*map(len, _orbits(len(perm), [perm], lambda x, move: move[x])))
 
 
 def burnside_action_check(

@@ -142,7 +142,8 @@ class GroupTables:
     def orders(self) -> list[int]:
         """The order of every element, computed once per table.  Each walk
         along the powers of g fills in those powers too: g^k has order
-        m / gcd(k, m) when g has order m."""
+        m / gcd(k, m) when g has order m.  A walk, not `closure`: the fill
+        needs the exponent k of each power."""
         if self._orders is None:
             orders = [0] * self.n
             for g in range(self.n):
@@ -215,7 +216,7 @@ def _extend_partial(tg: GroupTables, th: GroupTables, pairs: list[tuple[int, int
 
     Returns None if some product is inconsistent or injectivity fails.
     """
-    phi = {tg.e: th.e}
+    phi = {tg.e: th.e}  # a BFS, not `closure`: each image comes from its parent's
     used = {th.e}
     frontier = [tg.e]
     while frontier:
@@ -285,7 +286,7 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     gather = {s: itemgetter(*row) for s, row in rows.items()}
     mul: list = [None] * n
     mul[e] = tuple(range(n))
-    queue = [e]
+    queue = [e]  # a BFS, not `closure`: each row is composed from its parent's
     for a in queue:
         if len(queue) == n:
             break
@@ -600,7 +601,7 @@ def quotient(parent: PGroup, normal_indices, limit: int = DEFAULT_LIMIT) -> PGro
         raise ParameterError("subgroup size does not divide the group order")
     coset_id = [-1] * n
     reps: list[int] = []
-    for g in range(n):  # the first unassigned index leads its coset
+    for g in range(n):  # n products in all; an orbit `closure` under N takes n |N|
         if coset_id[g] >= 0:
             continue
         members = {mul(g, h) for h in nidx}
@@ -710,6 +711,8 @@ def parse_group_descriptor(text: str) -> PGroup:
                 raise ParseError(f"unknown group kind {kind!r}")
             if kv:
                 raise ParseError(f"unexpected fields {sorted(kv)} in descriptor {part!r}")
+        except (ParameterError, ParseError):
+            raise  # they name the violated condition
         except (KeyError, ValueError) as exc:
             raise ParseError(f"malformed group descriptor: {part!r}") from exc
     G = groups[0]

@@ -130,6 +130,14 @@ class TestGroupCommand:
         assert code == EXIT_USAGE
         assert not out and "absent.table" in err
 
+    @pytest.mark.parametrize(
+        "p, n, message", [("4", "1", "p must be prime, got 4"), ("3", "-1", "H(n, d) needs n >= 0")]
+    )
+    def test_descriptor_error_names_violation(self, p, n, message):
+        code, out, err = run(["group", "make", "--kind", "H", "--p", p, "--n", n, "--d", "1"])
+        assert code == EXIT_USAGE
+        assert not out and message in err
+
 
 class TestBreaksCommand:
     def test_tolower(self):
@@ -166,6 +174,14 @@ class TestBreaksCommand:
         )
         assert code == EXIT_OK
         assert "lower_v: 10" in out
+
+    @pytest.mark.parametrize("u, v", [("1/0", "4"), ("1", "5/0")])
+    def test_fact1_zero_denominator(self, u, v):
+        argv = ["breaks", "fact1", "--multiset", "upper m=1 p=3 :", "--u", u, "--v", v]
+        with within(1, f"fact1 --u {u} --v {v}"):
+            code, out, err = run(argv)
+        assert code == EXIT_USAGE
+        assert not out and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:
@@ -231,6 +247,7 @@ class TestVerifyCommand:
 
 
 CHAT_CERT = Path(__file__).resolve().parent.parent / "certs" / "chat-H11-m2-trivial.cert"
+NONINT_CERT = Path(__file__).resolve().parent.parent / "certs" / "nonint-H-p3-n2-d1.cert"
 H11 = "kind=H p=3 n=1 d=1"
 HUGE = "kind=H p=3 n=5000 d=1"  # order 3^10001: more than 4,300 decimal digits
 VAST = "kind=H p=3 n=10000000 d=1"  # order 3^20000001: seconds to compute
@@ -249,6 +266,12 @@ HOSTILE = {
     "huge chat certificate": (["verify", "{f}"], CHAT_CERT.read_text().replace(H11, HUGE, 1), EXIT_LIMIT),
     "vast descriptor": (["group", "make", "--descriptor", VAST], None, EXIT_LIMIT),
     "vast chat certificate": (["verify", "{f}"], CHAT_CERT.read_text().replace(H11, VAST, 1), EXIT_LIMIT),
+    # its group legs are decided on exponents, so 3^20000003 is never computed
+    "vast nonint certificate": (
+        ["verify", "{f}"],
+        NONINT_CERT.read_text().replace("param n = 2\n", "param n = 10000000\n", 1),
+        EXIT_MISMATCH,
+    ),
 }
 
 

@@ -2,8 +2,9 @@
 
 sympy's permutation groups (Schreier-Sims, on the right regular
 representation built from the group law) are the oracle for orders,
-centers and commutator subgroups; an exhaustive O(n^3) associativity scan
-is the oracle for `TableGroup`'s axiom check.
+centers, commutator subgroups, conjugacy classes, normal closures and
+permutation orders; an exhaustive O(n^3) associativity scan is the oracle
+for `TableGroup`'s axiom check.
 """
 
 import pytest
@@ -22,7 +23,13 @@ from ramforge.pgroups import (
     subgroup,
     tables,
 )
-from ramforge.pgroups.analysis import center_idx, commutator_subgroup_idx
+from ramforge.pgroups.analysis import (
+    center_idx,
+    commutator_subgroup_idx,
+    conjugacy_classes_idx,
+    normal_closure_idx,
+    perm_order,
+)
 from ramforge.pgroups.iso import _signatures
 
 # Descriptor groups up to order 243, and C_3 wr C_3 (order 81, class 3)
@@ -100,6 +107,9 @@ def check_against_sympy(G):
     assert P.order() == G.order == t.n
     assert set(center_idx(t)) == element_set(P.center(), t.e)
     assert set(commutator_subgroup_idx(t)) == element_set(P.derived_subgroup(), t.e)
+    classes = conjugacy_classes_idx(t)
+    assert set(classes) == {frozenset(g(t.e) for g in c) for c in P.conjugacy_classes()}
+    assert [min(c) for c in classes] == sorted(min(c) for c in classes)
 
 
 class TestSympyOracle:
@@ -111,6 +121,27 @@ class TestSympyOracle:
     @given(groups())
     def test_relabelled(self, G):
         check_against_sympy(G)
+
+    @pytest.mark.parametrize(
+        "desc", [WREATH, WREATH_AB, "kind=H p=3 n=1 d=2", "kind=A p=3 n=1 d=1 x kind=C p=3 k=1"]
+    )
+    def test_normal_closures(self, desc):
+        # of every element, and of every fifth pair of consecutive ones.
+        # C3 wr C3 has class 3, the only group here where g and its
+        # conjugates by the generators can generate less than the normal
+        # closure of g (for 18 of its 81 elements)
+        G = make(desc)
+        t = tables(G)
+        P = regular_representation(G)
+        elems = G.elements()
+        for xs in [[g] for g in range(t.n)] + [[g, g + 1] for g in range(0, t.n - 1, 5)]:
+            want = P.normal_closure([translation(G, elems[g]) for g in xs])
+            assert set(normal_closure_idx(t, xs)) == element_set(want, t.e), xs
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
+    def test_perm_order(self, perm):
+        assert perm_order(perm) == Permutation(perm).order()
 
     @pytest.mark.parametrize("desc", [WREATH, "kind=H p=3 n=1 d=2", "kind=A p=3 n=2 d=1"])
     def test_centralizer_sizes(self, desc):
