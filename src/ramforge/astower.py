@@ -157,9 +157,6 @@ class ASElement:
             terms[i] = terms[i] - c if i in terms else -c
         return ASElement(self.ext, terms)
 
-    def __neg__(self):
-        return ASElement(self.ext, {i: -c for i, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
             return ASElement(self.ext, {i: c * other for i, c in self.terms.items()})
@@ -202,44 +199,32 @@ class ASElement:
 
     # -- valuation ----------------------------------------------------------
 
-    def _valuation_parts(self) -> tuple[int | None, int | float]:
-        """(exact min over nonzero components, floor from the precision
-        windows of the stored components; INF for an exact zero)."""
-        b = self.ext.b
-        p = self.ext.p
-        exact = min(
-            (p * c.val - i * b for i, c in self.terms.items() if not c.is_zero()),
+    def _lead(self) -> tuple[tuple[int, int, int, int] | None, int | float]:
+        """(valuation, y-degree, pi-exponent, coefficient) of the
+        valuation-minimal term, or None for zero to precision, and the floor
+        from the precision windows of the stored components (INF for an
+        exact zero).  The term is unique, since its degree fixes v mod p."""
+        p, b = self.ext.p, self.ext.b
+        lead = min(
+            ((p * c.val - i * b, i, c.val, c.coeffs[0]) for i, c in self.terms.items() if c.coeffs),
             default=None,
         )
         floor = min((p * c.prec - i * b for i, c in self.terms.items()), default=INF)
-        return exact, floor
+        return lead, floor
 
     def valuation(self):
         """Certified valuation in Z, or INF for zero-up-to-precision."""
-        exact, floor = self._valuation_parts()
-        if exact is None:
+        lead, floor = self._lead()
+        if lead is None:
             return INF
-        if exact > floor:
+        if lead[0] > floor:
             raise InsufficientPrecisionError(
-                f"valuation {exact} not certified: components unknown below {floor}"
+                f"valuation {lead[0]} not certified: components unknown below {floor}"
             )
-        return exact
+        return lead[0]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.terms.values())
-
-    def leading_term(self) -> tuple[int, int, int]:
-        """(y-degree, pi-exponent, coefficient) of the valuation-minimal term."""
-        b = self.ext.b
-        p = self.ext.p
-        terms = [
-            (p * c.val - i * b, i, c.val, c.leading_coefficient())
-            for i, c in self.terms.items()
-            if not c.is_zero()
-        ]
-        if not terms:
-            raise ValueError("zero to precision has no leading term")
-        return min(terms)[1:]
 
     # -- comparison / io ----------------------------------------------------
 
@@ -263,20 +248,16 @@ class ASElement:
 
 
 @dataclass(frozen=True)
-class KReduction:
-    reduced: LaurentSeries
+class Reduction:
+    """The residual, the outcome it certifies, and the witness w with
+    reduced = delta - wp(w); series over K, elements over F."""
+
+    reduced: LaurentSeries | ASElement
     outcome: BreakOutcome
-    witness: LaurentSeries
+    witness: LaurentSeries | ASElement
 
 
-@dataclass(frozen=True)
-class FReduction:
-    reduced: ASElement
-    outcome: BreakOutcome
-    witness: ASElement
-
-
-def as_reduce_K(delta: LaurentSeries) -> KReduction:
+def as_reduce_K(delta: LaurentSeries) -> Reduction:
     """Reduce delta mod wp(K) and certify the break it defines over K.
 
     While the residual has negative valuation divisible by p, the leading
@@ -290,15 +271,12 @@ def as_reduce_K(delta: LaurentSeries) -> KReduction:
     reduced = delta
     guard = 0
     while True:
-        if reduced.is_zero():
-            if reduced.prec >= 0:
-                outcome = BreakOutcome("nonnegative")
-                break
-            raise InsufficientPrecisionError(
-                f"residual is zero to precision {reduced.prec} < 0"
-            )
-        v = reduced.val
-        if v >= 0:
+        v = reduced.valuation()  # INF when zero to precision
+        if v >= 0:  # a nonzero residual is known past v, so only a zero one can fail
+            if reduced.prec < 0:
+                raise InsufficientPrecisionError(
+                    f"residual is zero to precision {reduced.prec} < 0"
+                )
             outcome = BreakOutcome("nonnegative")
             break
         if v % p != 0:
@@ -312,10 +290,10 @@ def as_reduce_K(delta: LaurentSeries) -> KReduction:
         guard += 1
         if guard > abs(v) + 8:
             raise InternalCheckError("K-reduction failed to make progress")
-    return KReduction(reduced, outcome, witness)
+    return Reduction(reduced, outcome, witness)
 
 
-def as_reduce_F(delta: ASElement) -> FReduction:
+def as_reduce_F(delta: ASElement) -> Reduction:
     """Reduce delta mod wp(F) and certify the break it defines over F.
 
     A residual with v_F divisible by p necessarily has its leading term in
@@ -333,31 +311,24 @@ def as_reduce_F(delta: ASElement) -> FReduction:
     guard = 0
     start = None
     while True:
-        exact, floor = reduced._valuation_parts()
-        if exact is None:
-            if floor >= 0:
-                outcome = BreakOutcome("nonnegative")
-                break
+        lead, floor = reduced._lead()
+        if lead is None or lead[0] >= 0:
+            if floor < 0:
+                raise InsufficientPrecisionError(
+                    f"residual is nonnegative only to precision floor {floor} < 0"
+                )
+            outcome = BreakOutcome("nonnegative")
+            break
+        v, i0, j, c = lead
+        if v > floor:
             raise InsufficientPrecisionError(
-                f"residual is zero to precision floor {floor} < 0"
+                f"leading term at {v} not certified: unknown below {floor}"
             )
-        if exact >= 0:
-            if floor >= 0:
-                outcome = BreakOutcome("nonnegative")
-                break
-            raise InsufficientPrecisionError(
-                f"residual valuation {exact} >= 0 but components unknown below {floor}"
-            )
-        if exact > floor:
-            raise InsufficientPrecisionError(
-                f"leading term at {exact} not certified: unknown below {floor}"
-            )
-        if exact % p != 0:
-            outcome = BreakOutcome("wild", -exact)
+        if v % p != 0:
+            outcome = BreakOutcome("wild", -v)
             break
         if start is None:
-            start = exact
-        i0, j, c = reduced.leading_term()
+            start = v
         if i0 != 0:
             raise InternalCheckError(
                 f"p-divisible valuation attained at y-degree {i0} != 0"
@@ -382,4 +353,4 @@ def as_reduce_F(delta: ASElement) -> FReduction:
         guard += 1
         if guard > abs(start) + 8:
             raise InternalCheckError("F-reduction failed to make progress")
-    return FReduction(reduced, outcome, witness)
+    return Reduction(reduced, outcome, witness)

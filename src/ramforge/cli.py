@@ -77,13 +77,12 @@ def _exit_code_for(exc: Exception) -> int:
 def _load_group(descriptor: str, p_hint: int | None, limit: int):
     """A group descriptor, or @path to a whitespace-separated Cayley table."""
     if descriptor.startswith("@"):
-        rows = []
         with open(descriptor[1:]) as fh:  # open("") is a missing file; Path("") is "."
             text = fh.read()
-        for line in text.splitlines():
-            if line.strip():
-                rows.append([int(tok) for tok in line.split()])
-        n = len(rows)
+        # the order is refused before any token is converted, and each row's
+        # length before its own: a refused file converts fewer than n^2 tokens
+        lines = [line for line in text.splitlines() if line.strip()]
+        n = len(lines)
         if n == 0:
             raise ParameterError(f"no Cayley table in {descriptor[1:]!r}")
         if n > limit:
@@ -92,6 +91,12 @@ def _load_group(descriptor: str, p_hint: int | None, limit: int):
             )
         if p_hint is None:
             p_hint = _infer_prime(n)
+        rows = []
+        for line in lines:
+            row = line.split()
+            if len(row) != n:
+                raise ParameterError(f"Cayley table of {n} rows has a row of {len(row)} entries")
+            rows.append([int(tok) for tok in row])
         return TableGroup(p_hint, rows)
     G = parse_group_descriptor(descriptor)
     _check_limit(G, limit)

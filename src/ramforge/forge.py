@@ -349,8 +349,9 @@ def _p3_steps(
             f"base datum reduced to {red1.outcome}, expected wild break {b}"
         )
     cert.step("cp-break-base", (("beta", beta),), (("break", b),))
+    ext = ASExtension(p, beta)  # its beta powers serve alpha and the top step
 
-    alpha = monomial(p, 1, -p * s, -p * s + window) * beta**t
+    alpha = monomial(p, 1, -p * s, -p * s + window) * ext.beta_power(t)
     red2 = as_reduce_K(alpha)
     if not (red2.outcome.is_wild and red2.outcome.break_value == a):
         raise InternalCheckError(
@@ -361,7 +362,6 @@ def _p3_steps(
     cert.step("cp-break-aux", (("alpha", alpha),), (("break", a), ("upper", u_m)))
 
     cert.assume("heisenberg-closure")
-    ext = ASExtension(p, beta)
     delta = ext.element({0: alpha * beta * r, 1: alpha})
     red3 = as_reduce_F(delta)
     closed_form = 2 * b + p * (a - b)

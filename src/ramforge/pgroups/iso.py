@@ -22,7 +22,6 @@ from .analysis import (
     commutator_subgroup_idx,
     conjugacy_classes_idx,
     frattini_idx,
-    is_abelian,
 )
 from .base import DEFAULT_LIMIT, GroupTables, PGroup, _extend_partial, _greedy_generators, tables
 
@@ -38,38 +37,31 @@ def _signatures(t: GroupTables) -> list[tuple[int, int]]:
     return list(zip(t.orders(), cent))
 
 
-def _invariants(G: PGroup, limit: int):
-    t = tables(G, limit)
-    profile = Counter(t.orders())
-    return (
-        t.n,
-        tuple(sorted(profile.items())),
-        len(center_idx(t)),
-        len(commutator_subgroup_idx(t)),
-        len(frattini_idx(t)),
-        max(profile),
-        is_abelian(G, limit),
-    )
+def _invariants(t: GroupTables):
+    """The order profile and the sizes of Z(G), [G, G] and Phi(G), which
+    fix the order, the exponent and whether G is abelian; and Phi(G)."""
+    phi = frattini_idx(t)
+    profile = tuple(sorted(Counter(t.orders()).items()))
+    return (profile, len(center_idx(t)), len(commutator_subgroup_idx(t)), len(phi)), phi
 
 
 def is_isomorphic(G: PGroup, H: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
     if G.p != H.p:
         return False
-    inv_g = _invariants(G, limit)
-    inv_h = _invariants(H, limit)
-    if inv_g != inv_h:
-        return False
-    if inv_g[-1]:
-        # abelian p-groups with equal order profiles are isomorphic
-        return True
     tg = tables(G, limit)
     th = tables(H, limit)
+    inv_g, phi_g = _invariants(tg)
+    if inv_g != _invariants(th)[0]:
+        return False
+    if inv_g[2] == 1:
+        # abelian p-groups with equal order profiles are isomorphic
+        return True
     sig_g = _signatures(tg)
     sig_h = _signatures(th)
     if sorted(sig_g) != sorted(sig_h):
         return False
     # a minimal generating sequence: greedy from Phi(G) (Burnside basis theorem)
-    gens = _greedy_generators(tg.n, set(frattini_idx(tg)), lambda x, g: tg.mul[x][g])
+    gens = _greedy_generators(tg.n, set(phi_g), lambda x, g: tg.mul[x][g])
     by_sig: dict[tuple[int, int], list[int]] = {}
     for h, s in enumerate(sig_h):
         by_sig.setdefault(s, []).append(h)

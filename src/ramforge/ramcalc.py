@@ -5,7 +5,7 @@ with the tame degree m; the zero break exists exactly when m > 1 and is
 not stored.  Lower numbering is related to upper numbering by the
 recursion
 
-    u_1 = b_1 / m,    u_{i+1} - u_i = (b_{i+1} - b_i) / (m * p^i),
+    u_{i+1} - u_i = (b_{i+1} - b_i) / (m * p^i),    u_0 = b_0 = 0,
 
 with breaks counted with multiplicity.  Lower breaks are always positive
 integers; an upper multiset whose inversion is nonintegral is not
@@ -91,11 +91,11 @@ def lower_to_upper(bm: BreakMultiset) -> BreakMultiset:
     if bm.numbering != "lower":
         raise ParameterError("lower_to_upper expects a lower-numbered multiset")
     us: list[Fraction] = []
-    for i, b in enumerate(bm.breaks):
-        if i == 0:
-            us.append(Fraction(b, bm.m))
-        else:
-            us.append(us[-1] + Fraction(b - bm.breaks[i - 1], bm.m * bm.p**i))
+    u, lo, scale = 0, 0, bm.m  # u_0 = b_0 = 0: the first break is one more step
+    for b in bm.breaks:
+        u += (b - lo) / scale
+        lo, scale = b, scale * bm.p
+        us.append(u)
     return BreakMultiset("upper", bm.m, bm.p, tuple(us))
 
 
@@ -105,11 +105,10 @@ def upper_to_lower(bm: BreakMultiset) -> BreakMultiset:
     if bm.numbering != "upper":
         raise ParameterError("upper_to_lower expects an upper-numbered multiset")
     bs: list[Fraction] = []
+    b, lo, scale = 0, 0, bm.m  # b_0 = u_0 = 0, as in lower_to_upper
     for i, u in enumerate(bm.breaks):
-        if i == 0:
-            b = u * bm.m
-        else:
-            b = bs[-1] + (u - bm.breaks[i - 1]) * bm.m * bm.p**i
+        b += (u - lo) * scale
+        lo, scale = u, scale * bm.p
         if b.denominator != 1 or b <= 0:
             raise UnrealizableMultisetError(
                 f"upper multiset {bm.to_text()!r} is not realizable: "

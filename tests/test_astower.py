@@ -274,8 +274,17 @@ class TestReduceF:
         delta = ext.element({0: LaurentSeries(3, [(-9, 1), (-5, 1)], -4)})
         res = as_reduce_F(delta)
         assert res.outcome.is_wild and res.outcome.break_value == 13
-        assert res.reduced._valuation_parts() == (-13, -12)
+        lead, floor = res.reduced._lead()
+        assert (lead[0], floor) == (-13, -12)
         assert (delta - res.witness.wp() - res.reduced).is_zero()
+
+    def test_nonnegative_residual_known_below_zero(self):
+        # valuation 0, but y^1 is known only to pi^-1, so floor -4: a term
+        # of negative valuation may be missing
+        ext = ASExtension(3, monomial(3, 1, -1, 400))
+        delta = ext.element({0: monomial(3, 1, 0, 400), 1: zero(3, -1)})
+        with pytest.raises(InsufficientPrecisionError):
+            as_reduce_F(delta)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -306,7 +315,7 @@ class TestReduceF:
             res = as_reduce_F(delta)
         except InsufficientPrecisionError:
             return
-        assert res.reduced._valuation_parts()[1] >= delta._valuation_parts()[1]
+        assert res.reduced._lead()[1] >= delta._lead()[1]
 
     def test_strictly_increasing_steps(self):
         # every wp-subtraction must raise the valuation

@@ -159,6 +159,21 @@ def _datum(p, b, dense):
     return beta
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_beta_power_is_series_power(p, dense):
+    """The extension's chain of beta powers gives beta**k, coefficient by
+    coefficient and with its precision, for every k <= p - 1, whatever
+    power is asked for first: the tower takes beta^t from that chain."""
+    beta = monomial(p, 1, -2, 200)
+    if dense:
+        beta = beta * LaurentSeries(p, [(0, 2), (1, 1), (3, p - 1)], 200)
+    ext = ASExtension(p, beta)
+    for k in [p - 1, *range(p)]:
+        got, want = ext.beta_power(k), beta**k
+        assert (got.val, list(got.coeffs), got.prec) == (want.val, list(want.coeffs), want.prec)
+
+
 @st.composite
 def elements(draw, count):
     """An extension and ``count`` elements of it.  Each element has a few

@@ -83,6 +83,16 @@ class TestGroupCommand:
         assert code == EXIT_OK
         assert "order: 9" in out
 
+    def test_make_cyclic(self):
+        code, out, _ = run(["group", "make", "--kind", "C", "--p", "3", "--d", "2"])
+        assert code == EXIT_OK
+        assert "group: kind=C p=3 k=2" in out and "order: 9" in out
+
+    def test_limit_floor(self):
+        code, out, err = run(["--limit", "26", "group", "make", "--kind", "C", "--p", "3", "--d", "2"])
+        assert code == EXIT_USAGE
+        assert not out and ">= 27" in err
+
     def test_basics_structured(self):
         code, out, _ = run(
             ["--output", "structured-text", "group", "basics", "--kind", "A", "--p", "3", "--n", "1", "--d", "1"]
@@ -174,6 +184,14 @@ class TestBreaksCommand:
         )
         assert code == EXIT_OK
         assert "lower_v: 10" in out
+
+    def test_fact1_warns_below_top_break(self):
+        code, out, err = run(
+            ["breaks", "fact1", "--multiset", "upper m=1 p=3 : 4", "--u", "1", "--v", "5"]
+        )
+        assert code == EXIT_OK
+        assert "lower_v: 19" in out
+        assert err == "warning: u = 1 lies below the existing top break 4\n"
 
     @pytest.mark.parametrize("u, v", [("1/0", "4"), ("1", "5/0")])
     def test_fact1_zero_denominator(self, u, v):
@@ -285,6 +303,26 @@ def test_hostile_group_input(tmp_path, case):
         path.write_text(text)
     with within(1, case):
         code, out, err = run([a.replace("{f}", str(path)) for a in argv])
+    assert code == want
+    assert not out and err.startswith("error: ") and err.count("\n") == 1
+
+
+# a row of 560,000 tokens: converting 27 or 28 of them takes seconds
+TABLE_CAPS = {
+    "28 long rows over --limit 27": (["--limit", "27"], 28, EXIT_LIMIT),
+    "27 rows of the wrong length": ([], 27, EXIT_USAGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CAPS))
+def test_table_refused_before_its_tokens(tmp_path, case):
+    """An explicit table's order and row lengths are refused before its
+    tokens are converted."""
+    head, rows, want = TABLE_CAPS[case]
+    path = tmp_path / "input"
+    path.write_text((" ".join(["1"] * 560_000) + "\n") * rows)
+    with within(1, case):
+        code, out, err = run(head + ["group", "basics", "--table", str(path)])
     assert code == want
     assert not out and err.startswith("error: ") and err.count("\n") == 1
 

@@ -584,6 +584,16 @@ class TestIsomorphism:
             CyclicPGroup(3, 2), DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1))
         )
 
+    def test_nonabelian_with_equal_invariants(self):
+        # equal order profiles and sizes of Z, [G, G] and Phi: neither the
+        # invariants nor the abelian shortcut may decide this pair
+        G = make_group("H", 3, 1, 2)
+        K = DirectProductGroup(A(1, 1), CyclicPGroup(3, 1))
+        for basics in map(group_basics, (G, K)):
+            assert (len(basics.center), len(basics.commutator_subgroup), len(basics.frattini)) == (9, 3, 3)
+        assert Counter(tables(G).orders()) == Counter(tables(K).orders())
+        assert not is_isomorphic(G, K) and not is_isomorphic(K, G)
+
     def test_partial_map_consistency(self):
         # C_3 x C_3 -> C_9 by a -> 1, b -> 3 is injective but not a
         # homomorphism: 3a = 0 would map to 3
