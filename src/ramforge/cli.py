@@ -9,6 +9,7 @@ carries only the artifact; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -33,14 +34,16 @@ from .forge import (
 from .laurent import parse_series
 from .pgroups import (
     DEFAULT_LIMIT,
+    CyclicPGroup,
     TableGroup,
     classify_minimal,
     group_basics,
     is_isomorphic,
+    make_group,
     minimal_nonabelian_quotient,
     parse_group_descriptor,
 )
-from .pgroups.base import _check_limit
+from .pgroups.base import _check_limit, _log_p
 from .ramcalc import (
     compose_disjoint,
     fact1_resolve,
@@ -105,10 +108,8 @@ def _load_group(descriptor: str, p_hint: int | None, limit: int):
 
 def _infer_prime(n: int) -> int:
     for p in (3, 5, 7, 11, 13):
-        m = n
-        while m % p == 0:
-            m //= p
-        if m == 1:
+        with contextlib.suppress(ParameterError):
+            _log_p(n, p)
             return p
     raise ParameterError(f"order {n} is not a power of a small odd prime; pass --p")
 
@@ -119,14 +120,42 @@ def _report(pairs, structured: bool) -> None:
 
 
 def cmd_p3(args) -> int:
+    precision = args.precision
+    if precision is None:
+        env = os.environ.get("RAMFORGE_PRECISION", str(DEFAULT_PRECISION))
+        try:
+            precision = int(env)
+        except ValueError:
+            raise ParameterError(f"RAMFORGE_PRECISION must be an integer, got {env!r}") from None
+    if precision < MIN_PRECISION:
+        raise ParameterError(f"precision must be >= {MIN_PRECISION}, got {precision}")
     params = P3Parameters.derive(args.p, args.b, args.a)
     unit = parse_series(args.beta_unit) if args.beta_unit else None
-    cert = build_p3_tower(params, precision=args.precision, beta_unit=unit)
+    cert = build_p3_tower(params, precision=precision, beta_unit=unit)
     sys.stdout.write(cert.render())
     return EXIT_OK
 
 
+def _named_group(args):
+    """The group of a `group` subcommand other than iso: ``--table``, else
+    ``--descriptor``, else ``--kind``/``--p``/``--n``/``--d`` (kind C reads
+    only ``--d``, as k)."""
+    if args.table is not None or args.descriptor is not None:
+        spec = args.descriptor if args.table is None else f"@{args.table}"
+        return _load_group(spec, args.p, args.limit)
+    if None in (args.kind, args.p, args.d) or (args.n is None and args.kind != "C"):
+        raise ParameterError("give --kind/--p/--n/--d, or --descriptor, or --table")
+    if args.kind == "C":
+        G = CyclicPGroup(args.p, args.d)
+    else:
+        G = make_group(args.kind, args.p, args.n, args.d)
+    _check_limit(G, args.limit)
+    return G
+
+
 def cmd_group(args) -> int:
+    if args.limit < MIN_LIMIT:
+        raise ParameterError(f"limit must be >= {MIN_LIMIT}, got {args.limit}")
     structured = args.output == "structured-text"
     if args.group_cmd == "iso":
         lhs = _load_group(args.lhs, args.p, args.limit)
@@ -134,7 +163,7 @@ def cmd_group(args) -> int:
         same = is_isomorphic(lhs, rhs, args.limit)
         print("isomorphic" if same else "not isomorphic")
         return EXIT_OK
-    G = _load_group(args.descriptor if args.table is None else f"@{args.table}", args.p, args.limit)
+    G = _named_group(args)
     if args.group_cmd == "make":
         _report(
             [("group", G.descriptor()), ("order", G.order)],
@@ -162,7 +191,7 @@ def cmd_group(args) -> int:
         _report(
             [
                 ("kernel_order", len(kernel)),
-                ("quotient", f"kind={cls.kind} p={G.p} n={cls.n} d={cls.d}"),
+                ("quotient", make_group(cls.kind, G.p, cls.n, cls.d).descriptor()),
             ],
             structured,
         )
@@ -223,14 +252,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=None,
-        help=f"series precision window in coefficients (default {DEFAULT_PRECISION}, "
+        help=f"p3: series precision window in coefficients (default {DEFAULT_PRECISION}, "
         "env RAMFORGE_PRECISION)",
     )
     ap.add_argument(
         "--limit",
         type=int,
         default=DEFAULT_LIMIT,
-        help=f"group materialization limit (default {DEFAULT_LIMIT})",
+        help=f"group: materialization limit (default {DEFAULT_LIMIT})",
     )
     ap.add_argument(
         "--output",
@@ -295,36 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _normalize_group_args(args) -> None:
-    if getattr(args, "group_cmd", None) in ("make", "basics", "classify", "minquot"):
-        if args.descriptor is None and args.table is None:
-            if args.kind is None or args.p is None:
-                raise ParameterError(
-                    "give --kind/--p/--n/--d, or --descriptor, or --table"
-                )
-            if args.kind == "C":
-                args.descriptor = f"kind=C p={args.p} k={args.d}"
-            else:
-                args.descriptor = (
-                    f"kind={args.kind} p={args.p} n={args.n} d={args.d}"
-                )
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.precision is None:
-            args.precision = int(os.environ.get("RAMFORGE_PRECISION", DEFAULT_PRECISION))
-        if args.precision < MIN_PRECISION:
-            raise ParameterError(
-                f"precision must be >= {MIN_PRECISION}, got {args.precision}"
-            )
-        if args.limit < MIN_LIMIT:
-            raise ParameterError(f"limit must be >= {MIN_LIMIT}, got {args.limit}")
-        _normalize_group_args(args)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - mapped to stable exit codes
         code = _exit_code_for(exc)

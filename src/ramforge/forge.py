@@ -50,6 +50,7 @@ from .pgroups import (
     parse_group_descriptor,
     tables,
 )
+from .pgroups.base import _within_limit
 from .ramcalc import (
     BreakMultiset,
     compose_disjoint,
@@ -475,12 +476,6 @@ def _synth_base(kind: str, p: int, n: int, d: int) -> BreakMultiset:
     return base
 
 
-def _checkable(p: int, e: int) -> bool:
-    """p^e <= CERT_GROUP_LIMIT, decided on e first as `_check_limit` does:
-    p >= 3, so p^e is over the limit once e exceeds its bit length."""
-    return e <= CERT_GROUP_LIMIT.bit_length() and p**e <= CERT_GROUP_LIMIT
-
-
 def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> None:
     """Distinctness of the compositum side field and the central-product
     (or fiber-product) form of the target group; machine-checked when the
@@ -489,7 +484,7 @@ def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> 
         target = make_group("A", p, 1, d)
         side = DirectProductGroup(CyclicPGroup(p, d + 1), CyclicPGroup(p, 1))
         ambient_exp = d + 4
-        construction = partial(build_A1d_via_Gd, p, d, CERT_GROUP_LIMIT)
+        construction = partial(build_A1d_via_Gd, p, d)
         form_inputs = (("construction", f"fiber-product p={p} d={d}"),)
     else:
         target = make_group(kind, p, n, d)
@@ -499,18 +494,20 @@ def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> 
             DirectProductGroup(base, CyclicPGroup(p, 1)), CyclicPGroup(p, 1)
         )
         ambient_exp = base._exp + h11._exp
-        construction = partial(central_product, base, h11, limit=CERT_GROUP_LIMIT)
+        construction = partial(central_product, base, h11)
         form_inputs = (("left", base.descriptor()), ("right", h11.descriptor()))
 
-    if _checkable(p, side._exp):
-        if is_isomorphic(side, target, CERT_GROUP_LIMIT):
+    # A check runs only when every group it tables (the target has the side
+    # group's order) is of order <= CERT_GROUP_LIMIT < DEFAULT_LIMIT.
+    if _within_limit(p, side._exp, CERT_GROUP_LIMIT):
+        if is_isomorphic(side, target):
             raise InternalCheckError("side field group matches the target group")
         distinct = "false"
     else:
         cert.assume("group-distinctness-assumed")
         distinct = "assumed-false"
-    if _checkable(p, ambient_exp):
-        if not is_isomorphic(construction(), target, CERT_GROUP_LIMIT):
+    if _within_limit(p, ambient_exp, CERT_GROUP_LIMIT):
+        if not is_isomorphic(construction(), target):
             raise InternalCheckError("group construction does not realize the target group")
         form = "true"
     else:
@@ -722,7 +719,7 @@ def derive_chat(
             (
                 ("kernel_order", len(kernel)),
                 ("kernel", ",".join(map(str, kernel))),
-                ("quotient", f"kind={cls.kind} p={p} n={cls.n} d={cls.d}"),
+                ("quotient", make_group(cls.kind, p, cls.n, cls.d).descriptor()),
             ),
         )
         kind, tower, base = _route(cls.kind, p, cls.n, cls.d, None)

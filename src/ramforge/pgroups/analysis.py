@@ -380,14 +380,14 @@ class BurnsideResult:
     order: int
 
 
-def automorphism_from_generator_images(G: PGroup, images: dict, limit: int = DEFAULT_LIMIT) -> dict:
+def automorphism_from_generator_images(G: PGroup, images: dict) -> dict:
     """Extend generator images to the automorphism of G they determine,
     by the same table walk that isomorphism testing uses.
 
     Keys and images must be elements of G, the keys must generate G, and
     the extended map must be well defined and injective.
     """
-    t = tables(G, limit)
+    t = tables(G)
     idx = G.index_map()
     elems = G.elements()
     try:
@@ -407,9 +407,7 @@ def perm_order(perm: list[int]) -> int:
     return lcm(*map(len, _orbits(len(perm), [perm], lambda x, move: move[x])))
 
 
-def burnside_action_check(
-    P: PGroup, perm, m: int, limit: int = DEFAULT_LIMIT
-) -> BurnsideResult:
+def burnside_action_check(P: PGroup, perm, m: int) -> BurnsideResult:
     """Check triviality of a prime-to-p automorphism on P and on P/Phi(P).
 
     The automorphism alpha is ``perm``: the index of alpha(g) for each
@@ -419,7 +417,7 @@ def burnside_action_check(
     """
     if m < 1 or gcd(m, P.p) != 1:
         raise ParameterError(f"m = {m} must be positive and prime to p = {P.p}")
-    t = tables(P, limit)
+    t = tables(P)
     perm = list(perm)
     if not all(isinstance(x, int) for x in perm) or sorted(perm) != list(range(t.n)):
         raise ParameterError("alpha is not a permutation of the group's indices")

@@ -45,7 +45,7 @@ class PGroup:
     """A finite p-group over hashable normal-form elements.
 
     Subclasses set ``p``, ``_exp`` (the order is p^_exp) and
-    ``_descriptor`` in ``__init__``.
+    ``_descriptor`` in ``__init__``, and define `_index_law`.
     """
 
     p: int
@@ -68,6 +68,10 @@ class PGroup:
     def _element_list(self) -> list:
         raise NotImplementedError
 
+    def _index_law(self, limit: int) -> _IndexLaw:
+        """The group law on element indices, materialized under ``limit``."""
+        raise NotImplementedError
+
     def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
         """The identity's index, the row ``b -> s b`` of each generator
         index ``s`` (without the identity or repeats, in generator order),
@@ -76,14 +80,6 @@ class PGroup:
         law = self._index_law(limit)
         n = len(law.inv)
         return law.e, {s: [law.mul(s, b) for b in range(n)] for s in law.gens}, law.inv
-
-    def _index_law(self, limit: int) -> _IndexLaw:
-        """The group law on element indices, for subgroups and quotients:
-        read from this group's tables unless a group can multiply indices
-        without them.  A group defines this or `_generator_rows`."""
-        t = tables(self, limit)
-        rows = t.mul
-        return _IndexLaw(t.e, t.gens, lambda a, b: rows[a][b], t.inv)
 
     def descriptor(self) -> str:
         return self._descriptor
@@ -251,13 +247,18 @@ def _log_p(n: int, p: int) -> int:
     return k
 
 
+def _within_limit(p: int, e: int, limit: int) -> bool:
+    """p^e <= ``limit``, decided on e first: p >= 3, so p^e exceeds
+    ``limit`` once e exceeds its bit length, and p^e for e in the millions
+    takes seconds to compute."""
+    return e <= limit.bit_length() and p**e <= limit
+
+
 def _check_limit(G: PGroup, limit: int) -> None:
-    """Refuse a group of order p^e above ``limit``, deciding on e first:
-    p >= 3, so p^e exceeds ``limit`` once e exceeds its bit length, and
-    p^e for e in the millions takes seconds to compute.  The message
-    names the group by its descriptor: an order such as 3^10001 is too
-    long for Python to print in decimal."""
-    if G._exp > limit.bit_length() or G.order > limit:
+    """Refuse a group of order above ``limit`` (see `_within_limit`).  The
+    message names the group by its descriptor: an order such as 3^10001
+    is too long for Python to print in decimal."""
+    if not _within_limit(G.p, G._exp, limit):
         raise MaterializationLimitError(
             f"group {G.descriptor()} exceeds materialization limit {limit}"
         )
@@ -376,6 +377,12 @@ class _ClassTwoGroup(PGroup):
 
     def _element_list(self):
         return list(product(*map(range, self._radix)))
+
+    def _index_law(self, limit: int) -> _IndexLaw:
+        # read from the tables, which `_generator_rows` below computes
+        t = tables(self, limit)
+        rows = t.mul
+        return _IndexLaw(t.e, t.gens, lambda a, b: rows[a][b], t.inv)
 
     def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
         # Each generator steps its digit; y_i also takes shift * (x_i mod p)

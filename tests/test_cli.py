@@ -71,6 +71,12 @@ class TestP3Command:
         code, _, err = run(["--precision", "32", "p3", "--p", "3", "--b", "1", "--a", "4"])
         assert code == EXIT_USAGE and ">= 64" in err
 
+    @pytest.mark.parametrize("value, message", [("abc", "RAMFORGE_PRECISION must be an integer"), ("10", ">= 64")])
+    def test_precision_env_refused(self, monkeypatch, value, message):
+        monkeypatch.setenv("RAMFORGE_PRECISION", value)
+        code, out, err = run(["p3", "--p", "3", "--b", "1", "--a", "4"])
+        assert code == EXIT_USAGE and not out and message in err
+
 
 class TestGroupCommand:
     def test_classify(self):
@@ -405,6 +411,28 @@ PARSER_CALLS = [
     (["group", "classify", "--kind", "H", "--p", "3", "--n", "1", "--d", "2"], None),
     (["breaks", "compose"], None),
 ]
+
+
+TOLOWER = ["breaks", "tolower", "upper m=1 p=3 : 1, 4"]
+
+
+@pytest.mark.parametrize(
+    "flags, precision, argv",
+    [
+        ([], "abc", ["verify", str(TOWER_CERT)]),
+        ([], "10", ["verify", str(TOWER_CERT)]),
+        ([], "10", TOLOWER),
+        (["--limit", "5"], None, TOLOWER),
+    ],
+)
+def test_setting_read_only_by_its_command(monkeypatch, flags, precision, argv):
+    """The precision is read only by p3 and the limit only by group: a
+    value that they refuse changes no other command's exit code or output."""
+    monkeypatch.delenv("RAMFORGE_PRECISION", raising=False)
+    want = run(argv)
+    if precision is not None:
+        monkeypatch.setenv("RAMFORGE_PRECISION", precision)
+    assert run(flags + argv) == want and want[0] == EXIT_OK
 
 
 def test_parser_reused_across_calls(monkeypatch):

@@ -2,15 +2,19 @@
 
 sympy's permutation groups (Schreier-Sims, on the right regular
 representation built from the group law) are the oracle for orders,
-centers, commutator subgroups, conjugacy classes, normal closures and
-permutation orders; an exhaustive O(n^3) associativity scan is the oracle
-for `TableGroup`'s axiom check.
+centers, commutator subgroups, conjugacy classes, normal closures,
+permutation orders and isomorphism; an exhaustive O(n^3) associativity
+scan is the oracle for `TableGroup`'s axiom check.
 """
+
+import functools
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
+from sympy.combinatorics.homomorphisms import is_isomorphic as sympy_is_isomorphic
 from test_pgroups import law_tables, relabelled
 
 from ramforge.errors import ParameterError
@@ -18,6 +22,7 @@ from ramforge.pgroups import (
     CyclicPGroup,
     DirectProductGroup,
     TableGroup,
+    is_isomorphic,
     make_group,
     parse_group_descriptor,
     subgroup,
@@ -58,11 +63,14 @@ DESCRIPTORS = (
 )
 
 
+# a and b: C_3 wr C_3 is the Sylow 3-subgroup of S_9 they generate
+WREATH_GENS = (Permutation([1, 2, 0, 3, 4, 5, 6, 7, 8]), Permutation([3, 4, 5, 6, 7, 8, 0, 1, 2]))
+
+
 def wreath():
-    """C_3 wr C_3 as the Sylow 3-subgroup of S_9 (elements sorted), and
-    the indices of its generators a, b."""
-    a = Permutation([1, 2, 0, 3, 4, 5, 6, 7, 8])
-    b = Permutation([3, 4, 5, 6, 7, 8, 0, 1, 2])
+    """C_3 wr C_3 as a table (elements sorted), and the indices of its
+    generators a, b."""
+    a, b = WREATH_GENS
     elems = sorted(PermutationGroup([a, b]).elements, key=lambda g: g.array_form)
     idx = {g: i for i, g in enumerate(elems)}
     return TableGroup(3, [[idx[x * y] for y in elems] for x in elems]), [idx[a], idx[b]]
@@ -152,6 +160,99 @@ class TestSympyOracle:
         sig = _signatures(t)
         for g in range(0, t.n, 7):
             assert sig[g][1] == P.centralizer(translation(G, elems[g])).order()
+
+
+# Every group of order 3, 5, 9, 25 and 27; within an order by the size of
+# a minimal generating set, so the first group of a pair has the smaller one.
+SMALL = (
+    "kind=C p=3 k=1",
+    "kind=C p=5 k=1",
+    "kind=C p=3 k=2",
+    "kind=C p=3 k=1 x kind=C p=3 k=1",
+    "kind=C p=5 k=2",
+    "kind=C p=5 k=1 x kind=C p=5 k=1",
+    "kind=C p=3 k=3",
+    "kind=C p=3 k=2 x kind=C p=3 k=1",
+    "kind=H p=3 n=1 d=1",
+    "kind=A p=3 n=1 d=1",
+    "kind=C p=3 k=1 x kind=C p=3 k=1 x kind=C p=3 k=1",
+)
+SMALL_PAIRS = [
+    (a, b) for a, b in combinations_with_replacement(SMALL, 2) if make(a).order == make(b).order
+]
+
+
+@functools.cache
+def basis_representation(desc):
+    """The regular representation of ``make(desc)`` generated by a minimal
+    generating set: elements in index order, each taken when it lies
+    outside Phi(G) = G^p [G, G] and the ones taken before (Burnside basis
+    theorem), all computed by sympy.  Its presentation is computed once,
+    here; sympy caches it on the group."""
+    G = make(desc)
+    P = regular_representation(G)
+    phi = P.normal_closure([g**G.p for g in P.generators] + P.derived_subgroup().generators)
+    basis, span = [], phi
+    for g in G.elements():
+        if span.order() == G.order:
+            break
+        move = translation(G, g)
+        if not span.contains(move):
+            basis.append(move)
+            span = PermutationGroup(phi.generators + basis)
+    B = PermutationGroup(basis)
+    B.presentation()
+    return B
+
+
+def every_element(H):
+    """The regular representation of H generated by every element but the
+    identity."""
+    return PermutationGroup([translation(H, h) for h in H.elements() if h != H.identity()])
+
+
+def sympy_isomorphic(desc, H) -> bool:
+    """sympy's is_isomorphic for ``make(desc)`` and H.  It tries the first
+    group's generators only on the second group's generators, so the first
+    is generated by a basis and the second by every element: the search is
+    then complete, over |H|^rank candidate images."""
+    return sympy_is_isomorphic(basis_representation(desc), every_element(H))
+
+
+class TestIsomorphismOracle:
+    @pytest.mark.parametrize("lhs, rhs", SMALL_PAIRS)
+    def test_small_pairs(self, lhs, rhs):
+        G, H = make(lhs), make(rhs)
+        want = sympy_isomorphic(lhs, H)
+        assert is_isomorphic(G, H) == is_isomorphic(H, G) == want
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(SMALL_PAIRS), st.integers(0, 2**32))
+    def test_relabelled(self, pair, seed):
+        lhs, rhs = pair
+        H = make(rhs)
+        T = TableGroup(H.p, relabelled(law_tables(H), seed))
+        assert is_isomorphic(make(lhs), T) == is_isomorphic(T, make(lhs)) == sympy_isomorphic(lhs, T)
+
+    def test_equal_invariants_not_isomorphic(self):
+        # H(1,2) and A(1,1) x C3 agree in order profile and in the sizes of
+        # Z(G), [G, G] and Phi(G).  A complete search of sympy's would try
+        # ~80^3 image triples, so sympy's centers decide instead: the first
+        # is cyclic, the second is not.
+        G, H = make("kind=H p=3 n=1 d=2"), make("kind=A p=3 n=1 d=1 x kind=C p=3 k=1")
+        P, Q = regular_representation(G), regular_representation(H)
+        assert P.center().order() == Q.center().order() == 9
+        assert P.center().is_cyclic and not Q.center().is_cyclic
+        assert not is_isomorphic(G, H) and not is_isomorphic(H, G)
+
+    def test_wreath_forms(self):
+        # both forms against sympy's C3 wr C3 on 9 points, generated by a
+        # and ab: on a, b sympy's presentation and search take ~6 times as long
+        a, b = WREATH_GENS
+        W = PermutationGroup([a, a * b])
+        G, H = make(WREATH), make(WREATH_AB)
+        assert is_isomorphic(G, H) and is_isomorphic(H, G)
+        assert sympy_is_isomorphic(W, every_element(G)) and sympy_is_isomorphic(W, every_element(H))
 
 
 def valid_tables():
