@@ -42,6 +42,7 @@ from .pgroups import (
     make_group,
     minimal_nonabelian_quotient,
     parse_group_descriptor,
+    tables,
 )
 from .pgroups.base import _check_limit, _log_p
 from .ramcalc import (
@@ -59,7 +60,6 @@ EXIT_PRECISION = 4
 EXIT_LIMIT = 5
 EXIT_UNREALIZABLE = 6
 
-MIN_PRECISION = 64
 MIN_LIMIT = 27
 
 
@@ -127,8 +127,6 @@ def cmd_p3(args) -> int:
             precision = int(env)
         except ValueError:
             raise ParameterError(f"RAMFORGE_PRECISION must be an integer, got {env!r}") from None
-    if precision < MIN_PRECISION:
-        raise ParameterError(f"precision must be >= {MIN_PRECISION}, got {precision}")
     params = P3Parameters.derive(args.p, args.b, args.a)
     unit = parse_series(args.beta_unit) if args.beta_unit else None
     cert = build_p3_tower(params, precision=precision, beta_unit=unit)
@@ -160,7 +158,10 @@ def cmd_group(args) -> int:
     if args.group_cmd == "iso":
         lhs = _load_group(args.lhs, args.p, args.limit)
         rhs = _load_group(args.rhs, args.p, args.limit)
-        same = is_isomorphic(lhs, rhs, args.limit)
+        if lhs.p == rhs.p:  # is_isomorphic answers two primes without tables
+            tables(lhs, args.limit)
+            tables(rhs, args.limit)
+        same = is_isomorphic(lhs, rhs)
         print("isomorphic" if same else "not isomorphic")
         return EXIT_OK
     G = _named_group(args)
@@ -169,8 +170,10 @@ def cmd_group(args) -> int:
             [("group", G.descriptor()), ("order", G.order)],
             structured,
         )
-    elif args.group_cmd == "basics":
-        gb = group_basics(G, args.limit)
+        return EXIT_OK
+    tables(G, args.limit)  # the analysis below finds this table and takes no limit
+    if args.group_cmd == "basics":
+        gb = group_basics(G)
         _report(
             [
                 ("group", G.descriptor()),
@@ -184,10 +187,10 @@ def cmd_group(args) -> int:
             structured,
         )
     elif args.group_cmd == "classify":
-        cls = classify_minimal(G, args.limit)
+        cls = classify_minimal(G)
         print(f"{cls.kind} n={cls.n} d={cls.d}")
     elif args.group_cmd == "minquot":
-        kernel, quotient, cls = minimal_nonabelian_quotient(G, args.limit)
+        kernel, quotient, cls = minimal_nonabelian_quotient(G)
         _report(
             [
                 ("kernel_order", len(kernel)),

@@ -61,6 +61,8 @@ from .ramcalc import (
 )
 
 DEFAULT_PRECISION = 400
+# the least series window a builder accepts, so `verify` refuses what `p3` does
+MIN_PRECISION = 64
 
 # Group sanity checks inside certificates run only up to this order; above
 # it they are recorded as assumptions so certificates stay deterministic
@@ -417,12 +419,18 @@ def _p3_steps(
     cert.predicted, cert.verified, cert.witness = predicted, _upper(p, [b, a]), witness
 
 
+def _check_precision(precision: int) -> None:
+    if precision < MIN_PRECISION:
+        raise ParameterError(f"precision must be >= {MIN_PRECISION}, got {precision}")
+
+
 def build_p3_tower(
     params: P3Parameters,
     precision: int = DEFAULT_PRECISION,
     beta_unit: LaurentSeries | None = None,
 ) -> Certificate:
     """Build and machine-check the order-p^3 tower certificate."""
+    _check_precision(precision)
     cert_params = dict(p=params.p, b=params.b, a=params.a, precision=precision)
     if beta_unit is not None:
         cert_params["beta_unit"] = beta_unit
@@ -627,6 +635,7 @@ def derive_nonint(
     ``kind`` is "H", "A", or "A1d"; A with n = 1 is routed to the A1d
     construction, and H(1, 1) degenerates to a plain tower certificate.
     """
+    _check_precision(precision)
     require_odd_prime(p)
     if kind not in ("H", "A", "A1d"):
         raise ParameterError(f"kind must be H, A, or A1d, got {kind!r}")
@@ -659,6 +668,7 @@ def derive_chat(
     ``action`` is None/"trivial" or a permutation of element indices
     giving the image of a generator of C_m on P.
     """
+    _check_precision(precision)
     P = parse_group_descriptor(group_descriptor)
     p = P.p
     if m < 1:

@@ -31,7 +31,6 @@ from math import gcd, lcm
 
 from ..errors import InternalCheckError, ParameterError
 from .base import (
-    DEFAULT_LIMIT,
     CyclicPGroup,
     DirectProductGroup,
     GroupTables,
@@ -46,8 +45,8 @@ from .base import (
 )
 
 
-def is_abelian(G: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
-    t = tables(G, limit)
+def is_abelian(G: PGroup) -> bool:
+    t = tables(G)
     gens = t.gens
     return all(
         t.mul[a][b] == t.mul[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :]
@@ -105,8 +104,8 @@ class GroupBasics:
     exponent: int
 
 
-def group_basics(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupBasics:
-    t = tables(G, limit)
+def group_basics(G: PGroup) -> GroupBasics:
+    t = tables(G)
     elems = G.elements()
     z = center_idx(t)
     der = commutator_subgroup_idx(t)
@@ -149,8 +148,8 @@ class AbcdResult:
         )
 
 
-def check_abcd(G: PGroup, limit: int = DEFAULT_LIMIT) -> AbcdResult:
-    t = tables(G, limit)
+def check_abcd(G: PGroup) -> AbcdResult:
+    t = tables(G)
     p = G.p
     z = center_idx(t)
     zset = set(z)
@@ -194,7 +193,7 @@ def _central_order_p_subgroups(t: GroupTables) -> set[tuple[int, ...]]:
     return {tuple(closure_idx(t, [g])) for g in center_idx(t) if orders[g] == t.p}
 
 
-def is_minimal_nonabelian(G: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
+def is_minimal_nonabelian(G: PGroup) -> bool:
     """Nonabelian with every proper quotient abelian.
 
     Computed two independent ways and cross-checked: (1) directly, via
@@ -202,14 +201,14 @@ def is_minimal_nonabelian(G: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
     subgroup of a p-group contains one); (2) via the four structural
     conditions.  Disagreement is a fatal internal error.
     """
-    t = tables(G, limit)
-    method1 = not is_abelian(G, limit)
+    t = tables(G)
+    method1 = not is_abelian(G)
     if method1:
         for sub in _central_order_p_subgroups(t):
-            if not is_abelian(quotient(G, sub, limit), limit):
+            if not is_abelian(quotient(G, sub)):
                 method1 = False
                 break
-    method2 = check_abcd(G, limit).all_true
+    method2 = check_abcd(G).all_true
     if method1 != method2:
         raise InternalCheckError(
             f"minimality checks disagree on {G.descriptor()}: "
@@ -225,20 +224,20 @@ class ClassifyResult:
     d: int
 
 
-def classify_minimal(G: PGroup, limit: int = DEFAULT_LIMIT) -> ClassifyResult:
+def classify_minimal(G: PGroup) -> ClassifyResult:
     """Classify a minimal nonabelian p-group as H(n, d) or A(n, d)."""
-    if not is_minimal_nonabelian(G, limit):
+    if not is_minimal_nonabelian(G):
         raise ParameterError(f"{G.descriptor()} is not minimal nonabelian")
-    return _classify(G, limit)
+    return _classify(G)
 
 
-def _classify(G: PGroup, limit: int) -> ClassifyResult:
+def _classify(G: PGroup) -> ClassifyResult:
     """H(n, d) or A(n, d) for a group known to be minimal nonabelian.
 
     The discriminator: the group is of H type exactly when every p-th power
     lands in the p-th powers of the center.
     """
-    t = tables(G, limit)
+    t = tables(G)
     p = G.p
     z = center_idx(t)
     d = _log_p(len(z), p)
@@ -250,26 +249,26 @@ def _classify(G: PGroup, limit: int) -> ClassifyResult:
     return ClassifyResult(kind=kind, n=n2 // 2, d=d)
 
 
-def _glued(G: PGroup, g: int, limit: int) -> PGroup:
+def _glued(G: PGroup, g: int) -> PGroup:
     """G/<g> for the index g of a central element of G."""
-    law = G._index_law(limit)
-    return quotient(G, closure([law.e], [g], law.mul), limit)
+    law = G._index_law()
+    return quotient(G, closure([law.e], [g], law.mul))
 
 
-def central_product(n1: PGroup, n2: PGroup, limit: int = DEFAULT_LIMIT) -> PGroup:
+def central_product(n1: PGroup, n2: PGroup) -> PGroup:
     """(N1 x N2) / B with B generated by the central order-p pair (w1, w2^-1).
 
     w_i is the least index generating the unique order-p subgroup of the
     center of N_i, which must be cyclic.  Both components are nontrivial,
     so B meets neither factor and each embeds in the quotient.  The
     quotient multiplies through the factors' tables, so the product
-    N1 x N2 is never tabled; its order must still be within ``limit``.
+    N1 x N2 is never tabled; its order must still be within DEFAULT_LIMIT.
     """
     if n1.p != n2.p:
         raise ParameterError(f"prime mismatch: {n1.p} vs {n2.p}")
     p = n1.p
-    t1 = tables(n1, limit)
-    t2 = tables(n2, limit)
+    t1 = tables(n1)
+    t2 = tables(n2)
     picks = []
     for G, t in ((n1, t1), (n2, t2)):
         if t.n == 1:
@@ -281,25 +280,25 @@ def central_product(n1: PGroup, n2: PGroup, limit: int = DEFAULT_LIMIT) -> PGrou
         picks.append(min(g for g in z if g != t.e and orders[g] == p))
     g1, g2 = picks[0], t2.inv[picks[1]]
     # (g1, g2) has index g1 n2 + g2 in the product
-    return _glued(DirectProductGroup(n1, n2), g1 * t2.n + g2, limit)
+    return _glued(DirectProductGroup(n1, n2), g1 * t2.n + g2)
 
 
-def build_A1d_via_Gd(p: int, d: int, limit: int = DEFAULT_LIMIT) -> PGroup:
+def build_A1d_via_Gd(p: int, d: int) -> PGroup:
     """Realize A(1, d) as a quotient of a subgroup of H(1,1) x C_(p^(d+1)).
 
     The subgroup G_d is generated by (x1, w), (y1, 0), (z, 0); the quotient
     identifies w^(p^d) with z.  The order is checked along the way.  The
     subgroup and the quotient multiply through the factors' tables, so
-    neither the product (order p^(d+4), which must be within ``limit``)
-    nor G_d is tabled.
+    neither the product (order p^(d+4), which must be within
+    DEFAULT_LIMIT) nor G_d is tabled.
     """
     if d < 1:
         raise ParameterError(f"d >= 1 required, got {d}")
     prod = DirectProductGroup(HGroup(p, 1, 1), CyclicPGroup(p, d + 1))
     # the product's generators: (x1, 0), (y1, 0), (z, 0), (1, w)
-    law = prod._index_law(limit)
+    law = prod._index_law()
     x, y, z, w = law.gens
-    gd = subgroup(prod, [law.mul(x, w), y, z], limit)
+    gd = subgroup(prod, [law.mul(x, w), y, z])
     if gd.order != p ** (d + 3):
         raise InternalCheckError(
             f"ambient subgroup has order {gd.order}, expected p^{d + 3}"
@@ -309,7 +308,7 @@ def build_A1d_via_Gd(p: int, d: int, limit: int = DEFAULT_LIMIT) -> PGroup:
     glue = gd.inv(z)
     for _ in range(p**d):
         glue = gd.mul(glue, xw)
-    q = _glued(gd, glue, limit)
+    q = _glued(gd, glue)
     if q.order != p ** (2 + d):
         raise InternalCheckError(f"quotient has order {q.order}, expected p^{2 + d}")
     return q
@@ -347,30 +346,28 @@ def _normal_subgroups_avoiding(t: GroupTables, forbidden: frozenset[int]) -> set
     return closure([frozenset({t.e})], conjugacy_classes_idx(t), join)
 
 
-def minimal_nonabelian_quotient(
-    G: PGroup, limit: int = DEFAULT_LIMIT
-) -> tuple[tuple, PGroup, ClassifyResult]:
+def minimal_nonabelian_quotient(G: PGroup) -> tuple[tuple, PGroup, ClassifyResult]:
     """A largest normal subgroup N with G/N minimal nonabelian: the
     sorted indices of N in G, G/N and its classification.
 
     Ties in size are broken by element indices, so the witness is
     deterministic.
     """
-    if is_abelian(G, limit):
+    if is_abelian(G):
         raise ParameterError(f"{G.descriptor()} is abelian; no nonabelian quotient")
-    t = tables(G, limit)
+    t = tables(G)
     der = frozenset(commutator_subgroup_idx(t))
     # A largest normal N with [G, G] ⊄ N gives a nonabelian G/N, and every
     # normal M ⊋ N is larger, so contains [G, G]: each proper quotient
     # G/M is abelian.
     candidates = (tuple(sorted(s)) for s in _normal_subgroups_avoiding(t, der))
     N = min(candidates, key=lambda s: (-len(s), s))
-    Q = quotient(G, N, limit)
-    if not is_minimal_nonabelian(Q, limit):
+    Q = quotient(G, N)
+    if not is_minimal_nonabelian(Q):
         raise InternalCheckError(
             f"no minimal nonabelian quotient found for {G.descriptor()}"
         )
-    return N, Q, _classify(Q, limit)
+    return N, Q, _classify(Q)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,17 @@ Every group exposes a deterministic element order and a generating set;
 all searches and constructions derive their results from that order, never
 from timing, so repeated runs give identical answers.  Every group knows
 its order as p^e before any element is enumerated, and a limit check
-decides on e before p^e is computed.  `tables` builds the multiplication
-table from one row per generator.  No table calls a group law: H(n, d),
-A(n, d) and the cyclic C(p^k) = H(0, k) share one class-two normal form,
-which computes generator rows and inverses by arithmetic on its
-mixed-radix index layout, and a direct product pairs its factors' rows.
+decides on e before p^e is computed.  `tables(G, limit)` is the one
+function that takes a limit, and three rules make its one check enough: a
+group that already has a table passes; an index group (below) is never
+sized, as it is no larger than the parent whose sized law it was built
+from; and a direct product is sized by its order against DEFAULT_LIMIT
+when its law is composed without a table of its own.  `tables` builds the
+multiplication table from one row per generator.  No table calls a group
+law: H(n, d), A(n, d) and the cyclic C(p^k) = H(0, k) share one class-two
+normal form, which computes generator rows and inverses by arithmetic on
+its mixed-radix index layout, and a direct product pairs its factors'
+rows.
 Every other group is an index group: its elements are the indices
 0..n-1.  An explicit table is one once its axioms are checked, and its
 checked rows are its tables.  `subgroup` and `quotient` take parent
@@ -68,16 +74,17 @@ class PGroup:
     def _element_list(self) -> list:
         raise NotImplementedError
 
-    def _index_law(self, limit: int) -> _IndexLaw:
-        """The group law on element indices, materialized under ``limit``."""
+    def _index_law(self) -> _IndexLaw:
+        """The group law on element indices."""
         raise NotImplementedError
 
     def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
         """The identity's index, the row ``b -> s b`` of each generator
         index ``s`` (without the identity or repeats, in generator order),
         and the inverse of every index, all without calling the law.  By
-        default they are read from `_index_law`."""
-        law = self._index_law(limit)
+        default they are read from `_index_law`.  `tables` has sized the
+        group against ``limit``; a product tables its factors under it."""
+        law = self._index_law()
         n = len(law.inv)
         return law.e, {s: [law.mul(s, b) for b in range(n)] for s in law.gens}, law.inv
 
@@ -255,9 +262,13 @@ def _within_limit(p: int, e: int, limit: int) -> bool:
 
 
 def _check_limit(G: PGroup, limit: int) -> None:
-    """Refuse a group of order above ``limit`` (see `_within_limit`).  The
-    message names the group by its descriptor: an order such as 3^10001
-    is too long for Python to print in decimal."""
+    """Refuse to table a group of order above ``limit`` (see
+    `_within_limit`), unless it has a table or is an index group (the
+    rules are in `tables`).  The message names the group by its
+    descriptor: an order such as 3^10001 is too long for Python to print
+    in decimal."""
+    if isinstance(G, _IndexGroup) or getattr(G, "_tables", None) is not None:
+        return
     if not _within_limit(G.p, G._exp, limit):
         raise MaterializationLimitError(
             f"group {G.descriptor()} exceeds materialization limit {limit}"
@@ -272,9 +283,17 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     those breadth-first from the identity, so the table agrees with the
     law whenever the law is associative and the rows agree with it.  An
     explicit table's checked rows are its tables, cached when it is made.
-    ``limit`` applies to every group, cached or not, to every table built
-    on the way, and to the order of any product multiplied through its
-    factors instead.
+
+    This is the one function that takes a limit, and three rules make its
+    one check enough.  A group that already has a table passes: the check
+    exists to refuse building a table, and returning one costs nothing.
+    An index group is never sized: a subgroup or quotient is no larger
+    than the parent whose law it was built from, and that law was sized,
+    and an explicit table is already in memory.  A direct product is sized
+    by its order against DEFAULT_LIMIT when its law is composed without a
+    table of its own (`DirectProductGroup._index_law`), which bounds the
+    products inside central products and fiber products; a product tabled
+    here tables its factors under ``limit``.
     """
     _check_limit(G, limit)
     n = G.order
@@ -378,9 +397,9 @@ class _ClassTwoGroup(PGroup):
     def _element_list(self):
         return list(product(*map(range, self._radix)))
 
-    def _index_law(self, limit: int) -> _IndexLaw:
+    def _index_law(self) -> _IndexLaw:
         # read from the tables, which `_generator_rows` below computes
-        t = tables(self, limit)
+        t = tables(self)
         rows = t.mul
         return _IndexLaw(t.e, t.gens, lambda a, b: rows[a][b], t.inv)
 
@@ -492,10 +511,14 @@ class DirectProductGroup(PGroup):
         e1, e2 = self.g1.identity(), self.g2.identity()
         return [(g, e2) for g in self.g1.generators()] + [(e1, h) for h in self.g2.generators()]
 
-    def _index_law(self, limit: int) -> _IndexLaw:
+    def _index_law(self) -> _IndexLaw:
+        # the one law composed without a table of its own, so it is sized
+        _check_limit(self, DEFAULT_LIMIT)
+        return self._composed_law(DEFAULT_LIMIT)
+
+    def _composed_law(self, limit: int) -> _IndexLaw:
         # (a, b) has index a n2 + b, and (a, b) (c, d) = (a c, b d): only
         # the factors are tabled, however large the product
-        _check_limit(self, limit)
         t1 = tables(self.g1, limit)
         t2 = tables(self.g2, limit)
         n2 = t2.n
@@ -512,8 +535,8 @@ class DirectProductGroup(PGroup):
 
     def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
         # the row of (s1, s2) pairs the factor rows of s1 and s2
-        law = self._index_law(limit)
-        m1, m2 = tables(self.g1, limit).mul, tables(self.g2, limit).mul
+        law = self._composed_law(limit)
+        m1, m2 = tables(self.g1).mul, tables(self.g2).mul
         n2 = len(m2)
         rows = {s: [x * n2 + y for x in m1[s // n2] for y in m2[s % n2]] for s in law.gens}
         return law.e, rows, law.inv
@@ -548,8 +571,7 @@ class _IndexGroup(PGroup):
     def generators(self) -> list:
         return list(self._law.gens)
 
-    def _index_law(self, limit: int) -> _IndexLaw:
-        _check_limit(self, limit)
+    def _index_law(self) -> _IndexLaw:
         return self._law
 
     def _element_list(self):
@@ -564,13 +586,13 @@ def _parent_indices(law: _IndexLaw, xs, what: str) -> list[int]:
     return xs
 
 
-def subgroup(parent: PGroup, gen_indices, limit: int = DEFAULT_LIMIT) -> PGroup:
+def subgroup(parent: PGroup, gen_indices) -> PGroup:
     """The subgroup of ``parent`` generated by the elements with the parent
     indices ``gen_indices``.  Its k-th element is the k-th smallest parent
     index in it; its generators are those of ``gen_indices``, in order,
     without the identity or repeats.  Closure, rows and inverses use the
-    parent's index law (materialized under ``limit``)."""
-    law = parent._index_law(limit)
+    parent's index law."""
+    law = parent._index_law()
     gens = _parent_indices(law, gen_indices, "generating set")
     members = sorted(closure([law.e], gens, law.mul))
     pos = {m: k for k, m in enumerate(members)}
@@ -585,20 +607,19 @@ def subgroup(parent: PGroup, gen_indices, limit: int = DEFAULT_LIMIT) -> PGroup:
     )
 
 
-def quotient(parent: PGroup, normal_indices, limit: int = DEFAULT_LIMIT) -> PGroup:
+def quotient(parent: PGroup, normal_indices) -> PGroup:
     """G/N for the normal subgroup N of ``parent`` with the parent indices
     ``normal_indices``.
 
     Coset k is the k-th coset in the order of the least parent index in
     it, which is its representative, so the element order is
     deterministic.  Cosets, the normality check and the quotient's law all
-    use the parent's index law (materialized under ``limit``; a direct
-    product multiplies through its factors' tables).  Normality is tested
-    on the parent's generators only: conjugation is a bijection, so
-    s^-1 N s within N gives s^-1 N s = N, and the elements fixing N form a
-    subgroup.
+    use the parent's index law (a direct product multiplies through its
+    factors' tables).  Normality is tested on the parent's generators
+    only: conjugation is a bijection, so s^-1 N s within N gives
+    s^-1 N s = N, and the elements fixing N form a subgroup.
     """
-    law = parent._index_law(limit)
+    law = parent._index_law()
     mul = law.mul
     nidx = set(_parent_indices(law, normal_indices, "normal subgroup"))
     if law.e not in nidx:

@@ -23,7 +23,7 @@ from .analysis import (
     conjugacy_classes_idx,
     frattini_idx,
 )
-from .base import DEFAULT_LIMIT, GroupTables, PGroup, _extend_partial, _greedy_generators, tables
+from .base import GroupTables, PGroup, _extend_partial, _greedy_generators, tables
 
 
 def _signatures(t: GroupTables) -> list[tuple[int, int]]:
@@ -45,11 +45,11 @@ def _invariants(t: GroupTables):
     return (profile, len(center_idx(t)), len(commutator_subgroup_idx(t)), len(phi)), phi
 
 
-def is_isomorphic(G: PGroup, H: PGroup, limit: int = DEFAULT_LIMIT) -> bool:
+def is_isomorphic(G: PGroup, H: PGroup) -> bool:
     if G.p != H.p:
         return False
-    tg = tables(G, limit)
-    th = tables(H, limit)
+    tg = tables(G)
+    th = tables(H)
     inv_g, phi_g = _invariants(tg)
     if inv_g != _invariants(th)[0]:
         return False

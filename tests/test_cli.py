@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import time
 from pathlib import Path
 
@@ -26,7 +27,8 @@ from ramforge.errors import (
     VerificationMismatchError,
 )
 from ramforge.forge import P3Parameters, build_p3_tower
-from ramforge.pgroups import CyclicPGroup, DirectProductGroup, make_group, tables
+from ramforge.pgroups import DEFAULT_LIMIT, CyclicPGroup, DirectProductGroup, make_group, tables
+from ramforge.pgroups import base
 
 from conftest import within
 
@@ -397,6 +399,80 @@ def test_mutated_certificate_refused(mutant_path, mutant):
         code, out, err = run(["verify", str(mutant_path)])
     assert code in (EXIT_USAGE, EXIT_MISMATCH), (what, code, err)
     assert not out and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("precision", ["63", "0", "-1"])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.name)
+def test_precision_below_floor_refused(tmp_path, path, precision):
+    """`verify` refuses a certificate whose precision `p3` would refuse,
+    whatever kind it is and whether or not its steps read the precision."""
+    text = path.read_text()
+    edited = re.sub(r"^param precision = \d+$", f"param precision = {precision}", text, flags=re.M)
+    assert edited != text
+    target = tmp_path / path.name
+    target.write_text(edited)
+    with within(1, f"{path.name} at precision {precision}"):
+        code, out, err = run(["verify", str(target)])
+    assert code == EXIT_USAGE and not out and f">= 64, got {precision}" in err
+
+
+H2 = "kind=H p=3 n=2 d=1"
+# group commands on groups of order 243, which table quotients of order 81
+ORDER_243 = {
+    "basics": ["group", "basics", "--descriptor", H2],
+    "classify H(2,1)": ["group", "classify", "--kind", "H", "--p", "3", "--n", "2", "--d", "1"],
+    "classify A(2,1)": ["group", "classify", "--descriptor", "kind=A p=3 n=2 d=1"],
+    "minquot": ["group", "minquot", "--descriptor", "kind=H p=3 n=1 d=1 x kind=C p=3 k=2"],
+    "iso": ["group", "iso", "--lhs", H2, "--rhs", "kind=A p=3 n=2 d=1"],
+    "iso of a table": ["group", "iso", "--lhs", "@{f}", "--rhs", H2],
+    "classify a table": ["group", "classify", "--table", "{f}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_243))
+def test_limit_above_default_reaches_every_command(monkeypatch, tmp_path, case):
+    """``--limit`` sizes the group named on the command line once: with
+    every check against DEFAULT_LIMIT lowered to 27, ``--limit 243`` still
+    runs each analysis command on a group of order 243, whose quotients
+    and subgroups are never sized again."""
+    path = tmp_path / "h21.table"
+    rows = tables(make_group("H", 3, 2, 1)).mul
+    path.write_text("\n".join(" ".join(map(str, row)) for row in rows) + "\n")
+    argv = [a.replace("{f}", str(path)) for a in ORDER_243[case]]
+    want = run(["--limit", "243"] + argv)
+    real = base._within_limit
+    monkeypatch.setattr(
+        base, "_within_limit", lambda p, e, limit: real(p, e, 27 if limit == DEFAULT_LIMIT else limit)
+    )
+    assert run(["--limit", "243"] + argv) == want and want[0] == EXIT_OK
+    assert run(["--limit", "80", "group", "minquot", "--descriptor", f"{H11} x kind=C p=3 k=1"])[0] == EXIT_LIMIT
+    if "table" not in case:  # the lowered default bites without --limit
+        assert run(argv)[0] == EXIT_LIMIT
+
+
+UNTABLED = {
+    "make above the default limit": (
+        ["--limit", "20000", "group", "make", "--kind", "H", "--p", "3", "--n", "4", "--d", "1"],
+        "order: 19683",
+    ),
+    "iso of two primes": (
+        ["group", "iso", "--lhs", "kind=H p=3 n=3 d=2", "--rhs", "kind=C p=5 k=1"],
+        "not isomorphic",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNTABLED))
+def test_answered_without_tables(monkeypatch, case):
+    """`group make` reports an order, and `group iso` answers for groups
+    of two primes, without building a table or listing an element."""
+    argv, want = UNTABLED[case]
+    built = []
+    for name in ("_generator_rows", "_element_list"):
+        monkeypatch.setattr(base._ClassTwoGroup, name, lambda *args, _name=name: built.append(_name))
+    with within(1, case):
+        code, out, _ = run(argv)
+    assert code == EXIT_OK and want in out and built == []
 
 
 TOWER_CERT = Path(__file__).resolve().parent.parent / "certs" / "p3-tower-p3-b1-a4.cert"

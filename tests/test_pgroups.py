@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import random
 import time
 import weakref
@@ -31,6 +32,7 @@ from ramforge.pgroups import (
     subgroup,
     tables,
 )
+from ramforge import pgroups
 from ramforge.pgroups import analysis, base
 from ramforge.pgroups.analysis import _normal_subgroups_avoiding
 from ramforge.pgroups.base import _extend_partial
@@ -358,8 +360,9 @@ class TestBasics:
         assert len(gb.center) == 9
 
     def test_limit(self):
+        # H(4, 1) has order 3^9 = 19683
         with pytest.raises(MaterializationLimitError):
-            group_basics(H(2, 1), limit=27)
+            group_basics(H(4, 1))
 
 
 class TestAbcd:
@@ -644,7 +647,7 @@ class TestTableGroup:
 
     def test_tables_are_the_checked_rows(self, monkeypatch):
         # the rows given (tuples are kept as they are) are the table's
-        # rows: nothing is composed, and only the limit is checked
+        # rows: nothing is composed, and no limit refuses them
         rows = [tuple(row) for row in relabelled(law_tables(A(1, 2)), 4)]
         G = TableGroup(3, rows)
         monkeypatch.setattr(G, "_generator_rows", None)
@@ -652,8 +655,7 @@ class TestTableGroup:
         assert all(a is b for a, b in zip(t.mul, rows)) and len(t.mul) == len(rows)
         assert (t.e, t.gens) == (G.identity(), tuple(G.generators()))
         assert t.inv == [G.inv(a) for a in range(t.n)]
-        with pytest.raises(MaterializationLimitError):
-            tables(G, limit=27)
+        assert tables(G, limit=27) is t
 
 
 class TestQuotientDeterminism:
@@ -840,24 +842,33 @@ class TestIndexNative:
         assert calls1 == calls2 == Counter()
 
     def test_limit_reaches_the_parent(self):
-        G = H(1, 2)
+        G = H(9, 1)  # order 3^19
         with pytest.raises(MaterializationLimitError):
-            quotient(G, [0], limit=27)
+            quotient(G, [0])
         with pytest.raises(MaterializationLimitError):
-            tables(DirectProductGroup(H(1, 1), CyclicPGroup(3, 1)), limit=27)
+            subgroup(G, [1])
+        # a product of order 3^12 is refused by its order before it or a
+        # factor is tabled, although each factor (3^6) is within the limit
+        P = DirectProductGroup(H(2, 2), H(2, 2))
+        for refused in (lambda: tables(P), lambda: quotient(P, [0]), lambda: subgroup(P, [3])):
+            with pytest.raises(MaterializationLimitError):
+                refused()
+        assert [getattr(F, "_tables", None) for F in (P, P.g1, P.g2)] == [None] * 3
         with pytest.raises(MaterializationLimitError):
-            subgroup(G, [1], limit=27)
-        # a product is refused by its order, although it is never tabled
-        # and each factor is within the limit
-        P = DirectProductGroup(H(1, 1), CyclicPGroup(3, 1))
+            central_product(H(2, 2), H(2, 2))
         with pytest.raises(MaterializationLimitError):
-            quotient(P, [0], limit=27)
-        with pytest.raises(MaterializationLimitError):
-            subgroup(P, [3], limit=27)
-        with pytest.raises(MaterializationLimitError):
-            central_product(H(1, 1), H(1, 1), limit=243)
-        with pytest.raises(MaterializationLimitError):
-            build_A1d_via_Gd(3, 2, limit=243)
+            build_A1d_via_Gd(3, 5)  # H(1, 1) x C(3^6) has order 3^9
+
+
+def test_only_tables_takes_a_limit():
+    """A group is sized once, where it enters: `tables` is the one public
+    pgroups callable with a ``limit`` parameter."""
+    takes = [
+        name
+        for name in pgroups.__all__
+        if callable(obj := getattr(pgroups, name)) and "limit" in inspect.signature(obj).parameters
+    ]
+    assert takes == ["tables"]
 
 
 class TestDescriptors:
