@@ -158,7 +158,8 @@ def cmd_group(args) -> int:
     if args.group_cmd == "iso":
         lhs = _load_group(args.lhs, args.p, args.limit)
         rhs = _load_group(args.rhs, args.p, args.limit)
-        if lhs.p == rhs.p:  # is_isomorphic answers two primes without tables
+        # is_isomorphic answers two orders without tables
+        if (lhs.p, lhs._exp) == (rhs.p, rhs._exp):
             tables(lhs, args.limit)
             tables(rhs, args.limit)
         same = is_isomorphic(lhs, rhs)

@@ -12,7 +12,8 @@ generator commutators, and of those with the generator p-th powers),
 conjugacy classes and the homomorphism check of an automorphism.  Each
 traversal is one `closure`: a normal closure closes the identity under
 its generators and conjugation, classes and cycles are orbits, and the
-minimal-quotient search joins conjugacy classes to the trivial subgroup.
+minimal-quotient search builds subgroups of G' and of the preimage of a
+center from their generators, without walking G's normal subgroups.
 Subgroups and quotients are built from parent indices (see `subgroup` and
 `quotient`), so central and fiber products never enumerate or table their
 ambient product.  The Burnside check takes the automorphism as a
@@ -27,6 +28,7 @@ elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd, lcm
 
 from ..errors import InternalCheckError, ParameterError
@@ -37,6 +39,7 @@ from .base import (
     HGroup,
     PGroup,
     _extend_partial,
+    _greedy_generators,
     _log_p,
     closure,
     quotient,
@@ -57,14 +60,6 @@ def center_idx(t: GroupTables) -> list[int]:
     """Elements commuting with every generator."""
     cols = [(s, t.mul[s]) for s in t.gens]
     return [a for a, row in enumerate(t.mul) if all(row[s] == rs[a] for s, rs in cols)]
-
-
-def closure_idx(t: GroupTables, gens, start=None) -> list[int]:
-    """Sorted elements of ``start`` (default the identity) right-multiplied
-    by products of ``gens``: the subgroup <start, gens> when ``start`` is a
-    normal subgroup or lies in <gens>."""
-    mul = t.mul
-    return sorted(closure(start or [t.e], list(gens), lambda x, g: mul[x][g]))
 
 
 def normal_closure_idx(t: GroupTables, xs) -> list[int]:
@@ -188,9 +183,9 @@ def check_abcd(G: PGroup) -> AbcdResult:
     )
 
 
-def _central_order_p_subgroups(t: GroupTables) -> set[tuple[int, ...]]:
+def _central_order_p_subgroups(t: GroupTables) -> set[frozenset[int]]:
     orders = t.orders()
-    return {tuple(closure_idx(t, [g])) for g in center_idx(t) if orders[g] == t.p}
+    return {frozenset(t.power(g, k) for k in range(t.p)) for g in center_idx(t) if orders[g] == t.p}
 
 
 def is_minimal_nonabelian(G: PGroup) -> bool:
@@ -332,36 +327,50 @@ def conjugacy_classes_idx(t: GroupTables) -> list[frozenset[int]]:
     return _orbits(t.n, t.gens, t.conj)
 
 
-def _normal_subgroups_avoiding(t: GroupTables, forbidden: frozenset[int]) -> set[frozenset[int]]:
-    """All normal subgroups N with forbidden ⊄ N: the trivial subgroup
-    closed under joining a conjugacy class, where a join that contains
-    ``forbidden`` is not taken (nor anything above it)."""
-
-    def join(cur: frozenset[int], cls: frozenset[int]) -> frozenset[int]:
-        if cls <= cur:
-            return cur
-        closed = frozenset(closure_idx(t, cls, cur))
-        return cur if forbidden <= closed else closed
-
-    return closure([frozenset({t.e})], conjugacy_classes_idx(t), join)
-
-
 def minimal_nonabelian_quotient(G: PGroup) -> tuple[tuple, PGroup, ClassifyResult]:
     """A largest normal subgroup N with G/N minimal nonabelian: the
     sorted indices of N in G, G/N and its classification.
 
-    Ties in size are broken by element indices, so the witness is
-    deterministic.
+    N is the largest normal subgroup with G' = [G, G] ⊄ N, least in its
+    sorted indices among those of its size: every larger normal subgroup
+    contains G', so each proper quotient of G/N is abelian.  The search
+    does not walk G's normal subgroups.  Q = G/N has |Q'| = p and Q'
+    central (each central subgroup of order p contains Q'), so M = N ∩ G'
+    has index p in G' and contains [G', G], and [N, G] ≤ M puts N in
+    Z̃_M = {g : [g, s] ∈ M for every generator s}, the preimage of
+    Z(G/M).  Conversely every N with M ≤ N ≤ Z̃_M and G' ⊄ N is normal,
+    as N/M is central.  So a search over these M and N has the maximizers
+    of the lattice search, and the tie-break picks the same N.  Z̃_M/M is
+    abelian, and a largest N/M avoiding G'/M = <cM> has a cyclic quotient
+    of order p^(h+1), with h the height of cM; so N contains the
+    p^(h+1)-th powers of Z̃_M, and joining each g in index order while c
+    stays out gives the least such N.
     """
     if is_abelian(G):
         raise ParameterError(f"{G.descriptor()} is abelian; no nonabelian quotient")
     t = tables(G)
-    der = frozenset(commutator_subgroup_idx(t))
-    # A largest normal N with [G, G] ⊄ N gives a nonabelian G/N, and every
-    # normal M ⊋ N is larger, so contains [G, G]: each proper quotient
-    # G/M is abelian.
-    candidates = (tuple(sorted(s)) for s in _normal_subgroups_avoiding(t, der))
-    N = min(candidates, key=lambda s: (-len(s), s))
+    p, step = t.p, t.law().mul
+    der = commutator_subgroup_idx(t)
+    # G' over low = [G', G] (G')^p is elementary abelian and central; the
+    # M are the kernels of the f with f(basis[i]) = 1, f(basis[:i]) = 0
+    comms = [[t.commutator(g, s) for s in t.gens] for g in range(t.n)]
+    low = normal_closure_idx(t, [x for d in der for x in comms[d]] + [t.power(d, p) for d in der])
+    basis = _greedy_generators(der, low, step)
+    candidates = []
+    for i, c in enumerate(basis):
+        for fs in product(range(p), repeat=len(basis) - i - 1):
+            kernel = basis[:i] + [step(x, t.power(c, p - f)) for x, f in zip(basis[i + 1 :], fs)]
+            M = closure(low, kernel, step)
+            # Z̃_M; N starts at M times its p^(h+1)-th powers, k = p^(h+1)
+            z = [g for g, cs in enumerate(comms) if all(x in M for x in cs)]
+            k = p
+            while c in (N := closure(M, {t.power(g, k) for g in z}, step)):
+                k *= p
+            for g in z:
+                if g not in N and c not in (joined := closure(N, [g], step)):
+                    N = joined
+            candidates.append(sorted(N))
+    N = tuple(min(candidates, key=lambda s: (-len(s), s)))
     Q = quotient(G, N)
     if not is_minimal_nonabelian(Q):
         raise InternalCheckError(

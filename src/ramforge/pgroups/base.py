@@ -20,10 +20,11 @@ Every other group is an index group: its elements are the indices
 0..n-1.  An explicit table is one once its axioms are checked, and its
 checked rows are its tables.  `subgroup` and `quotient` take parent
 indices and return one whose law is composed from the parent's index
-law, so they keep no element view.  A direct product multiplies indices
-through its factors' tables, so a subgroup or quotient of a product never
-tables the product itself; a quotient checks normality by conjugating N
-by the parent's generators only.  The laws of H, A, C and products stay
+law, so they keep no element view.  A direct product without a table of
+its own multiplies indices through its factors' tables, so a subgroup or
+quotient of a product never tables the product itself; a tabled product
+reads its law from its rows.  A quotient checks normality by conjugating
+N by the parent's generators only.  The laws of H, A, C and products stay
 the public API and the test oracle for the tables.
 """
 
@@ -169,6 +170,11 @@ class GroupTables:
         """g^-1 h^-1 g h"""
         return self.mul[self.mul[self.inv[g]][self.inv[h]]][self.mul[g][h]]
 
+    def law(self) -> _IndexLaw:
+        """The group law read from the rows."""
+        rows = self.mul
+        return _IndexLaw(self.e, self.gens, lambda a, b: rows[a][b], self.inv)
+
     def power(self, g: int, k: int) -> int:
         out = self.e
         acc = g
@@ -198,14 +204,16 @@ def closure(start, gens, mul) -> set:
     return seen
 
 
-def _greedy_generators(n: int, span: set, mul) -> list[int]:
-    """Indices in increasing order, each taken when it lies outside
-    ``span`` closed under right multiplication by the ones taken before,
-    until that closure has all n elements.  From the identity they
-    generate; from Phi(G) they form a minimal generating sequence."""
+def _greedy_generators(elements, span, mul) -> list[int]:
+    """Indices of the subgroup ``elements`` in increasing order, each taken
+    when it lies outside ``span`` closed under right multiplication by the
+    ones taken before, until that closure is all of ``elements``.  From the
+    identity they generate; from Phi(G) they form a minimal generating
+    sequence; from a normal L in a subgroup D with D/L elementary abelian,
+    a basis of D/L."""
     gens: list[int] = []
-    for g in range(n):
-        if len(span) == n:
+    for g in elements:
+        if len(span) == len(elements):
             break
         if g not in span:
             gens.append(g)
@@ -399,9 +407,7 @@ class _ClassTwoGroup(PGroup):
 
     def _index_law(self) -> _IndexLaw:
         # read from the tables, which `_generator_rows` below computes
-        t = tables(self)
-        rows = t.mul
-        return _IndexLaw(t.e, t.gens, lambda a, b: rows[a][b], t.inv)
+        return tables(self).law()
 
     def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
         # Each generator steps its digit; y_i also takes shift * (x_i mod p)
@@ -512,6 +518,8 @@ class DirectProductGroup(PGroup):
         return [(g, e2) for g in self.g1.generators()] + [(e1, h) for h in self.g2.generators()]
 
     def _index_law(self) -> _IndexLaw:
+        if getattr(self, "_tables", None) is not None:
+            return self._tables.law()
         # the one law composed without a table of its own, so it is sized
         _check_limit(self, DEFAULT_LIMIT)
         return self._composed_law(DEFAULT_LIMIT)
@@ -614,10 +622,11 @@ def quotient(parent: PGroup, normal_indices) -> PGroup:
     Coset k is the k-th coset in the order of the least parent index in
     it, which is its representative, so the element order is
     deterministic.  Cosets, the normality check and the quotient's law all
-    use the parent's index law (a direct product multiplies through its
-    factors' tables).  Normality is tested on the parent's generators
-    only: conjugation is a bijection, so s^-1 N s within N gives
-    s^-1 N s = N, and the elements fixing N form a subgroup.
+    use the parent's index law (a direct product without a table of its
+    own multiplies through its factors' tables).  Normality is tested on
+    the parent's generators only: conjugation is a bijection, so
+    s^-1 N s within N gives s^-1 N s = N, and the elements fixing N form
+    a subgroup.
     """
     law = parent._index_law()
     mul = law.mul
@@ -693,7 +702,7 @@ class TableGroup(_IndexGroup):
                 raise ParameterError(f"element {a} has no inverse")
             inverse.append(b)
         # every element is a product e s_1 s_2 ... of these generators
-        gens = _greedy_generators(n, {ident}, lambda x, s: rows[x][s])
+        gens = _greedy_generators(range(n), {ident}, lambda x, s: rows[x][s])
         for a in gens:
             row_a = rows[a]
             gather = itemgetter(*row_a)

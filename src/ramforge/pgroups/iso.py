@@ -46,7 +46,7 @@ def _invariants(t: GroupTables):
 
 
 def is_isomorphic(G: PGroup, H: PGroup) -> bool:
-    if G.p != H.p:
+    if G.p != H.p or G._exp != H._exp:  # orders p^e differ: no table needed
         return False
     tg = tables(G)
     th = tables(H)
@@ -61,7 +61,7 @@ def is_isomorphic(G: PGroup, H: PGroup) -> bool:
     if sorted(sig_g) != sorted(sig_h):
         return False
     # a minimal generating sequence: greedy from Phi(G) (Burnside basis theorem)
-    gens = _greedy_generators(tg.n, set(phi_g), lambda x, g: tg.mul[x][g])
+    gens = _greedy_generators(range(tg.n), set(phi_g), lambda x, g: tg.mul[x][g])
     by_sig: dict[tuple[int, int], list[int]] = {}
     for h, s in enumerate(sig_h):
         by_sig.setdefault(s, []).append(h)

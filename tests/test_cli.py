@@ -345,6 +345,17 @@ def test_large_prime_within_1s():
     assert code == EXIT_USAGE and not out and "too large" in err
 
 
+def test_minquot_order_2187_within_1s():
+    """A(1,1) x A(1,1) x C3, order 2187: the largest kernels have order
+    81, with quotient A(1,1).  A walk of the whole normal-subgroup lattice
+    takes ~46 s on this group (2-core VM)."""
+    descriptor = "kind=A p=3 n=1 d=1 x kind=A p=3 n=1 d=1 x kind=C p=3 k=1"
+    with within(1, "group minquot A(1,1) x A(1,1) x C3"):
+        code, out, _ = run(["group", "minquot", "--descriptor", descriptor])
+    assert code == EXIT_OK
+    assert out == "kernel_order: 81\nquotient: kind=A p=3 n=1 d=1\n"
+
+
 def test_large_p_tower_verifies_within_1s(tmp_path):
     """The tower certificate at p = 1000003, (b, a) = (1, 4): its witness
     degree i' is 5, so checking it costs what p = 3 costs."""
@@ -459,13 +470,18 @@ UNTABLED = {
         ["group", "iso", "--lhs", "kind=H p=3 n=3 d=2", "--rhs", "kind=C p=5 k=1"],
         "not isomorphic",
     ),
+    "iso of two orders": (
+        ["group", "iso", "--lhs", "kind=H p=3 n=3 d=2", "--rhs", "kind=C p=3 k=1"],
+        "not isomorphic",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNTABLED))
 def test_answered_without_tables(monkeypatch, case):
     """`group make` reports an order, and `group iso` answers for groups
-    of two primes, without building a table or listing an element."""
+    of two primes or two orders, without building a table or listing an
+    element."""
     argv, want = UNTABLED[case]
     built = []
     for name in ("_generator_rows", "_element_list"):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import inspect
+import itertools
 import random
 import time
 import weakref
@@ -34,10 +35,9 @@ from ramforge.pgroups import (
 )
 from ramforge import pgroups
 from ramforge.pgroups import analysis, base
-from ramforge.pgroups.analysis import _normal_subgroups_avoiding
 from ramforge.pgroups.base import _extend_partial
 
-from conftest import index_perm
+from conftest import index_perm, largest_kernel_avoiding_derived, normal_subgroups_avoiding, within
 
 
 def H(n, d, p=3):
@@ -485,6 +485,39 @@ class TestMinQuot:
         assert k1 == k2
 
 
+# Factors of the products on which the minimal-quotient search is
+# compared with the lattice walk: H(1-2, 1-2), A(1-2, 1-2), C(3^1..3^3)
+MINQUOT_FACTORS = {f"{k}({n},{d})": f"kind={k} p=3 n={n} d={d}" for k in "HA" for n in (1, 2) for d in (1, 2)}
+MINQUOT_FACTORS.update({f"C{3 ** k}": f"kind=C p=3 k={k}" for k in (1, 2, 3)})
+
+
+def products_up_to_729() -> dict:
+    """Every nonabelian direct product of the factors above of order at
+    most 729, each factor multiset once, a nonabelian factor first."""
+    out = {}
+    for r in range(1, 5):
+        for combo in itertools.combinations_with_replacement(MINQUOT_FACTORS, r):
+            descriptor = " x ".join(MINQUOT_FACTORS[f] for f in combo)
+            if combo[0][0] != "C" and parse_group_descriptor(descriptor).order <= 729:
+                out[" x ".join(combo)] = descriptor
+    return out
+
+
+MINQUOT_PRODUCTS = products_up_to_729()
+
+
+@pytest.mark.parametrize("name", sorted(MINQUOT_PRODUCTS))
+def test_minquot_matches_lattice_search(name):
+    # the search over index-p subgroups of [G, G] against the walk of the
+    # whole normal-subgroup lattice: the same kernel, so the same quotient
+    G = parse_group_descriptor(MINQUOT_PRODUCTS[name])
+    want = largest_kernel_avoiding_derived(G)
+    kernel, Q, cls = minimal_nonabelian_quotient(G)
+    assert kernel == want
+    assert cls == classify_minimal(quotient(G, want))
+    assert tables(Q).mul == tables(quotient(G, want)).mul
+
+
 def inversion_map(G):
     return {g: G.inv(g) for g in G.elements()}
 
@@ -614,6 +647,13 @@ class TestIsomorphism:
         swap = _extend_partial(t, t, [(x, y), (y, x)])
         assert swap is not None and sorted(swap.values()) == list(range(t.n))
 
+    def test_orders_differ_without_tables(self):
+        # H(3, 2) has order 3^8: equal primes, different orders, no table
+        G, C = H(3, 2), CyclicPGroup(3, 1)
+        with within(1, "is_isomorphic(H(3, 2), C(3))"):
+            assert not is_isomorphic(G, C) and not is_isomorphic(C, G)
+        assert getattr(G, "_tables", None) is None and getattr(C, "_tables", None) is None
+
     def test_relabelled_table(self):
         G = H(1, 1)
         t = tables(G)
@@ -710,7 +750,7 @@ class TestQuotientDifferential:
         t = tables(G)
         elems = G.elements()
         # an index outside the group is in no subgroup, so nothing is pruned
-        normals = _normal_subgroups_avoiding(t, frozenset({t.n}))
+        normals = normal_subgroups_avoiding(t, frozenset({t.n}))
         assert len(normals) > 3
         for sub in normals:
             N = sorted(sub)
@@ -840,6 +880,22 @@ class TestIndexNative:
         calls1, calls2 = counting_law(g1), counting_law(g2)
         assert tables(DirectProductGroup(g1, g2)).n == 729
         assert calls1 == calls2 == Counter()
+
+    def test_tabled_product_reads_its_own_table(self, monkeypatch):
+        # a quotient of a tabled product multiplies through the product's
+        # rows, and equals the quotient composed through the factors
+        composed = DirectProductGroup(H(1, 1), CyclicPGroup(3, 2))
+        tabled = DirectProductGroup(H(1, 1), CyclicPGroup(3, 2))
+        t = tables(tabled)
+        N = analysis.center_idx(t)
+
+        def refuse(limit):
+            raise AssertionError("composed a law for a tabled product")
+
+        monkeypatch.setattr(tabled, "_composed_law", refuse)
+        via_rows, via_factors = tables(quotient(tabled, N)), tables(quotient(composed, N))
+        assert (via_rows.mul, via_rows.inv) == (via_factors.mul, via_factors.inv)
+        assert getattr(composed, "_tables", None) is None
 
     def test_limit_reaches_the_parent(self):
         G = H(9, 1)  # order 3^19
