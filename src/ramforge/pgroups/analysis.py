@@ -1,6 +1,8 @@
 """Structure analysis for small p-groups: centers, commutators, Frattini
 subgroups, minimal-nonabelian recognition and classification, central
-products, and the prime-to-p automorphism triviality check.
+products, and the prime-to-p automorphism triviality check.  One
+structural pass (`check_abcd`) gives minimality and the H/A type, and
+`_minimal` cross-checks it; each recognizer and classifier calls it once.
 
 Everything here runs on materialized index tables, which keeps the checks
 independent of the normal-form constructions they are applied to: a
@@ -21,8 +23,7 @@ permutation of indices and decides triviality on P/Phi(P) as
 g^-1 alpha(g) in Phi(P) without building the quotient; only
 `automorphism_from_generator_images` and `group_basics` speak in group
 elements.  Element orders (computed once per table), exponents and the
-p-th power conditions of the structural checks remain exhaustive over all
-elements.
+p-th powers of the structural pass remain exhaustive over all elements.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _is_cyclic_idx(t: GroupTables, subset: list[int]) -> bool:
 
 @dataclass(frozen=True)
 class AbcdResult:
-    """The four structural conditions for a minimal nonabelian p-group."""
+    """The four structural conditions of a minimal nonabelian p-group and its type."""
 
     class_two: bool  # (i)
     center_cyclic: bool  # (ii)
@@ -132,6 +133,7 @@ class AbcdResult:
     nondegenerate_form: bool  # (iv)
     n: int | None = None
     d: int | None = None
+    kind: str | None = None
 
     @property
     def all_true(self) -> bool:
@@ -144,6 +146,8 @@ class AbcdResult:
 
 
 def check_abcd(G: PGroup) -> AbcdResult:
+    """The conditions and the type from one list of p-th powers: G is of
+    H type exactly when every p-th power is one of a central element."""
     t = tables(G)
     p = G.p
     z = center_idx(t)
@@ -157,22 +161,24 @@ def check_abcd(G: PGroup) -> AbcdResult:
     d = _log_p(len(z), p)
     center_cyclic = d >= 1 and _is_cyclic_idx(t, z)
 
-    socle = {g for g in z if t.power(g, p) == t.e}
-    commutator_is_socle = len(der) == p and derset <= zset and derset == socle
-
-    # (iv): G/Z elementary abelian of even rank 2n and the commutator pairing
-    # nondegenerate; the pairing is an F_p-form only when [G, G] has order p
-    # and the class is 2 (which makes it well defined and bilinear).
-    nondegenerate_form = False
-    n = None
+    # (iii) and (iv) need [G, G] central of order p; (iv) also needs G/Z
+    # elementary abelian of even rank 2n, and then the commutator pairing
+    # is a well-defined bilinear F_p-form.
+    commutator_is_socle = nondegenerate_form = False
+    n = kind = None
     if class_two and len(der) == p:
+        powers = [t.power(g, p) for g in range(t.n)]
+        commutator_is_socle = derset == {g for g in z if powers[g] == t.e}
         r = _log_p(t.n // len(z), p)
-        elementary = all(t.power(g, p) in zset for g in range(t.n))
+        elementary = all(x in zset for x in powers)
         # The pairing's radical on G/Z(G) is trivial by construction: Z(G)
         # is exactly the set of elements commuting with every generator.
         if r >= 2 and r % 2 == 0 and elementary:
             nondegenerate_form = True
             n = r // 2
+        if commutator_is_socle and nondegenerate_form and center_cyclic:
+            zp = {powers[g] for g in z}
+            kind = "H" if all(x in zp for x in powers) else "A"
     return AbcdResult(
         class_two=class_two,
         center_cyclic=center_cyclic,
@@ -180,36 +186,13 @@ def check_abcd(G: PGroup) -> AbcdResult:
         nondegenerate_form=nondegenerate_form,
         n=n,
         d=d if center_cyclic else None,
+        kind=kind,
     )
 
 
 def _central_order_p_subgroups(t: GroupTables) -> set[frozenset[int]]:
     orders = t.orders()
     return {frozenset(t.power(g, k) for k in range(t.p)) for g in center_idx(t) if orders[g] == t.p}
-
-
-def is_minimal_nonabelian(G: PGroup) -> bool:
-    """Nonabelian with every proper quotient abelian.
-
-    Computed two independent ways and cross-checked: (1) directly, via
-    quotients by central order-p subgroups (every nontrivial normal
-    subgroup of a p-group contains one); (2) via the four structural
-    conditions.  Disagreement is a fatal internal error.
-    """
-    t = tables(G)
-    method1 = not is_abelian(G)
-    if method1:
-        for sub in _central_order_p_subgroups(t):
-            if not is_abelian(quotient(G, sub)):
-                method1 = False
-                break
-    method2 = check_abcd(G).all_true
-    if method1 != method2:
-        raise InternalCheckError(
-            f"minimality checks disagree on {G.descriptor()}: "
-            f"quotient method {method1}, structural method {method2}"
-        )
-    return method1
 
 
 @dataclass(frozen=True)
@@ -219,29 +202,38 @@ class ClassifyResult:
     d: int
 
 
+def _minimal(G: PGroup) -> ClassifyResult | None:
+    """The type of G when it is minimal nonabelian, else None.
+
+    Minimality is computed two independent ways and cross-checked: (1)
+    directly, via quotients by central order-p subgroups (every nontrivial
+    normal subgroup of a p-group contains one); (2) via the four
+    structural conditions, whose one pass also gives the type.
+    Disagreement is a fatal internal error.
+    """
+    method1 = not is_abelian(G) and all(
+        is_abelian(quotient(G, sub)) for sub in _central_order_p_subgroups(tables(G))
+    )
+    abcd = check_abcd(G)
+    if method1 != abcd.all_true:
+        raise InternalCheckError(
+            f"minimality checks disagree on {G.descriptor()}: "
+            f"quotient method {method1}, structural method {abcd.all_true}"
+        )
+    return ClassifyResult(abcd.kind, abcd.n, abcd.d) if method1 else None
+
+
+def is_minimal_nonabelian(G: PGroup) -> bool:
+    """Nonabelian with every proper quotient abelian (see `_minimal`)."""
+    return _minimal(G) is not None
+
+
 def classify_minimal(G: PGroup) -> ClassifyResult:
     """Classify a minimal nonabelian p-group as H(n, d) or A(n, d)."""
-    if not is_minimal_nonabelian(G):
+    cls = _minimal(G)
+    if cls is None:
         raise ParameterError(f"{G.descriptor()} is not minimal nonabelian")
-    return _classify(G)
-
-
-def _classify(G: PGroup) -> ClassifyResult:
-    """H(n, d) or A(n, d) for a group known to be minimal nonabelian.
-
-    The discriminator: the group is of H type exactly when every p-th power
-    lands in the p-th powers of the center.
-    """
-    t = tables(G)
-    p = G.p
-    z = center_idx(t)
-    d = _log_p(len(z), p)
-    n2 = _log_p(t.n, p) - d
-    if n2 % 2:
-        raise InternalCheckError("order / center size inconsistent with 2n + d")
-    zp = {t.power(g, p) for g in z}
-    kind = "H" if all(t.power(g, p) in zp for g in range(t.n)) else "A"
-    return ClassifyResult(kind=kind, n=n2 // 2, d=d)
+    return cls
 
 
 def _glued(G: PGroup, g: int) -> PGroup:
@@ -371,12 +363,14 @@ def minimal_nonabelian_quotient(G: PGroup) -> tuple[tuple, PGroup, ClassifyResul
                     N = joined
             candidates.append(sorted(N))
     N = tuple(min(candidates, key=lambda s: (-len(s), s)))
-    Q = quotient(G, N)
-    if not is_minimal_nonabelian(Q):
+    # G/{e} has the table of G, so a minimal nonabelian G is its own quotient
+    Q = G if len(N) == 1 else quotient(G, N)
+    cls = _minimal(Q)
+    if cls is None:
         raise InternalCheckError(
             f"no minimal nonabelian quotient found for {G.descriptor()}"
         )
-    return N, Q, _classify(Q)
+    return N, Q, cls
 
 
 @dataclass(frozen=True)

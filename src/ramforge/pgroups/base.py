@@ -79,12 +79,12 @@ class PGroup:
         """The group law on element indices."""
         raise NotImplementedError
 
-    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+    def _generator_rows(self) -> tuple[int, dict, list[int]]:
         """The identity's index, the row ``b -> s b`` of each generator
         index ``s`` (without the identity or repeats, in generator order),
         and the inverse of every index, all without calling the law.  By
         default they are read from `_index_law`.  `tables` has sized the
-        group against ``limit``; a product tables its factors under it."""
+        group."""
         law = self._index_law()
         n = len(law.inv)
         return law.e, {s: [law.mul(s, b) for b in range(n)] for s in law.gens}, law.inv
@@ -300,15 +300,14 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     and an explicit table is already in memory.  A direct product is sized
     by its order against DEFAULT_LIMIT when its law is composed without a
     table of its own (`DirectProductGroup._index_law`), which bounds the
-    products inside central products and fiber products; a product tabled
-    here tables its factors under ``limit``.
+    products inside central products and fiber products.
     """
     _check_limit(G, limit)
     n = G.order
     cached = getattr(G, "_tables", None)
     if cached is not None:
         return cached
-    e, rows, inv = G._generator_rows(limit)
+    e, rows, inv = G._generator_rows()
     gens = tuple(rows)
     # gather[s] maps the row of a to the row of a s, since (a s) b = a (s b)
     gather = {s: itemgetter(*row) for s, row in rows.items()}
@@ -409,7 +408,7 @@ class _ClassTwoGroup(PGroup):
         # read from the tables, which `_generator_rows` below computes
         return tables(self).law()
 
-    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+    def _generator_rows(self) -> tuple[int, dict, list[int]]:
         # Each generator steps its digit; y_i also takes shift * (x_i mod p)
         # off the central digit.  The inverse negates every digit and takes
         # shift * sum_i (x_i mod p) y_i off the central one.  Entry 0 of a
@@ -522,13 +521,13 @@ class DirectProductGroup(PGroup):
             return self._tables.law()
         # the one law composed without a table of its own, so it is sized
         _check_limit(self, DEFAULT_LIMIT)
-        return self._composed_law(DEFAULT_LIMIT)
+        return self._composed_law()
 
-    def _composed_law(self, limit: int) -> _IndexLaw:
+    def _composed_law(self) -> _IndexLaw:
         # (a, b) has index a n2 + b, and (a, b) (c, d) = (a c, b d): only
-        # the factors are tabled, however large the product
-        t1 = tables(self.g1, limit)
-        t2 = tables(self.g2, limit)
+        # the factors are tabled, each under the product's sized order
+        t1 = tables(self.g1, self.order)
+        t2 = tables(self.g2, self.order)
         n2 = t2.n
         m1, m2 = t1.mul, t2.mul
 
@@ -541,9 +540,9 @@ class DirectProductGroup(PGroup):
         inv = [a * n2 + b for a in t1.inv for b in t2.inv]
         return _IndexLaw(t1.e * n2 + t2.e, gens, mul, inv)
 
-    def _generator_rows(self, limit: int) -> tuple[int, dict, list[int]]:
+    def _generator_rows(self) -> tuple[int, dict, list[int]]:
         # the row of (s1, s2) pairs the factor rows of s1 and s2
-        law = self._composed_law(limit)
+        law = self._composed_law()
         m1, m2 = tables(self.g1).mul, tables(self.g2).mul
         n2 = len(m2)
         rows = {s: [x * n2 + y for x in m1[s // n2] for y in m2[s % n2]] for s in law.gens}

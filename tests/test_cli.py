@@ -366,7 +366,8 @@ def test_large_p_tower_verifies_within_1s(tmp_path):
     assert code == EXIT_OK and out.endswith(": verified\n")
 
 
-CORPUS = sorted((Path(__file__).resolve().parent.parent / "certs").glob("*.cert"))
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "certs"
+CORPUS = sorted(CORPUS_DIR.glob("*.cert"))
 
 
 @st.composite
@@ -410,6 +411,53 @@ def test_mutated_certificate_refused(mutant_path, mutant):
         code, out, err = run(["verify", str(mutant_path)])
     assert code in (EXIT_USAGE, EXIT_MISMATCH), (what, code, err)
     assert not out and err.startswith("error: ")
+
+
+# one param line of a corpus certificate set to a value the certificate's
+# kind refuses: certificate, key, value, and the refused condition as the
+# error names it
+HOSTILE_PARAMS = {
+    "A1d base of three breaks": ("nonint-A1d-p3-n1-d1", "base", "upper m=1 p=3 : 1, 4, 5", "must have 2 breaks, got 3"),
+    "A1d base not increasing": ("nonint-A1d-p3-n1-d1", "base", "upper m=1 p=3 : 1, 1", "strictly increasing"),
+    "A1d base break divisible by p": ("nonint-A1d-p3-n1-d1", "base", "upper m=1 p=3 : 3, 4", "integer prime to p, got 3"),
+    "nonint n = 0": ("nonint-H-p3-n2-d1", "n", "0", "need n >= 1 and d >= 1, got n=0 d=1"),
+    "nonint d = 0": ("nonint-H-p3-n2-d1", "d", "0", "need n >= 1 and d >= 1, got n=2 d=0"),
+    "chat m = 0": ("chat-H11-m2-trivial", "m", "0", "m must be positive, got 0"),
+    "tower b = 0": ("p3-tower-p3-b1-a4", "b", "0", "b must be positive, got 0"),
+    "beta unit of another prime": ("p3-tower-dense-p7-prec400", "beta_unit", "p=5 prec=40 : 0:1", "wrong modulus"),
+    "beta unit of valuation 1": ("p3-tower-dense-p7-prec400", "beta_unit", "p=7 prec=40 : 1:1", "must have valuation 0"),
+    "group without d": ("pchat-H11xC3", "group", "kind=H p=3 n=1", "malformed group descriptor"),
+    "group of unknown kind": ("pchat-H11xC3", "group", "kind=Q p=3 n=1 d=1", "unknown group kind 'Q'"),
+    "group with an extra field": ("pchat-H11xC3", "group", "kind=H p=3 n=1 d=1 e=2", "unexpected fields ['e']"),
+    "group with a bare key": ("pchat-H11xC3", "group", "kind=H p=3 n=1 d", "malformed group descriptor"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_PARAMS))
+def test_hostile_param_refused(tmp_path, case):
+    """A certificate whose parameters break a condition of its kind is
+    refused as bad input (exit 2), with an error naming the condition."""
+    name, key, value, why = HOSTILE_PARAMS[case]
+    text = (CORPUS_DIR / f"{name}.cert").read_text()
+    edited, count = re.subn(rf"^param {key} = .*$", f"param {key} = {value}", text, flags=re.M)
+    assert count == 1
+    target = tmp_path / f"{name}.cert"
+    target.write_text(edited)
+    with within(1, case):
+        code, out, err = run(["verify", str(target)])
+    assert code == EXIT_USAGE and not out and err.startswith("error: ") and why in err, err
+
+
+@pytest.mark.parametrize("entry", [27, -1])
+def test_table_entry_out_of_range(tmp_path, entry):
+    """A 27-row table naming an element outside 0..26 is refused."""
+    rows = [[(i + j) % 27 for j in range(27)] for i in range(27)]
+    rows[5][7] = entry
+    path = tmp_path / "input"
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    with within(1, f"entry {entry}"):
+        code, out, err = run(["group", "basics", "--table", str(path)])
+    assert code == EXIT_USAGE and not out and f"table entry {entry} out of range" in err
 
 
 @pytest.mark.parametrize("precision", ["63", "0", "-1"])

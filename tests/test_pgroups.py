@@ -34,7 +34,7 @@ from ramforge.pgroups import (
     tables,
 )
 from ramforge import pgroups
-from ramforge.pgroups import analysis, base
+from ramforge.pgroups import analysis, base, iso
 from ramforge.pgroups.base import _extend_partial
 
 from conftest import index_perm, largest_kernel_avoiding_derived, normal_subgroups_avoiding, within
@@ -302,18 +302,18 @@ class TestTables:
     def test_generators_must_generate(self):
         # the rows of x and z alone: <x, z> is a proper subgroup
         G = H(1, 1)
-        e, rows, inv = G._generator_rows(DEFAULT_LIMIT)
+        e, rows, inv = G._generator_rows()
         idx = G.index_map()
         kept = {idx[g]: rows[idx[g]] for g in (G.gen_x(0), G.gen_z())}
-        G._generator_rows = lambda limit: (e, kept, inv)
+        G._generator_rows = lambda: (e, kept, inv)
         with pytest.raises(InternalCheckError, match="do not reach"):
             tables(G)
 
     def test_inverses_must_be_inverses(self):
         # every element claimed to be its own inverse
         G = CyclicPGroup(3, 2)
-        e, rows, _ = G._generator_rows(DEFAULT_LIMIT)
-        G._generator_rows = lambda limit: (e, rows, list(range(G.order)))
+        e, rows, _ = G._generator_rows()
+        G._generator_rows = lambda: (e, rows, list(range(G.order)))
         with pytest.raises(InternalCheckError, match="inconsistent"):
             tables(G)
 
@@ -380,6 +380,10 @@ class TestAbcd:
         assert not res.commutator_is_socle
         assert not res.class_two
 
+    def test_type_only_when_all_true(self):
+        assert check_abcd(H(2, 1)).kind == "H" and check_abcd(A(2, 1)).kind == "A"
+        assert check_abcd(DirectProductGroup(A(1, 1), CyclicPGroup(3, 1))).kind is None
+
 
 class TestLargerFamilies:
     @pytest.mark.parametrize("kind,n,d", [("H", 2, 2), ("A", 2, 2)])
@@ -412,6 +416,16 @@ class TestMinimality:
     def test_classify_rejects_nonminimal(self):
         with pytest.raises(ParameterError):
             classify_minimal(CyclicPGroup(3, 1))
+
+    @pytest.mark.parametrize("decide", [classify_minimal, is_minimal_nonabelian])
+    def test_one_structural_pass(self, monkeypatch, decide):
+        # minimality and the type come from one check_abcd call
+        calls = []
+        check = analysis.check_abcd
+        monkeypatch.setattr(analysis, "check_abcd", lambda G: calls.append(G) or check(G))
+        G = A(1, 2)
+        decide(G)
+        assert calls == [G]
 
 
 class TestCentralProduct:
@@ -461,15 +475,19 @@ class TestMinQuot:
 
     def test_minimal_group_is_its_own_quotient(self, monkeypatch):
         # every proper quotient of H(2, 1) is abelian, so the search
-        # returns the trivial kernel, recognized once and not again to
-        # classify it
-        calls = []
-        check = analysis.is_minimal_nonabelian
+        # returns the trivial kernel; one structural pass recognizes and
+        # classifies G itself, and the only quotient built is the
+        # minimality cross-check's, by the centre of order 3
+        calls, kernels = [], []
+        check, divide = analysis.check_abcd, analysis.quotient
+        monkeypatch.setattr(analysis, "check_abcd", lambda G: calls.append(G) or check(G))
         monkeypatch.setattr(
-            analysis, "is_minimal_nonabelian", lambda *a: calls.append(a) or check(*a)
+            analysis, "quotient", lambda G, N: kernels.append(len(N)) or divide(G, N)
         )
-        kernel, quotient, cls = minimal_nonabelian_quotient(H(2, 1))
-        assert len(kernel) == 1 and len(calls) == 1
+        G = H(2, 1)
+        kernel, Q, cls = minimal_nonabelian_quotient(G)
+        assert len(kernel) == 1 and calls == [G] and Q is G
+        assert kernels == [3]
         assert (cls.kind, cls.n, cls.d) == ("H", 2, 1)
 
     def test_abelian_rejected(self):
@@ -629,6 +647,24 @@ class TestIsomorphism:
             assert (len(basics.center), len(basics.commutator_subgroup), len(basics.frattini)) == (9, 3, 3)
         assert Counter(tables(G).orders()) == Counter(tables(K).orders())
         assert not is_isomorphic(G, K) and not is_isomorphic(K, G)
+
+    def test_not_isomorphic_after_the_search(self):
+        # equal invariants and centralizer sizes, so only the backtracking
+        # search can answer; it must find no isomorphism.  G' lies in the
+        # ninth powers of the central product only.  The direct product
+        # goes first: ~4 s, against ~31 s the other way round
+        G = DirectProductGroup(A(1, 1), CyclicPGroup(3, 3))
+        K = central_product(A(1, 2), CyclicPGroup(3, 3))
+        tg, tk = tables(G), tables(K)
+        assert iso._invariants(tg)[0] == iso._invariants(tk)[0]
+        assert sorted(iso._signatures(tg)) == sorted(iso._signatures(tk))
+
+        def derived_in_ninth_powers(t):
+            return set(analysis.commutator_subgroup_idx(t)) <= {t.power(g, 9) for g in range(t.n)}
+
+        assert not derived_in_ninth_powers(tg) and derived_in_ninth_powers(tk)
+        with within(15, "A(1,1) x C27 against A(1,2) o C27"):
+            assert not is_isomorphic(G, K)
 
     def test_partial_map_consistency(self):
         # C_3 x C_3 -> C_9 by a -> 1, b -> 3 is injective but not a
@@ -798,7 +834,7 @@ class TestIndexRows:
     @pytest.mark.parametrize("kind, p, n, d", ROW_CASES)
     def test_rows_match_law(self, kind, p, n, d):
         G = CyclicPGroup(p, n) if kind == "C" else make_group(kind, p, n, d)
-        e, rows, inv = G._generator_rows(DEFAULT_LIMIT)
+        e, rows, inv = G._generator_rows()
         elems = G.elements()
         idx = G.index_map()
         assert e == idx[G.identity()]
@@ -889,7 +925,7 @@ class TestIndexNative:
         t = tables(tabled)
         N = analysis.center_idx(t)
 
-        def refuse(limit):
+        def refuse():
             raise AssertionError("composed a law for a tabled product")
 
         monkeypatch.setattr(tabled, "_composed_law", refuse)
