@@ -505,8 +505,12 @@ def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> 
         construction = partial(central_product, base, h11)
         form_inputs = (("left", base.descriptor()), ("right", h11.descriptor()))
 
-    # A check runs only when every group it tables (the target has the side
-    # group's order) is of order <= CERT_GROUP_LIMIT < DEFAULT_LIMIT.
+    # A check runs only when its groups (the target has the side group's
+    # order) are of order <= CERT_GROUP_LIMIT < DEFAULT_LIMIT, and is
+    # recorded as assumed otherwise.  The limit keeps the choice between
+    # the two, hence the certificate bytes, fixed; it does not bound the
+    # cost: the side group's centre is larger than the target's, so the
+    # distinctness check tables neither group.
     if _within_limit(p, side._exp, CERT_GROUP_LIMIT):
         if is_isomorphic(side, target):
             raise InternalCheckError("side field group matches the target group")

@@ -1,7 +1,10 @@
 """Brute-force isomorphism testing for desk-scale p-groups.
 
-Cheap invariants (order profile, center / commutator / Frattini sizes,
-abelian type) reject most non-isomorphic pairs outright; otherwise a
+The orders p^e are compared first, then the centre orders, counted from
+generator rows (or read from a table one group already has), so two
+groups that differ there are never tabled.  Cheap invariants of the
+tables (order profile, commutator / Frattini sizes, abelian type) reject
+most other non-isomorphic pairs outright; otherwise a
 backtracking search maps a Burnside-minimal generating sequence of one
 group into the other.  Each step rebuilds the partial map on the subgroup
 generated by the chosen generators by right multiplication with the chosen
@@ -16,14 +19,57 @@ generators.  Sound and complete for materialized groups.
 from __future__ import annotations
 
 from collections import Counter
+from operator import ne
 
+from ..errors import InternalCheckError
 from .analysis import (
     center_idx,
     commutator_subgroup_idx,
     conjugacy_classes_idx,
     frattini_idx,
 )
-from .base import GroupTables, PGroup, _extend_partial, _greedy_generators, tables
+from .base import (
+    DEFAULT_LIMIT,
+    GroupTables,
+    PGroup,
+    _check_limit,
+    _extend_partial,
+    _greedy_generators,
+    tables,
+)
+
+
+def _center_order(G: PGroup) -> int:
+    """|Z(G)|, without a table when G has none: g is central exactly when
+    s g = g s for every generator s.  The rows give s g, and g s comes
+    from a breadth-first pass from the identity, as e s = s and
+    (t a) s = t (a s).  G is sized and its generators must reach every
+    element, as in `tables`, so the count rests on what a table would:
+    the rows and an associative law.  O(|G| r^2) for r generators."""
+    cached = getattr(G, "_tables", None)
+    if cached is not None:
+        return len(center_idx(cached))
+    _check_limit(G, DEFAULT_LIMIT)
+    n = G.order
+    e, rows, _ = G._generator_rows()
+    lefts = list(rows.values())
+    right: list = [None] * n  # right[a][k] is a times generator k
+    right[e] = list(rows)
+    queue = [e]  # a BFS, not `closure`: each entry is composed from its parent's
+    for a in queue:
+        if len(queue) == n:
+            break
+        ra = right[a]
+        for row in lefts:
+            c = row[a]
+            if right[c] is None:
+                right[c] = [row[x] for x in ra]
+                queue.append(c)
+    if len(queue) != n:
+        raise InternalCheckError(f"generators of {G.descriptor()} do not reach every element")
+    # n less the a whose products s a differ from a s; with no generators
+    # nothing is zipped, and the trivial group counts 1
+    return n - sum(map(ne, map(list, zip(*lefts)), right))
 
 
 def _signatures(t: GroupTables) -> list[tuple[int, int]]:
@@ -38,22 +84,25 @@ def _signatures(t: GroupTables) -> list[tuple[int, int]]:
 
 
 def _invariants(t: GroupTables):
-    """The order profile and the sizes of Z(G), [G, G] and Phi(G), which
-    fix the order, the exponent and whether G is abelian; and Phi(G)."""
+    """The order profile and the sizes of [G, G] and Phi(G), which fix the
+    order, the exponent and whether G is abelian; and Phi(G).  The centre
+    order is compared before the tables exist (`_center_order`)."""
     phi = frattini_idx(t)
     profile = tuple(sorted(Counter(t.orders()).items()))
-    return (profile, len(center_idx(t)), len(commutator_subgroup_idx(t)), len(phi)), phi
+    return (profile, len(commutator_subgroup_idx(t)), len(phi)), phi
 
 
 def is_isomorphic(G: PGroup, H: PGroup) -> bool:
     if G.p != H.p or G._exp != H._exp:  # orders p^e differ: no table needed
+        return False
+    if _center_order(G) != _center_order(H):  # from generator rows, no table
         return False
     tg = tables(G)
     th = tables(H)
     inv_g, phi_g = _invariants(tg)
     if inv_g != _invariants(th)[0]:
         return False
-    if inv_g[2] == 1:
+    if inv_g[1] == 1:
         # abelian p-groups with equal order profiles are isomorphic
         return True
     sig_g = _signatures(tg)

@@ -705,6 +705,82 @@ class TestIsomorphism:
         ]
         assert is_isomorphic(TableGroup(3, table), G)
 
+    def test_centres_differ_without_tables(self):
+        # the distinctness leg of nonint-H(2,2): |Z| is 81 against 9
+        side = parse_group_descriptor("kind=H p=3 n=1 d=2 x kind=C p=3 k=1 x kind=C p=3 k=1")
+        target = H(2, 2)
+        assert not is_isomorphic(side, target) and not is_isomorphic(target, side)
+        assert getattr(side, "_tables", None) is None and getattr(target, "_tables", None) is None
+
+    def test_distinctness_leg_tables_no_group_of_its_order(self, monkeypatch):
+        # the side group and H(2,2) have order 729; the form leg is assumed
+        built = table_spy(monkeypatch)
+        cert = derive_nonint("H", 3, 2, 2)
+        assert "group-distinctness-assumed" not in cert.assumptions
+        assert "central-product-assumed" in cert.assumptions  # order 3^7
+        assert built and max(built) < 729
+
+
+# |Z(G)| from generator rows against the centre of the table: every H, A
+# and C of order <= 729 at p = 3, the direct products of two of them up to
+# 729, central and fiber products, subgroups (one with no generators), a
+# quotient and a relabelled table
+CENTER_FACTORS = {f"H({n},{d})": f"kind=H p=3 n={n} d={d}" for n in (1, 2) for d in range(1, 7 - 2 * n)}
+CENTER_FACTORS.update({f"A({n},{d})": f"kind=A p=3 n={n} d={d}" for n in (1, 2) for d in range(1, 7 - 2 * n)})
+CENTER_FACTORS.update({f"C{3 ** k}": f"kind=C p=3 k={k}" for k in range(1, 7)})
+CENTER_CASES = {name: lambda text=text: parse_group_descriptor(text) for name, text in CENTER_FACTORS.items()}
+for (f1, t1), (f2, t2) in itertools.combinations_with_replacement(CENTER_FACTORS.items(), 2):
+    if parse_group_descriptor(f"{t1} x {t2}").order <= 729:
+        CENTER_CASES[f"{f1} x {f2}"] = lambda text=f"{t1} x {t2}": parse_group_descriptor(text)
+CENTER_CASES.update(
+    {
+        "H(1,1) * H(1,1)": lambda: central_product(H(1, 1), H(1, 1)),
+        "A(1,1) * H(1,1)": lambda: central_product(A(1, 1), H(1, 1)),
+        "A(1,1) via G_d": lambda: build_A1d_via_Gd(3, 1),
+        "A(1,2) via G_d": lambda: build_A1d_via_Gd(3, 2),
+        "subgroup <(x, 1), (y, 0)> of H(1,1) x C(3,2)": subgroup_of_product,
+        "H(1,1) / Z": quotient_by_center,
+        "trivial subgroup of H(1,1)": lambda: subgroup(H(1, 1), [0]),
+        "table A(2,1)": lambda: TableGroup(3, relabelled(law_tables(A(2, 1)), 2)),
+    }
+)
+
+
+class TestCenterOrder:
+    @pytest.mark.parametrize("name", sorted(CENTER_CASES))
+    def test_matches_the_table(self, name):
+        G = CENTER_CASES[name]()
+        tabled = getattr(G, "_tables", None) is not None
+        order = iso._center_order(G)
+        assert (getattr(G, "_tables", None) is not None) == tabled
+        assert order == len(analysis.center_idx(tables(G)))
+
+    def test_tabled_group_reads_its_table(self, monkeypatch):
+        G = H(1, 2)
+        tables(G)
+
+        def refuse():
+            raise AssertionError("recomputed the rows of a tabled group")
+
+        monkeypatch.setattr(G, "_generator_rows", refuse)
+        assert iso._center_order(G) == 9
+
+    def test_generators_must_generate(self):
+        # the rows of x and z alone: <x, z> is a proper subgroup
+        G = H(1, 1)
+        e, rows, inv = G._generator_rows()
+        idx = G.index_map()
+        kept = {idx[g]: rows[idx[g]] for g in (G.gen_x(0), G.gen_z())}
+        G._generator_rows = lambda: (e, kept, inv)
+        with pytest.raises(InternalCheckError, match="do not reach"):
+            iso._center_order(G)
+
+    def test_over_limit_group_is_refused_by_its_order(self):
+        G = H(9, 1)  # order 3^19
+        with within(1, "_center_order(H(9, 1))"):
+            with pytest.raises(MaterializationLimitError):
+                iso._center_order(G)
+
 
 class TestTableGroup:
     def test_valid_roundtrip(self):
@@ -854,7 +930,7 @@ def table_spy(monkeypatch) -> list:
             built.append(G.order)
         return real(G, limit)
 
-    for mod in (base, analysis):
+    for mod in (base, analysis, iso):
         monkeypatch.setattr(mod, "tables", spy)
     return built
 
