@@ -158,11 +158,14 @@ def cmd_group(args) -> int:
     if args.group_cmd == "iso":
         lhs = _load_group(args.lhs, args.p, args.limit)
         rhs = _load_group(args.rhs, args.p, args.limit)
-        # is_isomorphic answers two orders without tables
-        if (lhs.p, lhs._exp) == (rhs.p, rhs._exp):
+        try:  # it tables only groups of one order and one centre order
+            same = is_isomorphic(lhs, rhs)
+        except MaterializationLimitError:
+            # an untabled operand above DEFAULT_LIMIT: tabled under --limit,
+            # it passes
             tables(lhs, args.limit)
             tables(rhs, args.limit)
-        same = is_isomorphic(lhs, rhs)
+            same = is_isomorphic(lhs, rhs)
         print("isomorphic" if same else "not isomorphic")
         return EXIT_OK
     G = _named_group(args)

@@ -40,6 +40,7 @@ from .laurent import LaurentSeries, monomial, parse_series, require_odd_prime
 from .pgroups import (
     CyclicPGroup,
     DirectProductGroup,
+    PGroup,
     build_A1d_via_Gd,
     burnside_action_check,
     central_product,
@@ -50,7 +51,7 @@ from .pgroups import (
     parse_group_descriptor,
     tables,
 )
-from .pgroups.base import _within_limit
+from .pgroups.base import _extend_partial, _within_limit
 from .ramcalc import (
     BreakMultiset,
     compose_disjoint,
@@ -66,7 +67,9 @@ MIN_PRECISION = 64
 
 # Group sanity checks inside certificates run only up to this order; above
 # it they are recorded as assumptions so certificates stay deterministic
-# regardless of the configured materialization limit.
+# regardless of the configured materialization limit.  It bounds no cost:
+# the form leg checks the one map its construction names, and the
+# distinctness leg compares centre orders without a table.
 CERT_GROUP_LIMIT = 729
 
 HEADER = "RAMFORGE CERTIFICATE v1"
@@ -484,10 +487,48 @@ def _synth_base(kind: str, p: int, n: int, d: int) -> BreakMultiset:
     return base
 
 
+def _form_images(kind: str, n: int, construction: PGroup) -> list[int]:
+    """The images in ``construction`` of the target's generators
+    x_1..x_n, y_1..y_n (then z for H), read from the construction's
+    generators, which come in parent order without the identity or
+    repeats (`quotient`, `subgroup`).  For A1d they are (x1, w) and
+    (y1, 0), the first two of G_d's.  For N1 o N2 the base's x_i, y_i
+    (then z) come first and H(1,1)'s x, y follow; H(1,1)'s z, glued to
+    the base's centre, is no image.  Too few generators to name them all
+    is an internal error."""
+    gens = construction.generators()
+    if kind == "A1d":
+        images = gens[:2]
+    else:
+        k = 2 * n - 2 + (kind == "H")  # the base's generators
+        xs, ys, z = gens[: n - 1], gens[n - 1 : 2 * n - 2], gens[2 * n - 2 : k]
+        images = xs + gens[k : k + 1] + ys + gens[k + 1 : k + 2] + z
+    if len(images) != 2 * n + (kind == "H"):
+        raise InternalCheckError(f"the construction's {len(gens)} generators do not name the target's")
+    return images
+
+
+def _realizes(target: PGroup, construction: PGroup, images: list[int]) -> bool:
+    """Whether the target's generators (in `tables` order) -> ``images``
+    is an isomorphism onto ``construction``.  `_extend_partial` builds the
+    map from the identity by phi(x s) = phi(x) phi(s) over the generators,
+    refusing an inconsistent or non-injective step, so what it returns is
+    a homomorphism on the subgroup it reaches (`pgroups.iso`).  One that
+    reaches every element of the target is injective into a group of the
+    same order p^e, hence an isomorphism."""
+    if construction._exp != target._exp:
+        return False
+    tt = tables(target)
+    phi = _extend_partial(tt, tables(construction), list(zip(tt.gens, images)))
+    return phi is not None and len(phi) == tt.n
+
+
 def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> None:
     """Distinctness of the compositum side field and the central-product
     (or fiber-product) form of the target group; machine-checked when the
-    ambient orders stay small, recorded as assumptions otherwise."""
+    ambient orders stay small, recorded as assumptions otherwise.  The
+    form leg checks the one map its construction names (`_form_images`)
+    and searches no other; the distinctness leg tables no group."""
     if kind == "A1d":
         target = make_group("A", p, 1, d)
         side = DirectProductGroup(CyclicPGroup(p, d + 1), CyclicPGroup(p, 1))
@@ -509,8 +550,8 @@ def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> 
     # order) are of order <= CERT_GROUP_LIMIT < DEFAULT_LIMIT, and is
     # recorded as assumed otherwise.  The limit keeps the choice between
     # the two, hence the certificate bytes, fixed; it does not bound the
-    # cost: the side group's centre is larger than the target's, so the
-    # distinctness check tables neither group.
+    # cost: the distinctness check counts centres from generator rows (the
+    # side group's from its factors') and tables neither group.
     if _within_limit(p, side._exp, CERT_GROUP_LIMIT):
         if is_isomorphic(side, target):
             raise InternalCheckError("side field group matches the target group")
@@ -519,7 +560,8 @@ def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> 
         cert.assume("group-distinctness-assumed")
         distinct = "assumed-false"
     if _within_limit(p, ambient_exp, CERT_GROUP_LIMIT):
-        if not is_isomorphic(construction(), target):
+        built = construction()
+        if not _realizes(target, built, _form_images(kind, n, built)):
             raise InternalCheckError("group construction does not realize the target group")
         form = "true"
     else:

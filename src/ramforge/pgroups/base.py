@@ -283,14 +283,16 @@ def _check_limit(G: PGroup, limit: int) -> None:
         )
 
 
-def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
+def tables(G: PGroup, limit: int = DEFAULT_LIMIT, rows: tuple | None = None) -> GroupTables:
     """Materialize multiplication/inverse index tables (cached on the group).
 
     The group supplies one row per generator and the inverses (by index
     arithmetic, or from its parents); every other row is composed from
     those breadth-first from the identity, so the table agrees with the
-    law whenever the law is associative and the rows agree with it.  An
-    explicit table's checked rows are its tables, cached when it is made.
+    law whenever the law is associative and the rows agree with it.
+    ``rows``, when given, is what `G._generator_rows()` returned to a
+    caller that has sized G, so they are not built twice.  An explicit
+    table's checked rows are its tables, cached when it is made.
 
     This is the one function that takes a limit, and three rules make its
     one check enough.  A group that already has a table passes: the check
@@ -307,7 +309,7 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     cached = getattr(G, "_tables", None)
     if cached is not None:
         return cached
-    e, rows, inv = G._generator_rows()
+    e, rows, inv = rows or G._generator_rows()
     gens = tuple(rows)
     # gather[s] maps the row of a to the row of a s, since (a s) b = a (s b)
     gather = {s: itemgetter(*row) for s, row in rows.items()}

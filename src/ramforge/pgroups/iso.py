@@ -2,15 +2,20 @@
 
 The orders p^e are compared first, then the centre orders, counted from
 generator rows (or read from a table one group already has), so two
-groups that differ there are never tabled.  Cheap invariants of the
-tables (order profile, commutator / Frattini sizes, abelian type) reject
-most other non-isomorphic pairs outright; otherwise a
-backtracking search maps a Burnside-minimal generating sequence of one
-group into the other.  Each step rebuilds the partial map on the subgroup
-generated by the chosen generators by right multiplication with the chosen
-(generator, image) pairs only, checking consistency and injectivity; a
-consistent map on a generated subgroup is a homomorphism, so a complete
-one is an isomorphism.  The invariants and per-element signatures are
+groups that differ there are never tabled.  A direct product without a
+table counts its centre from its factors, as Z(A x B) = Z(A) x Z(B), so
+only rows of its factors' orders are built for the count; any other
+untabled group hands the rows it counted from to `tables`, so they are
+built once.  Cheap invariants of the tables (order profile, commutator /
+Frattini sizes, abelian type) reject most other non-isomorphic pairs
+outright; otherwise a backtracking search maps a Burnside-minimal
+generating sequence of one group into the other.  Each step rebuilds the
+partial map on the subgroup generated by the chosen generators by right
+multiplication with the chosen (generator, image) pairs only, checking
+consistency and injectivity; a consistent map on a generated subgroup is
+a homomorphism (phi(x s) = phi(x) phi(s) for every x and generator s
+gives phi(x w) = phi(x) phi(w) for every word w, by induction on its
+length), so a complete one is an isomorphism.  The invariants and per-element signatures are
 exhaustive over the elements, from one list of element orders per table;
 centralizer sizes come from conjugacy classes found as orbits under the
 generators.  Sound and complete for materialized groups.
@@ -30,6 +35,7 @@ from .analysis import (
 )
 from .base import (
     DEFAULT_LIMIT,
+    DirectProductGroup,
     GroupTables,
     PGroup,
     _check_limit,
@@ -39,19 +45,25 @@ from .base import (
 )
 
 
-def _center_order(G: PGroup) -> int:
-    """|Z(G)|, without a table when G has none: g is central exactly when
-    s g = g s for every generator s.  The rows give s g, and g s comes
-    from a breadth-first pass from the identity, as e s = s and
-    (t a) s = t (a s).  G is sized and its generators must reach every
-    element, as in `tables`, so the count rests on what a table would:
-    the rows and an associative law.  O(|G| r^2) for r generators."""
+def _center(G: PGroup) -> tuple[int, tuple | None]:
+    """|Z(G)|, without a table when G has none, and the generator rows it
+    was counted from (None when it read a table or the factors of a
+    direct product).  G is sized as in `tables`.  An untabled direct
+    product multiplies its factors' centre orders.  Otherwise g is central
+    exactly when s g = g s for every generator s.  The rows give s g, and
+    g s comes from a breadth-first pass from the identity, as e s = s and
+    (t a) s = t (a s).  The generators must reach every element, as in
+    `tables`, so the count rests on what a table would: the rows and an
+    associative law.  O(|G| r^2) for r generators."""
     cached = getattr(G, "_tables", None)
     if cached is not None:
-        return len(center_idx(cached))
+        return len(center_idx(cached)), None
     _check_limit(G, DEFAULT_LIMIT)
+    if isinstance(G, DirectProductGroup):
+        return _center(G.g1)[0] * _center(G.g2)[0], None
     n = G.order
-    e, rows, _ = G._generator_rows()
+    built = G._generator_rows()
+    e, rows, _ = built
     lefts = list(rows.values())
     right: list = [None] * n  # right[a][k] is a times generator k
     right[e] = list(rows)
@@ -69,7 +81,7 @@ def _center_order(G: PGroup) -> int:
         raise InternalCheckError(f"generators of {G.descriptor()} do not reach every element")
     # n less the a whose products s a differ from a s; with no generators
     # nothing is zipped, and the trivial group counts 1
-    return n - sum(map(ne, map(list, zip(*lefts)), right))
+    return n - sum(map(ne, map(list, zip(*lefts)), right)), built
 
 
 def _signatures(t: GroupTables) -> list[tuple[int, int]]:
@@ -86,7 +98,7 @@ def _signatures(t: GroupTables) -> list[tuple[int, int]]:
 def _invariants(t: GroupTables):
     """The order profile and the sizes of [G, G] and Phi(G), which fix the
     order, the exponent and whether G is abelian; and Phi(G).  The centre
-    order is compared before the tables exist (`_center_order`)."""
+    order is compared before the tables exist (`_center`)."""
     phi = frattini_idx(t)
     profile = tuple(sorted(Counter(t.orders()).items()))
     return (profile, len(commutator_subgroup_idx(t)), len(phi)), phi
@@ -95,10 +107,11 @@ def _invariants(t: GroupTables):
 def is_isomorphic(G: PGroup, H: PGroup) -> bool:
     if G.p != H.p or G._exp != H._exp:  # orders p^e differ: no table needed
         return False
-    if _center_order(G) != _center_order(H):  # from generator rows, no table
+    (zg, rows_g), (zh, rows_h) = _center(G), _center(H)
+    if zg != zh:  # from generator rows, no table
         return False
-    tg = tables(G)
-    th = tables(H)
+    tg = tables(G, rows=rows_g)
+    th = tables(H, rows=rows_h)
     inv_g, phi_g = _invariants(tg)
     if inv_g != _invariants(th)[0]:
         return False

@@ -3,7 +3,8 @@ import signal
 
 import pytest
 
-from ramforge.pgroups import tables
+from ramforge import cli, forge
+from ramforge.pgroups import DEFAULT_LIMIT, analysis, base, iso, tables
 from ramforge.pgroups.analysis import commutator_subgroup_idx, conjugacy_classes_idx
 from ramforge.pgroups.base import closure
 
@@ -30,6 +31,22 @@ def within(seconds: float, case: str):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+def table_spy(monkeypatch) -> list:
+    """The order of every table built from here on, through any module
+    that calls `tables`."""
+    built = []
+    real = base.tables
+
+    def spy(G, limit=DEFAULT_LIMIT, rows=None):
+        if getattr(G, "_tables", None) is None:
+            built.append(G.order)
+        return real(G, limit, rows)
+
+    for mod in (base, analysis, iso, forge, cli):
+        monkeypatch.setattr(mod, "tables", spy)
+    return built
 
 
 def normal_subgroups_avoiding(t, forbidden: frozenset) -> set:

@@ -30,7 +30,7 @@ from ramforge.forge import P3Parameters, build_p3_tower
 from ramforge.pgroups import DEFAULT_LIMIT, CyclicPGroup, DirectProductGroup, make_group, tables
 from ramforge.pgroups import base
 
-from conftest import within
+from conftest import table_spy, within
 
 
 def run(argv):
@@ -134,6 +134,14 @@ class TestGroupCommand:
         )
         assert code == EXIT_OK
         assert out.strip() == "not isomorphic"
+
+    def test_iso_decided_on_centres_tables_nothing(self, monkeypatch):
+        # the README's order-729 pair: |Z| is 81 against 9
+        built = table_spy(monkeypatch)
+        lhs = "kind=H p=3 n=1 d=2 x kind=C p=3 k=1 x kind=C p=3 k=1"
+        code, out, _ = run(["group", "iso", "--lhs", lhs, "--rhs", "kind=H p=3 n=2 d=2"])
+        assert (code, out.strip()) == (EXIT_OK, "not isomorphic")
+        assert 729 not in built
 
     def test_limit_exceeded(self):
         code, _, err = run(["--limit", "27", "group", "basics", "--descriptor", "kind=H p=3 n=2 d=1"])

@@ -22,7 +22,7 @@ from ramforge.forge import (
     verify_certificate,
 )
 from ramforge.laurent import monomial, parse_series
-from ramforge.pgroups import CyclicPGroup
+from ramforge.pgroups import CyclicPGroup, build_A1d_via_Gd, central_product, is_isomorphic, make_group, tables
 from ramforge.ramcalc import parse_multiset, upper_to_lower
 
 from conftest import within
@@ -330,6 +330,74 @@ class TestDeriveNonint:
         monkeypatch.setattr(forge, "derive_nonint", no_certificate)
         for case in cases:
             assert forge._synth_base(*case) == want[case], case
+
+
+def form_case(kind, p, n, d):
+    """The target of nonint-<kind> at (n, d), its construction, and the
+    images `_form_images` names in it."""
+    if kind == "A1d":
+        target, built = make_group("A", p, 1, d), build_A1d_via_Gd(p, d)
+    else:
+        target = make_group(kind, p, n, d)
+        built = central_product(make_group(kind, p, n - 1, d), make_group("H", p, 1, 1))
+    return target, built, forge._form_images(kind, n, built)
+
+
+# every construction whose ambient order at p = 3 is at most 2187 (N1 o N2
+# has order p^(2n + d + 1), the fiber product behind A(1, d) p^(d + 4)),
+# and one at p = 5
+FORM_CASES = (
+    [("H", 3, 1, d) for d in (1, 2, 3, 4)]
+    + [("H", 3, 2, 1), ("H", 3, 2, 2), ("A", 3, 2, 1), ("A", 3, 2, 2)]
+    + [("A1d", 3, 1, d) for d in (1, 2, 3)]
+    + [("A1d", 5, 1, 1)]
+)
+# nonint certificates whose form leg is checked (ambient order <= 729)
+CHECKED_FORMS = [("H", 3, 2, 1), ("A", 3, 2, 1), ("H", 3, 1, 2), ("A1d", 3, 1, 1)]
+
+
+class TestFormLeg:
+    """The quotient-group-form leg checks the map its construction names."""
+
+    @pytest.mark.parametrize("kind, p, n, d", FORM_CASES)
+    def test_named_map_agrees_with_is_isomorphic(self, kind, p, n, d):
+        target, built, images = form_case(kind, p, n, d)
+        assert forge._realizes(target, built, images)
+        assert is_isomorphic(target, built)
+
+    @pytest.mark.parametrize("wrong", ["y_n squared", "x_n and y_n swapped"])
+    @pytest.mark.parametrize("kind, p, n, d", CHECKED_FORMS)
+    def test_wrong_image_fails_the_leg(self, monkeypatch, kind, p, n, d, wrong):
+        real = forge._form_images
+
+        def edited(*args):
+            images, built = real(*args), args[-1]
+            x, y = n - 1, 2 * n - 1
+            if wrong == "y_n squared":
+                images[y] = tables(built).mul[images[y]][images[y]]
+            else:
+                images[x], images[y] = images[y], images[x]
+            return images
+
+        monkeypatch.setattr(forge, "_form_images", edited)
+        with pytest.raises(InternalCheckError, match="does not realize"):
+            derive_nonint(kind, p, n, d)
+
+    @pytest.mark.parametrize("kind, p, n, d", [("H", 3, 1, 2), ("A", 3, 2, 1), ("A1d", 3, 1, 1)])
+    def test_partial_map_is_refused(self, kind, p, n, d):
+        # the last image's generator (z, y_2, y_1) lies outside the span of
+        # the others, so a map named on the others reaches a proper subgroup
+        target, built, images = form_case(kind, p, n, d)
+        assert not forge._realizes(target, built, images[:-1])
+
+    def test_embedding_into_a_larger_group_is_refused(self):
+        # H(1,1) embeds in H(2,1) = H(1,1) o H(1,1) by x1, y1, z
+        _, built, images = form_case("H", 3, 2, 1)
+        assert not forge._realizes(make_group("H", 3, 1, 1), built, images[::2])
+
+    def test_too_few_generators_are_refused(self):
+        with pytest.raises(InternalCheckError, match="do not name"):
+            forge._form_images("H", 2, make_group("H", 3, 1, 1))
 
 
 class TestDeriveChat:

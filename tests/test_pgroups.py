@@ -37,7 +37,7 @@ from ramforge import pgroups
 from ramforge.pgroups import analysis, base, iso
 from ramforge.pgroups.base import _extend_partial
 
-from conftest import index_perm, largest_kernel_avoiding_derived, normal_subgroups_avoiding, within
+from conftest import index_perm, largest_kernel_avoiding_derived, normal_subgroups_avoiding, table_spy, within
 
 
 def H(n, d, p=3):
@@ -712,13 +712,28 @@ class TestIsomorphism:
         assert not is_isomorphic(side, target) and not is_isomorphic(target, side)
         assert getattr(side, "_tables", None) is None and getattr(target, "_tables", None) is None
 
+    def test_rows_built_once(self, monkeypatch):
+        # a relabelled table against a descriptor group of equal centre:
+        # the rows that counted the descriptor's centre build its table
+        calls = []
+        real = base._ClassTwoGroup._generator_rows
+
+        def counted(self):
+            calls.append(self.descriptor())
+            return real(self)
+
+        monkeypatch.setattr(base._ClassTwoGroup, "_generator_rows", counted)
+        table = TableGroup(3, relabelled(law_tables(H(1, 2)), 3))
+        assert is_isomorphic(table, H(1, 2))
+        assert calls == ["kind=H p=3 n=1 d=2"]
+
     def test_distinctness_leg_tables_no_group_of_its_order(self, monkeypatch):
         # the side group and H(2,2) have order 729; the form leg is assumed
         built = table_spy(monkeypatch)
         cert = derive_nonint("H", 3, 2, 2)
         assert "group-distinctness-assumed" not in cert.assumptions
         assert "central-product-assumed" in cert.assumptions  # order 3^7
-        assert built and max(built) < 729
+        assert built == []
 
 
 # |Z(G)| from generator rows against the centre of the table: every H, A
@@ -744,6 +759,13 @@ CENTER_CASES.update(
         "table A(2,1)": lambda: TableGroup(3, relabelled(law_tables(A(2, 1)), 2)),
     }
 )
+# the side groups base x C3 x C3 of the checked distinctness legs
+CENTER_CASES.update(
+    {
+        f"{f} x C3 x C3": lambda text=f"{CENTER_FACTORS[f]} x kind=C p=3 k=1 x kind=C p=3 k=1": parse_group_descriptor(text)
+        for f in ("H(1,1)", "A(1,1)", "H(1,2)")
+    }
+)
 
 
 class TestCenterOrder:
@@ -751,9 +773,19 @@ class TestCenterOrder:
     def test_matches_the_table(self, name):
         G = CENTER_CASES[name]()
         tabled = getattr(G, "_tables", None) is not None
-        order = iso._center_order(G)
+        order = iso._center(G)[0]
         assert (getattr(G, "_tables", None) is not None) == tabled
         assert order == len(analysis.center_idx(tables(G)))
+
+    def test_product_counts_from_its_factors(self, monkeypatch):
+        # Z(A x B) = Z(A) x Z(B): the side group of nonint-H(2,2) builds
+        # no rows of a product, only those of H(1,2) and C3
+        def refuse(self):
+            raise AssertionError("built the rows of a direct product")
+
+        monkeypatch.setattr(DirectProductGroup, "_generator_rows", refuse)
+        side = parse_group_descriptor("kind=H p=3 n=1 d=2 x kind=C p=3 k=1 x kind=C p=3 k=1")
+        assert iso._center(side) == (81, None)
 
     def test_tabled_group_reads_its_table(self, monkeypatch):
         G = H(1, 2)
@@ -763,7 +795,7 @@ class TestCenterOrder:
             raise AssertionError("recomputed the rows of a tabled group")
 
         monkeypatch.setattr(G, "_generator_rows", refuse)
-        assert iso._center_order(G) == 9
+        assert iso._center(G)[0] == 9
 
     def test_generators_must_generate(self):
         # the rows of x and z alone: <x, z> is a proper subgroup
@@ -773,13 +805,13 @@ class TestCenterOrder:
         kept = {idx[g]: rows[idx[g]] for g in (G.gen_x(0), G.gen_z())}
         G._generator_rows = lambda: (e, kept, inv)
         with pytest.raises(InternalCheckError, match="do not reach"):
-            iso._center_order(G)
+            iso._center(G)[0]
 
     def test_over_limit_group_is_refused_by_its_order(self):
         G = H(9, 1)  # order 3^19
-        with within(1, "_center_order(H(9, 1))"):
+        with within(1, "_center(H(9, 1))"):
             with pytest.raises(MaterializationLimitError):
-                iso._center_order(G)
+                iso._center(G)[0]
 
 
 class TestTableGroup:
@@ -918,21 +950,6 @@ class TestIndexRows:
         for s, row in rows.items():
             assert row == [idx[G.mul(elems[s], b)] for b in elems]
         assert inv == [idx[G.inv(a)] for a in elems]
-
-
-def table_spy(monkeypatch) -> list:
-    """The order of every table built from here on."""
-    built = []
-    real = base.tables
-
-    def spy(G, limit=DEFAULT_LIMIT):
-        if getattr(G, "_tables", None) is None:
-            built.append(G.order)
-        return real(G, limit)
-
-    for mod in (base, analysis, iso):
-        monkeypatch.setattr(mod, "tables", spy)
-    return built
 
 
 class TestIndexNative:
