@@ -510,17 +510,19 @@ def _form_images(kind: str, n: int, construction: PGroup) -> list[int]:
 
 def _realizes(target: PGroup, construction: PGroup, images: list[int]) -> bool:
     """Whether the target's generators (in `tables` order) -> ``images``
-    is an isomorphism onto ``construction``.  `_extend_partial` builds the
-    map from the identity by phi(x s) = phi(x) phi(s) over the generators,
-    refusing an inconsistent or non-injective step, so what it returns is
-    a homomorphism on the subgroup it reaches (`pgroups.iso`).  One that
-    reaches every element of the target is injective into a group of the
-    same order p^e, hence an isomorphism."""
+    is an isomorphism onto ``construction``.  `_extend_partial` walks the
+    target's generator rows against the images' rows in the construction's
+    law, refusing an inconsistent or non-injective step, so it returns a
+    homomorphism on the subgroup it reaches.  One that reaches every
+    element of the target is injective into a group of the same order p^e
+    (sized when the construction was built), hence an isomorphism."""
     if construction._exp != target._exp:
         return False
-    tt = tables(target)
-    phi = _extend_partial(tt, tables(construction), list(zip(tt.gens, images)))
-    return phi is not None and len(phi) == tt.n
+    e, rows, _ = target._rows()
+    law = construction._index_law()
+    image_rows = [[law.mul(h, b) for b in range(len(law.inv))] for h in images]
+    phi = _extend_partial(e, law.e, list(zip(rows.values(), image_rows)))
+    return phi is not None and len(phi) == len(law.inv)
 
 
 def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> None:

@@ -4,14 +4,14 @@ products, and the prime-to-p automorphism triviality check.  One
 structural pass (`check_abcd`) gives minimality and the H/A type, and
 `_minimal` cross-checks it; each recognizer and classifier calls it once.
 
-Everything here runs on materialized index tables, which keeps the checks
-independent of the normal-form constructions they are applied to: a
-constructed group is never trusted to have the properties its construction
-was aiming for.  Properties decided by a generating set are computed from
-the table's generators: the center (elements commuting with every
-generator), commutativity, [G, G] and Phi(G) (normal closures of the
-generator commutators, and of those with the generator p-th powers),
-conjugacy classes and the homomorphism check of an automorphism.  Each
+Everything here runs on index tables or generator rows, which keeps the
+checks independent of the normal-form constructions they are applied to:
+a constructed group is never trusted to have the properties its
+construction was aiming for.  Properties decided by a generating set are
+computed from the generators: commutativity from their rows, the center
+(elements commuting with every generator), [G, G] and Phi(G) (normal
+closures of the generator commutators, and of those with the generator
+p-th powers), conjugacy classes and automorphisms from the table.  Each
 traversal is one `closure`: a normal closure closes the identity under
 its generators and conjugation, classes and cycles are orbits, and the
 minimal-quotient search builds subgroups of G' and of the preimage of a
@@ -34,11 +34,13 @@ from math import gcd, lcm
 
 from ..errors import InternalCheckError, ParameterError
 from .base import (
+    DEFAULT_LIMIT,
     CyclicPGroup,
     DirectProductGroup,
     GroupTables,
     HGroup,
     PGroup,
+    _check_limit,
     _extend_partial,
     _greedy_generators,
     _log_p,
@@ -50,11 +52,11 @@ from .base import (
 
 
 def is_abelian(G: PGroup) -> bool:
-    t = tables(G)
-    gens = t.gens
-    return all(
-        t.mul[a][b] == t.mul[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :]
-    )
+    """Whether the generators commute, read from their rows, untabled."""
+    _check_limit(G, DEFAULT_LIMIT)
+    _, rows, _ = G._rows()
+    gens = list(rows)
+    return all(rows[a][b] == rows[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 
 def center_idx(t: GroupTables) -> list[int]:
@@ -391,10 +393,10 @@ def automorphism_from_generator_images(G: PGroup, images: dict) -> dict:
     idx = G.index_map()
     elems = G.elements()
     try:
-        pairs = [(idx[g], idx[h]) for g, h in images.items()]
+        pairs = [(t.mul[idx[g]], t.mul[idx[h]]) for g, h in images.items()]
     except (KeyError, TypeError) as exc:  # not an element, or unhashable
         raise ParameterError("generator images must map elements of the group") from exc
-    phi = _extend_partial(t, t, pairs)
+    phi = _extend_partial(t.e, t.e, pairs)
     if phi is None:
         raise ParameterError("generator images are inconsistent or not injective")
     if len(phi) != t.n:

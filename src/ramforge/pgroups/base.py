@@ -10,12 +10,12 @@ function that takes a limit, and three rules make its one check enough: a
 group that already has a table passes; an index group (below) is never
 sized, as it is no larger than the parent whose sized law it was built
 from; and a direct product is sized by its order against DEFAULT_LIMIT
-when its law is composed without a table of its own.  `tables` builds the
-multiplication table from one row per generator.  No table calls a group
-law: H(n, d), A(n, d) and the cyclic C(p^k) = H(0, k) share one class-two
-normal form, which computes generator rows and inverses by arithmetic on
-its mixed-radix index layout, and a direct product pairs its factors'
-rows.
+when its law is composed without a table of its own.  Each group keeps
+one row per generator (`PGroup._rows`), which `tables` composes into the
+table.  No table calls a group law: H(n, d), A(n, d) and the cyclic
+C(p^k) = H(0, k) share one class-two normal form, which computes
+generator rows and inverses by arithmetic on its mixed-radix index
+layout, and a direct product pairs its factors' rows.
 Every other group is an index group: its elements are the indices
 0..n-1.  An explicit table is one once its axioms are checked, and its
 checked rows are its tables.  `subgroup` and `quotient` take parent
@@ -83,11 +83,22 @@ class PGroup:
         """The identity's index, the row ``b -> s b`` of each generator
         index ``s`` (without the identity or repeats, in generator order),
         and the inverse of every index, all without calling the law.  By
-        default they are read from `_index_law`.  `tables` has sized the
-        group."""
+        default they are read from `_index_law`.  Read through `_rows`,
+        whose caller has sized the group."""
         law = self._index_law()
         n = len(law.inv)
         return law.e, {s: [law.mul(s, b) for b in range(n)] for s in law.gens}, law.inv
+
+    def _rows(self) -> tuple[int, dict, list[int]]:
+        """`_generator_rows()` built once and kept, or read from the table
+        of a tabled group.  The caller has sized the group."""
+        if getattr(self, "_row_view", None) is None:
+            t = getattr(self, "_tables", None)
+            if t is None:
+                self._row_view = self._generator_rows()
+            else:
+                self._row_view = t.e, {s: t.mul[s] for s in t.gens}, t.inv
+        return self._row_view
 
     def descriptor(self) -> str:
         return self._descriptor
@@ -221,33 +232,29 @@ def _greedy_generators(elements, span, mul) -> list[int]:
     return gens
 
 
-def _extend_partial(tg: GroupTables, th: GroupTables, pairs: list[tuple[int, int]]):
-    """The map on <g_1, ..., g_k> with phi(x g_i) = phi(x) h_i for the
-    ``pairs`` (g_i, h_i), built from the identity.
-
-    Returns None if some product is inconsistent or injectivity fails.
-    """
-    phi = {tg.e: th.e}  # a BFS, not `closure`: each image comes from its parent's
-    used = {th.e}
-    frontier = [tg.e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row_x = tg.mul[x]
-            row_fx = th.mul[phi[x]]
-            for g, h in pairs:
-                y = row_x[g]
-                img = row_fx[h]
-                known = phi.get(y)
-                if known is None:
-                    if img in used:
-                        return None
-                    phi[y] = img
-                    used.add(img)
-                    nxt.append(y)
-                elif known != img:
+def _extend_partial(eg: int, eh: int, pairs: list[tuple]) -> dict[int, int] | None:
+    """The map with phi(eg) = eh and phi(g_i x) = h_i phi(x) on what ``eg``
+    reaches by left multiplication; ``pairs`` holds the rows b -> g_i b and
+    b -> h_i b (a table's ``mul[g_i]``, or generator rows).  None if a step
+    is inconsistent or not injective.  From the identities it is a
+    homomorphism on <g_1, ..., g_k>: phi(w x) = phi(w) phi(x) by induction
+    on the length of the word w."""
+    phi = {eg: eh}
+    used = {eh}
+    queue = [eg]  # a BFS, not `closure`: each image comes from its parent's
+    for x in queue:
+        fx = phi[x]
+        for row_g, row_h in pairs:
+            y, img = row_g[x], row_h[fx]
+            known = phi.get(y)
+            if known is None:
+                if img in used:
                     return None
-        frontier = nxt
+                phi[y] = img
+                used.add(img)
+                queue.append(y)
+            elif known != img:
+                return None
     return phi
 
 
@@ -283,16 +290,15 @@ def _check_limit(G: PGroup, limit: int) -> None:
         )
 
 
-def tables(G: PGroup, limit: int = DEFAULT_LIMIT, rows: tuple | None = None) -> GroupTables:
+def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     """Materialize multiplication/inverse index tables (cached on the group).
 
     The group supplies one row per generator and the inverses (by index
-    arithmetic, or from its parents); every other row is composed from
-    those breadth-first from the identity, so the table agrees with the
-    law whenever the law is associative and the rows agree with it.
-    ``rows``, when given, is what `G._generator_rows()` returned to a
-    caller that has sized G, so they are not built twice.  An explicit
-    table's checked rows are its tables, cached when it is made.
+    arithmetic, or from its parents) through `PGroup._rows`; every other
+    row is composed from those breadth-first from the identity, so the
+    table agrees with the law whenever the law is associative and the rows
+    agree with it.  An explicit table's checked rows are its tables,
+    cached when it is made.
 
     This is the one function that takes a limit, and three rules make its
     one check enough.  A group that already has a table passes: the check
@@ -309,7 +315,7 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT, rows: tuple | None = None) -> 
     cached = getattr(G, "_tables", None)
     if cached is not None:
         return cached
-    e, rows, inv = rows or G._generator_rows()
+    e, rows, inv = G._rows()
     gens = tuple(rows)
     # gather[s] maps the row of a to the row of a s, since (a s) b = a (s b)
     gather = {s: itemgetter(*row) for s, row in rows.items()}

@@ -5,26 +5,25 @@ generator rows (or read from a table one group already has), so two
 groups that differ there are never tabled.  A direct product without a
 table counts its centre from its factors, as Z(A x B) = Z(A) x Z(B), so
 only rows of its factors' orders are built for the count; any other
-untabled group hands the rows it counted from to `tables`, so they are
-built once.  Cheap invariants of the tables (order profile, commutator /
-Frattini sizes, abelian type) reject most other non-isomorphic pairs
-outright; otherwise a backtracking search maps a Burnside-minimal
-generating sequence of one group into the other.  Each step rebuilds the
-partial map on the subgroup generated by the chosen generators by right
-multiplication with the chosen (generator, image) pairs only, checking
-consistency and injectivity; a consistent map on a generated subgroup is
-a homomorphism (phi(x s) = phi(x) phi(s) for every x and generator s
-gives phi(x w) = phi(x) phi(w) for every word w, by induction on its
-length), so a complete one is an isomorphism.  The invariants and per-element signatures are
-exhaustive over the elements, from one list of element orders per table;
-centralizer sizes come from conjugacy classes found as orbits under the
-generators.  Sound and complete for materialized groups.
+untabled group keeps the rows it counted from (`PGroup._rows`), and
+`tables` composes its table from them.  Cheap invariants of the tables
+(order profile, commutator / Frattini sizes, abelian type) reject most
+other non-isomorphic pairs outright; otherwise a backtracking search maps
+a Burnside-minimal generating sequence of one group into the other.  Each
+step rebuilds the partial map on the subgroup generated by the chosen
+generators with `_extend_partial`, by left multiplication with the table
+rows of the chosen (generator, image) pairs only, checking consistency
+and injectivity; a consistent map on a generated subgroup is a
+homomorphism, so a complete one is an isomorphism.  The invariants and
+per-element signatures are exhaustive over the elements, from one list
+of element orders per table; centralizer sizes come from conjugacy
+classes found as orbits under the generators.  Sound and complete for
+materialized groups.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import ne
 
 from ..errors import InternalCheckError
 from .analysis import (
@@ -45,43 +44,34 @@ from .base import (
 )
 
 
-def _center(G: PGroup) -> tuple[int, tuple | None]:
-    """|Z(G)|, without a table when G has none, and the generator rows it
-    was counted from (None when it read a table or the factors of a
-    direct product).  G is sized as in `tables`.  An untabled direct
-    product multiplies its factors' centre orders.  Otherwise g is central
-    exactly when s g = g s for every generator s.  The rows give s g, and
-    g s comes from a breadth-first pass from the identity, as e s = s and
-    (t a) s = t (a s).  The generators must reach every element, as in
-    `tables`, so the count rests on what a table would: the rows and an
-    associative law.  O(|G| r^2) for r generators."""
+def _center(G: PGroup) -> int:
+    """|Z(G)|, without a table when G has none; G is sized as in `tables`.
+    An untabled direct product multiplies its factors' centre orders.
+    Otherwise a is central when s a = a s for every generator s.  The rows
+    give s a, and a -> a s sends e to s and commutes with every row, as
+    t (a s) = (t a) s: one `_extend_partial` walk per s builds it and
+    refuses rows that no such map fits.  The generators must reach every
+    element, as in `tables`, so the count rests on what a table would: the
+    rows and an associative law.  O(|G| r^2) for r generators."""
     cached = getattr(G, "_tables", None)
     if cached is not None:
-        return len(center_idx(cached)), None
+        return len(center_idx(cached))
     _check_limit(G, DEFAULT_LIMIT)
     if isinstance(G, DirectProductGroup):
-        return _center(G.g1)[0] * _center(G.g2)[0], None
+        return _center(G.g1) * _center(G.g2)
     n = G.order
-    built = G._generator_rows()
-    e, rows, _ = built
-    lefts = list(rows.values())
-    right: list = [None] * n  # right[a][k] is a times generator k
-    right[e] = list(rows)
-    queue = [e]  # a BFS, not `closure`: each entry is composed from its parent's
-    for a in queue:
-        if len(queue) == n:
-            break
-        ra = right[a]
-        for row in lefts:
-            c = row[a]
-            if right[c] is None:
-                right[c] = [row[x] for x in ra]
-                queue.append(c)
-    if len(queue) != n:
+    e, rows, _ = G._rows()
+    lefts = [(row, row) for row in rows.values()]
+    # with no generators the one walk, from e to e, reaches e alone
+    rights = [_extend_partial(e, s, lefts) for s in rows or [e]]
+    if any(right is None for right in rights):
+        raise InternalCheckError(f"generator rows of {G.descriptor()} are inconsistent")
+    if len(rights[0]) != n:  # every walk reaches the same elements
         raise InternalCheckError(f"generators of {G.descriptor()} do not reach every element")
-    # n less the a whose products s a differ from a s; with no generators
-    # nothing is zipped, and the trivial group counts 1
-    return n - sum(map(ne, map(list, zip(*lefts)), right)), built
+    central = range(n)
+    for row, right in zip(rows.values(), rights):
+        central = [a for a in central if row[a] == right[a]]
+    return len(central)
 
 
 def _signatures(t: GroupTables) -> list[tuple[int, int]]:
@@ -107,11 +97,10 @@ def _invariants(t: GroupTables):
 def is_isomorphic(G: PGroup, H: PGroup) -> bool:
     if G.p != H.p or G._exp != H._exp:  # orders p^e differ: no table needed
         return False
-    (zg, rows_g), (zh, rows_h) = _center(G), _center(H)
-    if zg != zh:  # from generator rows, no table
+    if _center(G) != _center(H):  # from generator rows, no table
         return False
-    tg = tables(G, rows=rows_g)
-    th = tables(H, rows=rows_h)
+    tg = tables(G)
+    th = tables(H)
     inv_g, phi_g = _invariants(tg)
     if inv_g != _invariants(th)[0]:
         return False
@@ -135,7 +124,7 @@ def is_isomorphic(G: PGroup, H: PGroup) -> bool:
     stack = [[]]
     while stack:
         pairs = stack.pop()
-        phi = _extend_partial(tg, th, pairs)
+        phi = _extend_partial(tg.e, th.e, pairs)
         if phi is None:
             continue
         k = len(pairs)
@@ -144,5 +133,5 @@ def is_isomorphic(G: PGroup, H: PGroup) -> bool:
                 return True
             continue
         g = gens[k]
-        stack.extend(pairs + [(g, h)] for h in reversed(by_sig.get(sig_g[g], ())))
+        stack.extend(pairs + [(tg.mul[g], th.mul[h])] for h in reversed(by_sig.get(sig_g[g], ())))
     return False

@@ -39,10 +39,10 @@ def table_spy(monkeypatch) -> list:
     built = []
     real = base.tables
 
-    def spy(G, limit=DEFAULT_LIMIT, rows=None):
+    def spy(G, limit=DEFAULT_LIMIT):
         if getattr(G, "_tables", None) is None:
             built.append(G.order)
-        return real(G, limit, rows)
+        return real(G, limit)
 
     for mod in (base, analysis, iso, forge, cli):
         monkeypatch.setattr(mod, "tables", spy)

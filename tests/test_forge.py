@@ -22,10 +22,11 @@ from ramforge.forge import (
     verify_certificate,
 )
 from ramforge.laurent import monomial, parse_series
+from ramforge.pgroups import base
 from ramforge.pgroups import CyclicPGroup, build_A1d_via_Gd, central_product, is_isomorphic, make_group, tables
 from ramforge.ramcalc import parse_multiset, upper_to_lower
 
-from conftest import within
+from conftest import table_spy, within
 
 
 class TestParameters:
@@ -394,6 +395,25 @@ class TestFormLeg:
         # H(1,1) embeds in H(2,1) = H(1,1) o H(1,1) by x1, y1, z
         _, built, images = form_case("H", 3, 2, 1)
         assert not forge._realizes(make_group("H", 3, 1, 1), built, images[::2])
+
+    @pytest.mark.parametrize("kind", ["H", "A"])
+    def test_tables_no_group_of_the_target_order(self, monkeypatch, kind):
+        # both legs of nonint (3, 2, 1) run at order 243: the form leg walks
+        # generator rows, and the target's are built once for both legs
+        built = table_spy(monkeypatch)
+        target = f"kind={kind} p=3 n=2 d=1"
+        calls = []
+        real = base._ClassTwoGroup._generator_rows
+
+        def counted(self):
+            calls.append(self.descriptor())
+            return real(self)
+
+        monkeypatch.setattr(base._ClassTwoGroup, "_generator_rows", counted)
+        cert = derive_nonint(kind, 3, 2, 1)
+        assert not {"group-distinctness-assumed", "central-product-assumed"} & set(cert.assumptions)
+        assert 243 not in built
+        assert calls.count(target) == 1
 
     def test_too_few_generators_are_refused(self):
         with pytest.raises(InternalCheckError, match="do not name"):

@@ -417,6 +417,13 @@ class TestMinimality:
         with pytest.raises(ParameterError):
             classify_minimal(CyclicPGroup(3, 1))
 
+    def test_quotients_are_not_tabled(self, monkeypatch):
+        # the quotients by the central order-p subgroups (order 27) are
+        # decided abelian from their generator rows
+        built = table_spy(monkeypatch)
+        assert is_minimal_nonabelian(H(1, 2))
+        assert built == [81]
+
     @pytest.mark.parametrize("decide", [classify_minimal, is_minimal_nonabelian])
     def test_one_structural_pass(self, monkeypatch, decide):
         # minimality and the type come from one check_abcd call
@@ -672,15 +679,16 @@ class TestIsomorphism:
         tg = tables(DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1)))
         th = tables(CyclicPGroup(3, 2))
         a, b = tg.gens
-        assert _extend_partial(tg, th, [(a, 1), (b, 3)]) is None
+        assert _extend_partial(tg.e, th.e, [(tg.mul[a], th.mul[1]), (tg.mul[b], th.mul[3])]) is None
 
     def test_partial_map_injectivity(self):
         G = H(1, 1)
         t = tables(G)
         idx = G.index_map()
         x, y = idx[G.gen_x(0)], idx[G.gen_y(0)]
-        assert _extend_partial(t, t, [(x, x), (y, x)]) is None
-        swap = _extend_partial(t, t, [(x, y), (y, x)])
+        rx, ry = t.mul[x], t.mul[y]
+        assert _extend_partial(t.e, t.e, [(rx, rx), (ry, rx)]) is None
+        swap = _extend_partial(t.e, t.e, [(rx, ry), (ry, rx)])
         assert swap is not None and sorted(swap.values()) == list(range(t.n))
 
     def test_orders_differ_without_tables(self):
@@ -773,7 +781,7 @@ class TestCenterOrder:
     def test_matches_the_table(self, name):
         G = CENTER_CASES[name]()
         tabled = getattr(G, "_tables", None) is not None
-        order = iso._center(G)[0]
+        order = iso._center(G)
         assert (getattr(G, "_tables", None) is not None) == tabled
         assert order == len(analysis.center_idx(tables(G)))
 
@@ -785,7 +793,7 @@ class TestCenterOrder:
 
         monkeypatch.setattr(DirectProductGroup, "_generator_rows", refuse)
         side = parse_group_descriptor("kind=H p=3 n=1 d=2 x kind=C p=3 k=1 x kind=C p=3 k=1")
-        assert iso._center(side) == (81, None)
+        assert iso._center(side) == 81
 
     def test_tabled_group_reads_its_table(self, monkeypatch):
         G = H(1, 2)
@@ -795,7 +803,7 @@ class TestCenterOrder:
             raise AssertionError("recomputed the rows of a tabled group")
 
         monkeypatch.setattr(G, "_generator_rows", refuse)
-        assert iso._center(G)[0] == 9
+        assert iso._center(G) == 9
 
     def test_generators_must_generate(self):
         # the rows of x and z alone: <x, z> is a proper subgroup
@@ -805,13 +813,34 @@ class TestCenterOrder:
         kept = {idx[g]: rows[idx[g]] for g in (G.gen_x(0), G.gen_z())}
         G._generator_rows = lambda: (e, kept, inv)
         with pytest.raises(InternalCheckError, match="do not reach"):
-            iso._center(G)[0]
+            iso._center(G)
+
+    def test_no_generator_rows_are_refused(self):
+        # with no rows only the identity is reached; a count that ran no
+        # walk would read 27
+        G = H(1, 1)
+        e, _, inv = G._generator_rows()
+        G._generator_rows = lambda: (e, {}, inv)
+        with pytest.raises(InternalCheckError, match="do not reach"):
+            iso._center(G)
+
+    def test_inconsistent_rows_are_refused(self):
+        # y's row with entries 3 and 4 swapped fits no group; a count that
+        # did not check the rows would read 3
+        G = H(1, 1)
+        e, rows, inv = G._generator_rows()
+        y = G.index_map()[G.gen_y(0)]
+        row = list(rows[y])
+        row[3], row[4] = row[4], row[3]
+        G._generator_rows = lambda: (e, {**rows, y: row}, inv)
+        with pytest.raises(InternalCheckError, match="inconsistent"):
+            iso._center(G)
 
     def test_over_limit_group_is_refused_by_its_order(self):
         G = H(9, 1)  # order 3^19
         with within(1, "_center(H(9, 1))"):
             with pytest.raises(MaterializationLimitError):
-                iso._center(G)[0]
+                iso._center(G)
 
 
 class TestTableGroup:
