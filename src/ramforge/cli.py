@@ -241,8 +241,12 @@ def cmd_breaks(args) -> int:
 
 def cmd_verify(args) -> int:
     paths = [Path(args.certificate)] if args.certificate else []
-    if args.seed_corpus:
-        paths += sorted(Path(args.seed_corpus).glob("*.cert"))
+    if args.seed_corpus is not None:
+        # a missing directory globs nothing; "" would glob the working one
+        corpus = sorted(Path(args.seed_corpus).glob("*.cert")) if args.seed_corpus else []
+        if not corpus:
+            raise ParameterError(f"--seed-corpus {args.seed_corpus!r}: no *.cert file there")
+        paths += corpus
     if not paths:
         raise ParameterError("nothing to verify: pass a certificate file or --seed-corpus")
     for path in paths:

@@ -476,7 +476,7 @@ def _synth_base(kind: str, p: int, n: int, d: int) -> BreakMultiset:
     break bookkeeping alone.  A claimed cyclic chain starts the levels: d
     breaks below H(1, d), d + 1 below A(1, d) and A1d."""
     base = _claimed_cyclic_chain(p, d if kind == "H" else d + 1)
-    for level in range(1, 1 if kind == "A1d" else n):
+    for level in range(1, n):
         if kind == "H" and level == d == 1:
             b, a = pick_parameters(p, 0)  # H(1, 1) is the bare tower above 0
             mid = _upper(p, [b, a])
@@ -497,12 +497,9 @@ def _form_images(kind: str, n: int, construction: PGroup) -> list[int]:
     the base's centre, is no image.  Too few generators to name them all
     is an internal error."""
     gens = construction.generators()
-    if kind == "A1d":
-        images = gens[:2]
-    else:
-        k = 2 * n - 2 + (kind == "H")  # the base's generators
-        xs, ys, z = gens[: n - 1], gens[n - 1 : 2 * n - 2], gens[2 * n - 2 : k]
-        images = xs + gens[k : k + 1] + ys + gens[k + 1 : k + 2] + z
+    k = 2 * n - 2 + (kind == "H")  # the base's generators; none for A1d, where n = 1
+    xs, ys, z = gens[: n - 1], gens[n - 1 : 2 * n - 2], gens[2 * n - 2 : k]
+    images = xs + gens[k : k + 1] + ys + gens[k + 1 : k + 2] + z
     if len(images) != 2 * n + (kind == "H"):
         raise InternalCheckError(f"the construction's {len(gens)} generators do not name the target's")
     return images
@@ -550,10 +547,7 @@ def _group_check_steps(cert: Certificate, kind: str, p: int, n: int, d: int) -> 
 
     # A check runs only when its groups (the target has the side group's
     # order) are of order <= CERT_GROUP_LIMIT < DEFAULT_LIMIT, and is
-    # recorded as assumed otherwise.  The limit keeps the choice between
-    # the two, hence the certificate bytes, fixed; it does not bound the
-    # cost: the distinctness check counts centres from generator rows (the
-    # side group's from its factors') and tables neither group.
+    # recorded as assumed otherwise (see CERT_GROUP_LIMIT).
     if _within_limit(p, side._exp, CERT_GROUP_LIMIT):
         if is_isomorphic(side, target):
             raise InternalCheckError("side field group matches the target group")

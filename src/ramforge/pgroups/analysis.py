@@ -34,13 +34,11 @@ from math import gcd, lcm
 
 from ..errors import InternalCheckError, ParameterError
 from .base import (
-    DEFAULT_LIMIT,
     CyclicPGroup,
     DirectProductGroup,
     GroupTables,
     HGroup,
     PGroup,
-    _check_limit,
     _extend_partial,
     _greedy_generators,
     _log_p,
@@ -52,8 +50,8 @@ from .base import (
 
 
 def is_abelian(G: PGroup) -> bool:
-    """Whether the generators commute, read from their rows, untabled."""
-    _check_limit(G, DEFAULT_LIMIT)
+    """Whether the generators commute, read from their rows (`PGroup._rows`,
+    which sizes G when it builds them), untabled."""
     _, rows, _ = G._rows()
     gens = list(rows)
     return all(rows[a][b] == rows[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :])

@@ -5,27 +5,29 @@ Every group exposes a deterministic element order and a generating set;
 all searches and constructions derive their results from that order, never
 from timing, so repeated runs give identical answers.  Every group knows
 its order as p^e before any element is enumerated, and a limit check
-decides on e before p^e is computed.  `tables(G, limit)` is the one
-function that takes a limit, and three rules make its one check enough: a
-group that already has a table passes; an index group (below) is never
-sized, as it is no larger than the parent whose sized law it was built
-from; and a direct product is sized by its order against DEFAULT_LIMIT
-when its law is composed without a table of its own.  Each group keeps
-one row per generator (`PGroup._rows`), which `tables` composes into the
-table.  No table calls a group law: H(n, d), A(n, d) and the cyclic
-C(p^k) = H(0, k) share one class-two normal form, which computes
-generator rows and inverses by arithmetic on its mixed-radix index
-layout, and a direct product pairs its factors' rows.
-Every other group is an index group: its elements are the indices
-0..n-1.  An explicit table is one once its axioms are checked, and its
-checked rows are its tables.  `subgroup` and `quotient` take parent
-indices and return one whose law is composed from the parent's index
-law, so they keep no element view.  A direct product without a table of
-its own multiplies indices through its factors' tables, so a subgroup or
-quotient of a product never tables the product itself; a tabled product
-reads its law from its rows.  A quotient checks normality by conjugating
-N by the parent's generators only.  The laws of H, A, C and products stay
-the public API and the test oracle for the tables.
+decides on e before p^e is computed.  The sizing rule has two parts.  An
+index group (below) is never sized, as it is no larger than the parent
+whose sized law it was built from.  Any other group is sized when its
+rows, its composed law or its table is first built: `PGroup._rows` and a
+direct product's composed law against DEFAULT_LIMIT, and
+`tables(G, limit)`, the one function that takes a limit, against its own,
+which it hands to `_rows`.  Each group keeps one row per generator
+(`PGroup._rows`), which `tables` composes into the table; kept rows and a
+kept table are returned without sizing again.  No table calls a group
+law: H(n, d), A(n, d) and the cyclic C(p^k) = H(0, k) share one
+class-two normal form, which computes generator rows and inverses by
+arithmetic on its mixed-radix index layout, and a direct product pairs
+its factors' rows.  Every other group is an index group: its elements
+are the indices 0..n-1.  An explicit table is one once its axioms are
+checked, and its checked rows are its table and its generator rows.
+`subgroup` and `quotient` take parent indices and return one whose law
+is composed from the parent's index law, so they keep no element view.
+A direct product without a table of its own multiplies indices through
+its factors' tables, so a subgroup or quotient of a product never tables
+the product itself; a tabled product reads its law from its rows.  A
+quotient checks normality by conjugating N by the parent's generators
+only.  The laws of H, A, C and products stay the public API and the test
+oracle for the tables.
 """
 
 from __future__ import annotations
@@ -83,21 +85,20 @@ class PGroup:
         """The identity's index, the row ``b -> s b`` of each generator
         index ``s`` (without the identity or repeats, in generator order),
         and the inverse of every index, all without calling the law.  By
-        default they are read from `_index_law`.  Read through `_rows`,
-        whose caller has sized the group."""
+        default they are read from `_index_law`.  Called only by `_rows`,
+        which sizes the group first."""
         law = self._index_law()
         n = len(law.inv)
         return law.e, {s: [law.mul(s, b) for b in range(n)] for s in law.gens}, law.inv
 
-    def _rows(self) -> tuple[int, dict, list[int]]:
-        """`_generator_rows()` built once and kept, or read from the table
-        of a tabled group.  The caller has sized the group."""
+    def _rows(self, limit: int = DEFAULT_LIMIT) -> tuple[int, dict, list[int]]:
+        """`_generator_rows()`, built once and kept.  The group is sized
+        against ``limit`` (`_check_limit`) when they are built, so kept
+        rows are returned whatever the limit: `tables` hands its own
+        through, and every other caller reads them under DEFAULT_LIMIT."""
         if getattr(self, "_row_view", None) is None:
-            t = getattr(self, "_tables", None)
-            if t is None:
-                self._row_view = self._generator_rows()
-            else:
-                self._row_view = t.e, {s: t.mul[s] for s in t.gens}, t.inv
+            _check_limit(self, limit)
+            self._row_view = self._generator_rows()
         return self._row_view
 
     def descriptor(self) -> str:
@@ -277,12 +278,13 @@ def _within_limit(p: int, e: int, limit: int) -> bool:
 
 
 def _check_limit(G: PGroup, limit: int) -> None:
-    """Refuse to table a group of order above ``limit`` (see
-    `_within_limit`), unless it has a table or is an index group (the
-    rules are in `tables`).  The message names the group by its
-    descriptor: an order such as 3^10001 is too long for Python to print
-    in decimal."""
-    if isinstance(G, _IndexGroup) or getattr(G, "_tables", None) is not None:
+    """Refuse a group of order above ``limit`` (see `_within_limit`)
+    unless it is an index group, which is never sized: a subgroup or
+    quotient is no larger than the parent whose sized law it was built
+    from, and an explicit table is already in memory.  The message names
+    the group by its descriptor: an order such as 3^10001 is too long for
+    Python to print in decimal."""
+    if isinstance(G, _IndexGroup):
         return
     if not _within_limit(G.p, G._exp, limit):
         raise MaterializationLimitError(
@@ -300,22 +302,17 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     agree with it.  An explicit table's checked rows are its tables,
     cached when it is made.
 
-    This is the one function that takes a limit, and three rules make its
-    one check enough.  A group that already has a table passes: the check
-    exists to refuse building a table, and returning one costs nothing.
-    An index group is never sized: a subgroup or quotient is no larger
-    than the parent whose law it was built from, and that law was sized,
-    and an explicit table is already in memory.  A direct product is sized
-    by its order against DEFAULT_LIMIT when its law is composed without a
-    table of its own (`DirectProductGroup._index_law`), which bounds the
-    products inside central products and fiber products.
+    This is the one public function that takes a limit.  A kept table is
+    returned as it is: the limit exists to refuse building one.  Any other
+    group is sized against ``limit`` (`_check_limit`), even when its rows
+    are kept already, and its rows are read under the same limit.
     """
-    _check_limit(G, limit)
-    n = G.order
     cached = getattr(G, "_tables", None)
     if cached is not None:
         return cached
-    e, rows, inv = G._rows()
+    _check_limit(G, limit)
+    n = G.order
+    e, rows, inv = G._rows(limit)
     gens = tuple(rows)
     # gather[s] maps the row of a to the row of a s, since (a s) b = a (s b)
     gather = {s: itemgetter(*row) for s, row in rows.items()}
@@ -723,6 +720,7 @@ class TableGroup(_IndexGroup):
             p, f"table(order={n}, p={p})", ident, gens, lambda a, b: rows[a][b], inverse
         )
         self._tables = GroupTables(p, n, ident, rows, inverse, tuple(gens))
+        self._row_view = ident, {s: rows[s] for s in gens}, inverse
 
 
 def make_group(kind: str, p: int, n: int, d: int) -> PGroup:

@@ -1,12 +1,12 @@
 """Brute-force isomorphism testing for desk-scale p-groups.
 
 The orders p^e are compared first, then the centre orders, counted from
-generator rows (or read from a table one group already has), so two
-groups that differ there are never tabled.  A direct product without a
-table counts its centre from its factors, as Z(A x B) = Z(A) x Z(B), so
-only rows of its factors' orders are built for the count; any other
-untabled group keeps the rows it counted from (`PGroup._rows`), and
-`tables` composes its table from them.  Cheap invariants of the tables
+generator rows, so two groups that differ there are never tabled.  A
+direct product counts its centre from its factors, as
+Z(A x B) = Z(A) x Z(B), so only rows of its factors' orders are built for
+the count; any other group counts from the rows it keeps
+(`PGroup._rows`, which sizes it when it builds them), and `tables`
+composes its table from those same rows.  Cheap invariants of the tables
 (order profile, commutator / Frattini sizes, abelian type) reject most
 other non-isomorphic pairs outright; otherwise a backtracking search maps
 a Burnside-minimal generating sequence of one group into the other.  Each
@@ -27,17 +27,14 @@ from collections import Counter
 
 from ..errors import InternalCheckError
 from .analysis import (
-    center_idx,
     commutator_subgroup_idx,
     conjugacy_classes_idx,
     frattini_idx,
 )
 from .base import (
-    DEFAULT_LIMIT,
     DirectProductGroup,
     GroupTables,
     PGroup,
-    _check_limit,
     _extend_partial,
     _greedy_generators,
     tables,
@@ -45,18 +42,15 @@ from .base import (
 
 
 def _center(G: PGroup) -> int:
-    """|Z(G)|, without a table when G has none; G is sized as in `tables`.
-    An untabled direct product multiplies its factors' centre orders.
+    """|Z(G)|, from generator rows and never from a table.  A direct
+    product multiplies its factors' centre orders, so it is not sized
+    itself: each factor is sized where its rows are built (`PGroup._rows`).
     Otherwise a is central when s a = a s for every generator s.  The rows
     give s a, and a -> a s sends e to s and commutes with every row, as
     t (a s) = (t a) s: one `_extend_partial` walk per s builds it and
     refuses rows that no such map fits.  The generators must reach every
     element, as in `tables`, so the count rests on what a table would: the
     rows and an associative law.  O(|G| r^2) for r generators."""
-    cached = getattr(G, "_tables", None)
-    if cached is not None:
-        return len(center_idx(cached))
-    _check_limit(G, DEFAULT_LIMIT)
     if isinstance(G, DirectProductGroup):
         return _center(G.g1) * _center(G.g2)
     n = G.order

@@ -250,6 +250,18 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out.count("verified") == 2
 
+    @pytest.mark.parametrize("corpus", ["missing", "empty"])
+    def test_seed_corpus_without_certificates_refused(self, tmp_path, corpus):
+        # refused by name, alone or next to a certificate file, before
+        # anything is verified
+        (tmp_path / "empty").mkdir()
+        cert = tmp_path / "ok.cert"
+        cert.write_text(build_p3_tower(P3Parameters.derive(3, 1, 4)).render())
+        folder = str(tmp_path / corpus)
+        for argv in (["verify", "--seed-corpus", folder], ["verify", str(cert), "--seed-corpus", folder]):
+            code, out, err = run(argv)
+            assert (code, out) == (EXIT_USAGE, "") and folder in err
+
     def test_over_limit_chat_group_exits_at_once(self, tmp_path):
         # H(12, 1) has order 3^25: refused by its order, never enumerated
         path = tmp_path / "huge.cert"

@@ -299,6 +299,14 @@ class TestTables:
         assert time.perf_counter() - start < 1.0
         assert getattr(G, "_elements", None) is None
 
+    def test_kept_rows_are_sized_again_by_tables(self):
+        # rows built under DEFAULT_LIMIT do not let a table past a lower limit
+        G = H(2, 1)  # order 243
+        assert not is_abelian(G)
+        with pytest.raises(MaterializationLimitError):
+            tables(G, 81)
+        assert getattr(G, "_tables", None) is None
+
     def test_generators_must_generate(self):
         # the rows of x and z alone: <x, z> is a proper subgroup
         G = H(1, 1)
@@ -795,6 +803,17 @@ class TestCenterOrder:
         side = parse_group_descriptor("kind=H p=3 n=1 d=2 x kind=C p=3 k=1 x kind=C p=3 k=1")
         assert iso._center(side) == 81
 
+    def test_over_limit_product_counts_from_its_factors(self, monkeypatch):
+        # H(2,2) x H(2,2) has order 3^12, above DEFAULT_LIMIT; each factor
+        # (3^6) is sized where its rows are built, and the product is not
+        def refuse(self):
+            raise AssertionError("built the rows of a direct product")
+
+        monkeypatch.setattr(DirectProductGroup, "_generator_rows", refuse)
+        P = DirectProductGroup(H(2, 2), H(2, 2))
+        assert iso._center(P) == 81
+        assert getattr(P, "_tables", None) is None
+
     def test_tabled_group_reads_its_table(self, monkeypatch):
         G = H(1, 2)
         tables(G)
@@ -804,6 +823,10 @@ class TestCenterOrder:
 
         monkeypatch.setattr(G, "_generator_rows", refuse)
         assert iso._center(G) == 9
+        # an explicit table keeps its checked rows as its generator rows
+        T = TableGroup(3, relabelled(law_tables(A(2, 1)), 3))
+        monkeypatch.setattr(T, "_generator_rows", refuse)
+        assert (iso._center(T), is_abelian(T), is_abelian(G)) == (3, False, False)
 
     def test_generators_must_generate(self):
         # the rows of x and z alone: <x, z> is a proper subgroup
@@ -841,6 +864,9 @@ class TestCenterOrder:
         with within(1, "_center(H(9, 1))"):
             with pytest.raises(MaterializationLimitError):
                 iso._center(G)
+        with within(1, "is_abelian(H(9, 1))"):
+            with pytest.raises(MaterializationLimitError):
+                is_abelian(G)
 
 
 class TestTableGroup:
