@@ -190,7 +190,7 @@ class ASElement:
             for k in range(i + 1):
                 if k:
                     binom = binom * (i - k + 1) * pow(k, -1, p) % p
-                _accumulate(acc, k, cf * self.ext.beta_power(i - k) * binom)
+                _accumulate(acc, k, cf * binom * self.ext.beta_power(i - k))
         return ASElement(self.ext, acc)
 
     def wp(self) -> "ASElement":

@@ -240,7 +240,9 @@ def cmd_breaks(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    paths = [Path(args.certificate)] if args.certificate else []
+    if args.certificate == "":  # Path("") is the working directory
+        raise ParameterError("certificate path '' names no file")
+    paths = [Path(args.certificate)] if args.certificate is not None else []
     if args.seed_corpus is not None:
         # a missing directory globs nothing; "" would glob the working one
         corpus = sorted(Path(args.seed_corpus).glob("*.cert")) if args.seed_corpus else []

@@ -13,8 +13,10 @@ up to the last nonzero one below ``prec``, interior zeros included.  The
 zero-up-to-precision series has ``val`` None and empty ``coeffs``.
 Arithmetic works on these tuples directly: addition, subtraction and
 negation are slice arithmetic over the union of the two windows, clipped at
-the smaller precision.  Multiplication is Kronecker substitution: both
-operands, truncated to the product window, are packed into one integer each
+the smaller precision.  Multiplication first truncates both operands to the
+product window.  A one-term factor c*pi^v then shifts the other operand by v
+and scales it by c mod p (reusing its tuple when c = 1).  Every other product
+is a Kronecker substitution: both operands are packed into one integer each
 with fixed-width byte slots wide enough that no slot of the product can
 overflow; one big-integer multiply (Karatsuba in CPython) gives the product,
 whose slots below the product's precision are unpacked and reduced mod p.
@@ -29,13 +31,18 @@ Textual form (used by the CLI and by certificates):
     p=3 prec=20 : -1:1 0:2 3:1
 
 meaning pi^-1 + 2 + pi^3, exponent:coefficient pairs in ascending order.
+Text is written in one format call over the nonzero terms and read in one
+pass: the tokens are split and converted at C speed, then scattered into a
+dense window, with the constructor's rules for any pair list (repeated
+exponents summed, coefficients reduced mod p, exponents at or above prec
+dropped).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 from typing import Iterable, Sequence
 
 from .errors import InsufficientPrecisionError, ParameterError, ParseError
@@ -111,6 +118,18 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int, p: int) -> list[i
     return [c % p for c in memoryview(out).cast(code)[:n]]
 
 
+def _from_terms(p: int, exps: list[int], coeffs: list[int], prec: int) -> "LaurentSeries":
+    """The sum of c*pi^e over the terms ``zip(exps, coeffs)``, in any order:
+    a repeated exponent sums its coefficients, coefficients are reduced mod
+    p and terms at or above ``prec`` dropped.  ``p`` is taken as checked."""
+    lo, hi = min(exps, default=prec), min(max(exps, default=prec), prec - 1)
+    out = [0] * max(hi - lo + 1, 0)
+    for e, c in zip(exps, coeffs):
+        if e <= hi:
+            out[e - lo] += c
+    return _from_dense(p, lo, [c % p for c in out], prec)
+
+
 def _from_dense(p: int, val: int, coeffs: Sequence[int], prec: int) -> "LaurentSeries":
     """The series with coefficients ``coeffs`` (already in [0, p)) from
     exponent ``val`` on: entries at or above ``prec`` are dropped and zeros
@@ -144,26 +163,14 @@ class LaurentSeries:
     def __init__(self, p: int, pairs: Iterable[tuple[int, int]], prec: int):
         require_odd_prime(p)
         prec = int(prec)
-        data: dict[int, int] = {}
+        exps, coeffs = [], []
         for e, c in pairs:
             e = int(e)
-            if e >= prec:
-                continue
-            c = (data.get(e, 0) + int(c)) % p
-            if c:
-                data[e] = c
-            else:
-                data.pop(e, None)
-        self.p = p
-        self.prec = prec
-        if data:
-            lo = min(data)
-            hi = max(data)
-            self.val = lo
-            self.coeffs = tuple(data.get(e, 0) for e in range(lo, hi + 1))
-        else:
-            self.val = None
-            self.coeffs = ()
+            if e < prec:
+                exps.append(e)
+                coeffs.append(int(c))
+        s = _from_terms(p, exps, coeffs, prec)
+        self.p, self.val, self.coeffs, self.prec = p, s.val, s.coeffs, prec
 
     # -- structure ---------------------------------------------------------
 
@@ -189,13 +196,6 @@ class LaurentSeries:
         if self.val is None or not (self.val <= e < self.val + len(self.coeffs)):
             return 0
         return self.coeffs[e - self.val]
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        if self.val is None:
-            return ()
-        return tuple(
-            (self.val + i, c) for i, c in enumerate(self.coeffs) if c
-        )
 
     # -- arithmetic --------------------------------------------------------
 
@@ -256,6 +256,11 @@ class LaurentSeries:
         a, b = self.coeffs[:n], other.coeffs[:n]
         if not a or not b:
             return _from_dense(p, 0, (), prec)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # c*pi^vb shifts a to va + vb and scales it by c
+            c = b[0]
+            return _from_dense(p, va + vb, a if c == 1 else [x * c % p for x in a], prec)
         return _from_dense(p, va + vb, _kronecker_mul(a, b, n, p), prec)
 
     __rmul__ = __mul__
@@ -314,9 +319,10 @@ class LaurentSeries:
     __hash__ = None
 
     def to_text(self) -> str:
-        body = " ".join(f"{e}:{c}" for e, c in self.pairs())
-        head = f"p={self.p} prec={self.prec} :"
-        return f"{head} {body}" if body else head
+        c = self.coeffs
+        # exponent:coefficient of every nonzero term, in one format call
+        flat = tuple(chain.from_iterable(zip(compress(count(self._val_floor()), c), compress(c, c))))
+        return f"p={self.p} prec={self.prec} :" + " %d:%d" * (len(flat) // 2) % flat
 
     def __repr__(self):
         return f"LaurentSeries({self.to_text()!r})"
@@ -364,13 +370,14 @@ def parse_series(text: str) -> LaurentSeries:
     fields = head.split()
     if len(fields) != 2 or not fields[0].startswith("p=") or not fields[1].startswith("prec="):
         raise ParseError(f"malformed series header: {head!r}")
+    toks = body.split()
+    if set(map(str.count, toks, repeat(":"))) - {1}:
+        raise ParseError(f"malformed series text: {text!r}")
     try:
         p = int(fields[0][2:])
         prec = int(fields[1][5:])
-        pairs = []
-        for tok in body.split():
-            e, _, c = tok.partition(":")
-            pairs.append((int(e), int(c)))
+        nums = list(map(int, ":".join(toks).split(":"))) if toks else []
     except ValueError as exc:
         raise ParseError(f"malformed series text: {text!r}") from exc
-    return LaurentSeries(p, pairs, prec)  # checks p
+    require_odd_prime(p)
+    return _from_terms(p, nums[::2], nums[1::2], prec)

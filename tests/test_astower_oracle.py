@@ -269,7 +269,8 @@ def _perturb(data, comps):
     out = {}
     for i, c in comps.items():
         noise = data.draw(st.lists(st.integers(0, c.p - 1), min_size=1, max_size=6))
-        pairs = list(c.pairs()) + [(c.prec + k, x) for k, x in enumerate(noise)]
+        pairs = [(c.val + k, x) for k, x in enumerate(c.coeffs)]
+        pairs += [(c.prec + k, x) for k, x in enumerate(noise)]
         out[i] = LaurentSeries(c.p, pairs, c.prec + len(noise))
     return out
 

@@ -262,6 +262,11 @@ class TestVerifyCommand:
             code, out, err = run(argv)
             assert (code, out) == (EXIT_USAGE, "") and folder in err
 
+    def test_empty_certificate_path_refused(self):
+        # an empty path is a path given, not an absent one
+        code, out, err = run(["verify", ""])
+        assert (code, out) == (EXIT_USAGE, "") and "''" in err, err
+
     def test_over_limit_chat_group_exits_at_once(self, tmp_path):
         # H(12, 1) has order 3^25: refused by its order, never enumerated
         path = tmp_path / "huge.cert"

@@ -1,10 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramforge import laurent
 from ramforge.errors import ParameterError, ParseError
 from ramforge.laurent import (
     INF,
@@ -210,7 +212,7 @@ class TestInverse:
                 a = rand_nonzero(rng, p)
                 prod = a * a.inverse()
                 assert prod.coefficient(0) == 1
-                assert all(c == 0 for e, c in prod.pairs() if e != 0)
+                assert set(ref_terms(prod)) == {0}
 
 
 class TestWp:
@@ -247,7 +249,7 @@ class TestFrobenius:
             for _ in range(30):
                 a = rand_series(rng, p)
                 f = a.frobenius()
-                assert f.pairs() == tuple((p * e, c) for e, c in a.pairs())
+                assert ref_terms(f) == {p * e: c for e, c in ref_terms(a).items()}
 
 
 class TestText:
@@ -264,6 +266,40 @@ class TestText:
         for bad in ("junk", "p=3 : 0:1", "p=3 prec=x : 0:1", "p=4 prec=9 : 0:1"):
             with pytest.raises((ParseError, ParameterError)):
                 parse_series(bad)
+
+    @pytest.mark.parametrize("tok", ["1:2:3", "1", "a:1", "1:", ":", "1 1:2:3"])
+    def test_malformed_token(self, tok):
+        # "1 1:2:3" has as many colons as tokens, but not one in each
+        for text in (f"p=3 prec=9 : {tok}", f"p=3 prec=9 : 0:1 {tok} 2:1"):
+            with pytest.raises(ParseError):
+                parse_series(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_roundtrip_every_series(self, data):
+        for s in data.draw(series_pair()):
+            assert key(parse_series(s.to_text())) == key(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_parse_matches_constructor(self, data):
+        """Any pair list, written as text: unsorted and repeated exponents
+        (some cancelling mod p), zero, negative and >= p coefficients,
+        exponents at or above prec, and the empty body."""
+        p = data.draw(st.sampled_from(PRIMES))
+        prec = data.draw(st.integers(-10, 30))
+        coeff = st.one_of(st.integers(-3 * p, 3 * p), st.just(0), st.integers(-(10**30), 10**30))
+        pairs = data.draw(st.lists(st.tuples(st.integers(-20, 40), coeff), max_size=25))
+        cancel = data.draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+        k = data.draw(st.integers(-2, 2))
+        pairs = data.draw(st.permutations(pairs + [(e, k * p - c) for e, c in cancel]))
+        text = f"p={p} prec={prec} :" + "".join(f" {e}:{c}" for e, c in pairs)
+        summed = {}
+        for e, c in pairs:
+            summed[e] = summed.get(e, 0) + c
+        want = ref_normal(p, summed, prec)
+        assert key(LaurentSeries(p, pairs, prec)) == want
+        assert key(parse_series(text)) == want
 
 
 # -- differential tests against a schoolbook / dict reference ---------------
@@ -330,6 +366,21 @@ def series_pair(draw):
     return one(), one()
 
 
+@st.composite
+def one_term_pair(draw):
+    """A one-term series c*pi^v (c = 1 or not) and a series drawn as in
+    ``series_pair``, over F_p for a small or a wide-slot p."""
+    p = draw(st.sampled_from(PRIMES + (2**31 - 1, 2**61 - 1)))
+    c = draw(st.sampled_from((1, draw(st.integers(2, p - 1)))))
+    v = draw(st.integers(-40, 20))
+    m = monomial(p, c, v, v + draw(st.integers(1, 300)))
+    rng = draw(st.randoms(use_true_random=False))
+    val = draw(st.integers(-60, 30))
+    n = draw(st.integers(0, 300))
+    s = LaurentSeries(p, [(val + i, rng.randrange(p)) for i in range(n)], val + n + draw(st.integers(-n - 3, 8)))
+    return m, s
+
+
 class TestDifferential:
     @settings(max_examples=150, deadline=None)
     @given(series_pair())
@@ -356,6 +407,45 @@ class TestDifferential:
         assert key(a.frobenius()) == ref_normal(p, {p * e: x for e, x in terms.items()}, p * a.prec)
         w = min(a.prec, b.prec)
         assert (a == b) == (ref_normal(p, terms, w)[:2] == ref_normal(p, ref_terms(b), w)[:2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_term_pair())
+    def test_mul_one_term_factor(self, ms):
+        m, s = ms
+        assert len(m.coeffs) == 1
+        assert key(m * s) == ref_mul(m, s)
+        assert key(s * m) == ref_mul(s, m)
+
+    @pytest.mark.parametrize("p", [3, 2**31 - 1, 2**61 - 1])
+    @pytest.mark.parametrize("c", [1, 2, -1])
+    def test_mul_one_term_cases(self, p, c):
+        rng = random.Random(p + c)
+        dense = LaurentSeries(p, [(i - 4, rng.randrange(1, p)) for i in range(40)], 36)
+        one = monomial(p, c, -3, 30)
+        # short is known at exponent 2 alone, so the product window (n = 1)
+        # cuts dense to one coefficient
+        short = LaurentSeries(p, [(2, c), (3, 1)], 3)
+        for x, y in ((one, dense), (short, dense), (one, zero(p, 5)), (one, short)):
+            assert key(x * y) == ref_mul(x, y)
+            assert key(y * x) == ref_mul(y, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_kronecker_only_for_two_long_factors(self, data):
+        a, b = data.draw(st.one_of(series_pair(), one_term_pair()))
+        n = min(a.prec - ref_val_floor(a), b.prec - ref_val_floor(b))
+        sizes = (min(len(a.coeffs), n), min(len(b.coeffs), n))
+        calls = []
+        real = laurent._kronecker_mul
+
+        def spy(x, y, n, p):
+            calls.append((len(x), len(y)))
+            return real(x, y, n, p)
+
+        with mock.patch.object(laurent, "_kronecker_mul", spy):
+            prod = a * b
+        assert calls == ([sizes] if min(sizes) >= 2 else [])
+        assert key(prod) == ref_mul(a, b)
 
     def test_wide_slots(self):
         # (p-1)^2 needs more than 64 bits: slots wider than any array item.
