@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -114,22 +113,15 @@ def _infer_prime(n: int) -> int:
     raise ParameterError(f"order {n} is not a power of a small odd prime; pass --p")
 
 
-def _report(pairs, structured: bool) -> None:
+def _report(pairs) -> None:
     for k, v in pairs:
-        print(f"{k}={v}" if structured else f"{k}: {v}")
+        print(f"{k}: {v}")
 
 
 def cmd_p3(args) -> int:
-    precision = args.precision
-    if precision is None:
-        env = os.environ.get("RAMFORGE_PRECISION", str(DEFAULT_PRECISION))
-        try:
-            precision = int(env)
-        except ValueError:
-            raise ParameterError(f"RAMFORGE_PRECISION must be an integer, got {env!r}") from None
     params = P3Parameters.derive(args.p, args.b, args.a)
     unit = parse_series(args.beta_unit) if args.beta_unit else None
-    cert = build_p3_tower(params, precision=precision, beta_unit=unit)
+    cert = build_p3_tower(params, precision=args.precision, beta_unit=unit)
     sys.stdout.write(cert.render())
     return EXIT_OK
 
@@ -154,7 +146,6 @@ def _named_group(args):
 def cmd_group(args) -> int:
     if args.limit < MIN_LIMIT:
         raise ParameterError(f"limit must be >= {MIN_LIMIT}, got {args.limit}")
-    structured = args.output == "structured-text"
     if args.group_cmd == "iso":
         lhs = _load_group(args.lhs, args.p, args.limit)
         rhs = _load_group(args.rhs, args.p, args.limit)
@@ -170,10 +161,7 @@ def cmd_group(args) -> int:
         return EXIT_OK
     G = _named_group(args)
     if args.group_cmd == "make":
-        _report(
-            [("group", G.descriptor()), ("order", G.order)],
-            structured,
-        )
+        _report([("group", G.descriptor()), ("order", G.order)])
         return EXIT_OK
     tables(G, args.limit)  # the analysis below finds this table and takes no limit
     if args.group_cmd == "basics":
@@ -187,8 +175,7 @@ def cmd_group(args) -> int:
                 ("frattini_order", len(gb.frattini)),
                 ("rank", gb.rank),
                 ("exponent", gb.exponent),
-            ],
-            structured,
+            ]
         )
     elif args.group_cmd == "classify":
         cls = classify_minimal(G)
@@ -199,14 +186,12 @@ def cmd_group(args) -> int:
             [
                 ("kernel_order", len(kernel)),
                 ("quotient", make_group(cls.kind, G.p, cls.n, cls.d).descriptor()),
-            ],
-            structured,
+            ]
         )
     return EXIT_OK
 
 
 def cmd_breaks(args) -> int:
-    structured = args.output == "structured-text"
     if args.breaks_cmd == "tolower":
         print(upper_to_lower(parse_multiset(args.multiset)).to_text())
     elif args.breaks_cmd == "toupper":
@@ -231,8 +216,7 @@ def cmd_breaks(args) -> int:
                 ("carrier_relative_break", res.l0_relative_break),
                 ("others_upper", res.other_breaks.to_text()),
                 ("others_relative_break", res.other_relative_break),
-            ],
-            structured,
+            ]
         )
         for w in res.warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -264,21 +248,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--precision",
         type=int,
-        default=None,
-        help=f"p3: series precision window in coefficients (default {DEFAULT_PRECISION}, "
-        "env RAMFORGE_PRECISION)",
+        default=DEFAULT_PRECISION,
+        help=f"p3: series precision window in coefficients (default {DEFAULT_PRECISION})",
     )
     ap.add_argument(
         "--limit",
         type=int,
         default=DEFAULT_LIMIT,
         help=f"group: materialization limit (default {DEFAULT_LIMIT})",
-    )
-    ap.add_argument(
-        "--output",
-        choices=["text", "structured-text"],
-        default="text",
-        help="report format for group/breaks subcommands",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

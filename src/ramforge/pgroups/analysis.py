@@ -421,13 +421,11 @@ def burnside_action_check(P: PGroup, perm, m: int) -> BurnsideResult:
     perm = list(perm)
     if not all(isinstance(x, int) for x in perm) or sorted(perm) != list(range(t.n)):
         raise ParameterError("alpha is not a permutation of the group's indices")
-    # a bijection with alpha(a s) = alpha(a) alpha(s) for every generator s
-    # fixes the identity, so by induction on word length it is multiplicative
-    for s in t.gens:
-        ps = perm[s]
-        for a in range(t.n):
-            if perm[t.mul[a][s]] != t.mul[perm[a]][ps]:
-                raise ParameterError("alpha is not a homomorphism")
+    # the one homomorphism with s -> alpha(s) on the generators, if any:
+    # alpha is a homomorphism exactly when it is that map
+    phi = _extend_partial(t.e, t.e, [(t.mul[s], t.mul[perm[s]]) for s in t.gens])
+    if phi != dict(enumerate(perm)):
+        raise ParameterError("alpha is not a homomorphism")
     order = perm_order(perm)
     if m % order:
         raise ParameterError(f"alpha has order {order}, which does not divide m = {m}")

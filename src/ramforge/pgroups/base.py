@@ -485,15 +485,12 @@ class AGroup(_ClassTwoGroup):
 
 class CyclicPGroup(_ClassTwoGroup):
     """The cyclic group of order p^k, as H(0, k): its elements are the
-    1-tuples (c,) for gen()^c."""
+    1-tuples (c,) for gen_z()^c."""
 
     def __init__(self, p: int, k: int):
         super().__init__(p, 0, k, 0, 1, f"kind=C p={p} k={k}")
         if k < 1:
             raise ParameterError(f"cyclic p-group needs k >= 1, got {k}")
-
-    def gen(self):
-        return self.gen_z()
 
 
 class DirectProductGroup(PGroup):

@@ -38,8 +38,7 @@ def workloads():
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_workload_digests_match_committed(workloads, name, tmp_path, monkeypatch):
-    monkeypatch.delenv("RAMFORGE_PRECISION", raising=False)
+def test_workload_digests_match_committed(workloads, name, tmp_path):
     rf = types.SimpleNamespace(**{m: importlib.import_module(f"ramforge.{m}") for m in MODULES})
     make_inputs, run_pass = workloads.WORKLOADS[name]
     seed, certs = EXPECTED[name]["seed"], EXPECTED[name]["certs"]

@@ -63,21 +63,15 @@ class TestP3Command:
         )
         assert code == EXIT_OK and "WITNESS: 13/3" in out
 
-    def test_precision_env(self, monkeypatch):
-        monkeypatch.setenv("RAMFORGE_PRECISION", "512")
-        code, out, _ = run(["p3", "--p", "3", "--b", "1", "--a", "4"])
-        assert code == EXIT_OK
-        assert "param precision = 512" in out
-
     def test_precision_floor(self):
         code, _, err = run(["--precision", "32", "p3", "--p", "3", "--b", "1", "--a", "4"])
         assert code == EXIT_USAGE and ">= 64" in err
 
-    @pytest.mark.parametrize("value, message", [("abc", "RAMFORGE_PRECISION must be an integer"), ("10", ">= 64")])
-    def test_precision_env_refused(self, monkeypatch, value, message):
-        monkeypatch.setenv("RAMFORGE_PRECISION", value)
-        code, out, err = run(["p3", "--p", "3", "--b", "1", "--a", "4"])
-        assert code == EXIT_USAGE and not out and message in err
+    def test_precision_only_from_its_flag(self, monkeypatch):
+        # the environment sets no precision: --precision or the default
+        monkeypatch.setenv("RAMFORGE_PRECISION", "abc")
+        code, out, _ = run(["p3", "--p", "3", "--b", "1", "--a", "4"])
+        assert code == EXIT_OK and "param precision = 400" in out
 
 
 class TestGroupCommand:
@@ -101,12 +95,15 @@ class TestGroupCommand:
         assert code == EXIT_USAGE
         assert not out and ">= 27" in err
 
-    def test_basics_structured(self):
-        code, out, _ = run(
-            ["--output", "structured-text", "group", "basics", "--kind", "A", "--p", "3", "--n", "1", "--d", "1"]
-        )
+    def test_basics(self):
+        code, out, _ = run(["group", "basics", "--kind", "A", "--p", "3", "--n", "1", "--d", "1"])
         assert code == EXIT_OK
-        assert "order=27" in out and "exponent=9" in out
+        assert "order: 27" in out and "exponent: 9" in out
+
+    def test_no_output_format_option(self):
+        code, out, err = run(["--output", "text", "group", "make", "--kind", "C", "--p", "3", "--d", "2"])
+        assert code == EXIT_USAGE
+        assert not out and "usage:" in err
 
     def test_minquot_from_table(self, tmp_path):
         G = DirectProductGroup(make_group("H", 3, 1, 1), CyclicPGroup(3, 1))
@@ -565,16 +562,15 @@ def test_answered_without_tables(monkeypatch, case):
 
 
 TOWER_CERT = Path(__file__).resolve().parent.parent / "certs" / "p3-tower-p3-b1-a4.cert"
-# (argv, RAMFORGE_PRECISION or None)
 PARSER_CALLS = [
-    (["p3", "--p", "3"], None),
-    (["--help"], None),
-    (["p3", "--p", "3", "--b", "1", "--a", "4"], "512"),
-    (["verify", str(TOWER_CERT)], None),
-    (["breaks", "tolower", "upper m=1 p=3 : 1, 4"], None),
-    (["p3", "--p", "3", "--b", "1", "--a", "4"], None),
-    (["group", "classify", "--kind", "H", "--p", "3", "--n", "1", "--d", "2"], None),
-    (["breaks", "compose"], None),
+    ["p3", "--p", "3"],
+    ["--help"],
+    ["--precision", "512", "p3", "--p", "3", "--b", "1", "--a", "4"],
+    ["verify", str(TOWER_CERT)],
+    ["breaks", "tolower", "upper m=1 p=3 : 1, 4"],
+    ["p3", "--p", "3", "--b", "1", "--a", "4"],
+    ["group", "classify", "--kind", "H", "--p", "3", "--n", "1", "--d", "2"],
+    ["breaks", "compose"],
 ]
 
 
@@ -584,45 +580,37 @@ TOLOWER = ["breaks", "tolower", "upper m=1 p=3 : 1, 4"]
 @pytest.mark.parametrize(
     "flags, precision, argv",
     [
-        ([], "abc", ["verify", str(TOWER_CERT)]),
+        (["--limit", "5"], None, ["verify", str(TOWER_CERT)]),
         ([], "10", ["verify", str(TOWER_CERT)]),
         ([], "10", TOLOWER),
         (["--limit", "5"], None, TOLOWER),
     ],
 )
-def test_setting_read_only_by_its_command(monkeypatch, flags, precision, argv):
+def test_setting_read_only_by_its_command(flags, precision, argv):
     """The precision is read only by p3 and the limit only by group: a
     value that they refuse changes no other command's exit code or output."""
-    monkeypatch.delenv("RAMFORGE_PRECISION", raising=False)
     want = run(argv)
     if precision is not None:
-        monkeypatch.setenv("RAMFORGE_PRECISION", precision)
+        flags = ["--precision", precision] + flags
     assert run(flags + argv) == want and want[0] == EXIT_OK
 
 
-def test_parser_reused_across_calls(monkeypatch):
+def test_parser_reused_across_calls():
     """One parser serves every call in a process: interleaved usage
-    errors, help, builds, verifies, queries and an environment change
-    give the exit code and stdout that a freshly built parser gives."""
-
-    def call(argv, precision):
-        if precision is None:
-            monkeypatch.delenv("RAMFORGE_PRECISION", raising=False)
-        else:
-            monkeypatch.setenv("RAMFORGE_PRECISION", precision)
-        return run(argv)[:2]
-
+    errors, help, builds with and without a precision flag, verifies and
+    queries give the exit code and stdout that a freshly built parser
+    gives."""
     fresh = []
-    for argv, precision in PARSER_CALLS:
+    for argv in PARSER_CALLS:
         _build_parser.cache_clear()
-        fresh.append(call(argv, precision))
+        fresh.append(run(argv)[:2])
     assert [code for code, _ in fresh] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE]
     assert "param precision = 512" in fresh[2][1] and "param precision = 400" in fresh[5][1]
     _build_parser.cache_clear()
     parser = _build_parser()
     for _ in range(2):
-        for (argv, precision), want in zip(PARSER_CALLS, fresh):
-            assert call(argv, precision) == want, argv
+        for argv, want in zip(PARSER_CALLS, fresh):
+            assert run(argv)[:2] == want, argv
     assert _build_parser() is parser
 
 

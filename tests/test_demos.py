@@ -21,7 +21,6 @@ def test_all_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("RAMFORGE_PRECISION", None)
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=300,

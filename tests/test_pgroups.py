@@ -125,7 +125,7 @@ def subgroup_of_product():
     # <(x, 1), (y, 0)> in H(1,1) x C(3,2): order 81, neither factor
     G = DirectProductGroup(H(1, 1), CyclicPGroup(3, 2))
     h, c = G.g1, G.g2
-    return subgroup(G, indices(G, [(h.gen_x(0), c.gen()), (h.gen_y(0), c.identity())]))
+    return subgroup(G, indices(G, [(h.gen_x(0), c.gen_z()), (h.gen_y(0), c.identity())]))
 
 
 def quotient_by_center():
@@ -600,7 +600,7 @@ class TestBurnside:
     def test_generator_images_must_be_consistent(self):
         # on C_9, g -> g forces g^3 -> g^3, which contradicts g^3 -> g
         G = CyclicPGroup(3, 2)
-        g = G.gen()
+        g = G.gen_z()
         g3 = G.mul(g, G.mul(g, g))
         with pytest.raises(ParameterError, match="inconsistent"):
             automorphism_from_generator_images(G, {g: g, g3: g})
@@ -629,6 +629,11 @@ class TestBurnside:
         }
         with pytest.raises(ParameterError, match="not a homomorphism"):
             burnside_action_check(G, index_perm(G, alpha), 2)
+        # a translation x -> x g sends each generator s where the
+        # homomorphism with s -> s g does, but it moves the identity
+        g = (((1,), (1,)), (1,))
+        with pytest.raises(ParameterError, match="not a homomorphism"):
+            burnside_action_check(G, index_perm(G, {x: G.mul(x, g) for x in G.elements()}), 2)
 
     def test_rejects_p_order(self):
         G = DirectProductGroup(CyclicPGroup(3, 1), CyclicPGroup(3, 1))
