@@ -19,6 +19,14 @@ class modulo the Artin-Schreier operator with maximal valuation, which
 certifies the ramification break of the degree-p extension it generates.
 Each returns the accumulated witness w with reduced = delta - wp(w), so the
 claim can be re-checked by direct arithmetic.
+
+The break over F depends only on the class of the datum modulo
+wp(F) + O_F (Serre, *Local Fields*, IV-V), and that is how the tower's top
+step reduces it (`as_reduce_F_mod_O`): every element keeps only its
+principal part, the degree-i component below exponent ceil(i*b/p), and of
+each wp(w) only the few components that reach negative v_F are formed, so
+the cost does not grow with p.  The exact `as_reduce_F` forms all p
+components of every wp(w) and stays the reference.
 """
 
 from __future__ import annotations
@@ -82,6 +90,10 @@ class ASExtension:
         while len(powers) <= k:
             powers.append(powers[-1] * self.beta)
         return powers[k]
+
+    def principal_prec(self, i: int) -> int:
+        """ceil(i*b/p): the degree-i terms below it are those of negative v_F."""
+        return -(-i * self.b // self.p)
 
     def element(self, comps: dict[int, LaurentSeries]) -> "ASElement":
         """Build an element from a sparse degree -> component mapping."""
@@ -197,6 +209,53 @@ class ASElement:
         """Artin-Schreier operator on F: u -> u^p - u."""
         return self.pth_power() - self
 
+    # -- modulo O_F ---------------------------------------------------------
+
+    def principal_part(self) -> "ASElement":
+        """The element modulo O_F: each stored component cut to its terms of
+        negative v_F, the degree-i one to exponents below ceil(i*b/p)."""
+        ext = self.ext
+        return ASElement(ext, {i: c.truncate(ext.principal_prec(i)) for i, c in self.terms.items()})
+
+    def principal_wp(self) -> "ASElement":
+        """wp(self) modulo O_F, which wp maps into itself.
+
+        Each stored c*y^i is first cut to its principal part; say it has
+        v = v_F(c*y^i) = p*v_K(c) - i*b.  The y^k part C(i, k) c^p beta^(i-k)
+        of its p-th power has v_F >= p*v + (p-1)*b*k, so only the k with
+        that bound negative are formed.  Each is wanted to exponent
+        ceil(k*b/p), at most -v past its K-valuation, so beta cut to
+        relative precision -v serves every k: the least power is taken by
+        squaring and each next one by one multiply.
+        """
+        ext = self.ext
+        p, b = ext.p, ext.b
+        acc: dict[int, LaurentSeries] = {}
+        for i, c in self.terms.items():
+            c = c.truncate(ext.principal_prec(i))
+            _accumulate(acc, i, -c)
+            v = p * c._val_floor() - i * b
+            top = min(i, (-p * v - 1) // ((p - 1) * b))  # the largest k with a negative bound
+            if top < 0:
+                continue
+            binoms = [1]  # C(i, k) mod p, as C(i, k - 1) * (i - k + 1) / k
+            for k in range(1, top + 1):
+                binoms.append(binoms[-1] * (i - k + 1) * pow(k, -1, p) % p)
+            beta = ext.beta.truncate(-b - v)
+            cf = c.frobenius()
+            power = beta ** (i - top)
+            for k in range(top, -1, -1):
+                _accumulate(acc, k, (cf * binoms[k] * power).truncate(ext.principal_prec(k)))
+                if k:
+                    power = power * beta
+        return ASElement(ext, acc)
+
+    def is_integral(self) -> bool:
+        """True if the element is known to lie in O_F: it has no term of
+        negative v_F, and every component is known that far."""
+        lead, floor = self._lead()
+        return floor >= 0 and (lead is None or lead[0] >= 0)
+
     # -- valuation ----------------------------------------------------------
 
     def _lead(self) -> tuple[tuple[int, int, int, int] | None, int | float]:
@@ -293,6 +352,18 @@ def as_reduce_K(delta: LaurentSeries) -> Reduction:
     return Reduction(reduced, outcome, witness)
 
 
+def _witness_monomial(ext: ASExtension, j: int, c: int) -> tuple[int, int, int]:
+    """(i', j', c') of the monomial w = c'*pi^j'*y^i' whose wp leads with
+    c*pi^j in degree 0: the leading term of w^p is c'*pi^(p*j')*lead(beta)^i'
+    in degree 0, so i' = -j/b mod p, j' = (j + i'*b)/p and
+    c' = c / lead(beta)^i'."""
+    p, b = ext.p, ext.b
+    i_new = (-j * pow(b, -1, p)) % p
+    if (j + i_new * b) % p:
+        raise InternalCheckError("witness exponent is not divisible by p")
+    return i_new, (j + i_new * b) // p, c * pow(ext.beta.leading_coefficient(), -i_new, p) % p
+
+
 def as_reduce_F(delta: ASElement) -> Reduction:
     """Reduce delta mod wp(F) and certify the break it defines over F.
 
@@ -300,12 +371,11 @@ def as_reduce_F(delta: ASElement) -> Reduction:
     the degree-0 component, say c*pi^j with v_F = p*j.  The unique witness
     monomial w = c'*pi^j'*y^i' with wp(w) matching that term has
     i' = -j/b mod p, j' = (j + i'*b)/p, and c' = c / lead(beta)^i'; each
-    subtraction strictly increases v_F.
+    subtraction strictly increases v_F.  Every element is kept exactly,
+    every component of each wp(w) included.
     """
     ext = delta.ext
     p, b = ext.p, ext.b
-    beta_lead = ext.beta.leading_coefficient()
-    b_inv = pow(b % p, -1, p)
     witness = ext.zero_element(delta._max_prec())
     reduced = delta
     guard = 0
@@ -333,11 +403,7 @@ def as_reduce_F(delta: ASElement) -> Reduction:
             raise InternalCheckError(
                 f"p-divisible valuation attained at y-degree {i0} != 0"
             )
-        i_new = (-j * b_inv) % p
-        if (j + i_new * b) % p:
-            raise InternalCheckError("witness exponent is not divisible by p")
-        j_new = (j + i_new * b) // p
-        c_new = (c * pow(beta_lead, -i_new, p)) % p
+        i_new, j_new, c_new = _witness_monomial(ext, j, c)
         # exact, and known far enough that wp(step) loses none of the floor:
         # its degree-0 p-th power term needs p^2*prec - p*b*i' >= floor,
         # and -step needs p*prec - b*i' >= floor
@@ -354,3 +420,43 @@ def as_reduce_F(delta: ASElement) -> Reduction:
         if guard > abs(start) + 8:
             raise InternalCheckError("F-reduction failed to make progress")
     return Reduction(reduced, outcome, witness)
+
+
+def as_reduce_F_mod_O(delta: ASElement) -> Reduction:
+    """as_reduce_F on principal parts, at a cost independent of p.
+
+    The break depends only on delta modulo wp(F) + O_F: by Hensel's lemma
+    the maximal ideal lies in wp(F), and a constant changes the extension
+    only by an unramified twist.  A leading term of negative v_F is the same
+    modulo O_F, so the steps, the outcome and a wild residual's valuation
+    are as_reduce_F's; the residual is the exact one's principal part, and
+    delta - w.principal_wp() - reduced is integral.
+    """
+    ext = delta.ext
+    reduced = delta.principal_part()
+    witness = ext.element({})
+    last = -INF  # each step must raise the leading v_F
+    while True:
+        lead, floor = reduced._lead()
+        if lead is None or lead[0] >= 0:
+            if floor < 0:
+                raise InsufficientPrecisionError(
+                    f"residual is nonnegative only to precision floor {floor} < 0"
+                )
+            return Reduction(reduced, BreakOutcome("nonnegative"), witness)
+        v, i0, j, c = lead
+        if v > floor:
+            raise InsufficientPrecisionError(
+                f"leading term at {v} not certified: unknown below {floor}"
+            )
+        if v % ext.p != 0:
+            return Reduction(reduced, BreakOutcome("wild", -v), witness)
+        if i0 != 0:
+            raise InternalCheckError(f"p-divisible valuation attained at y-degree {i0} != 0")
+        if v <= last:
+            raise InternalCheckError("F-reduction failed to make progress")
+        last = v
+        i_new, j_new, c_new = _witness_monomial(ext, j, c)
+        step = ext.monomial_element(c_new, j_new, i_new, ext.principal_prec(i_new))
+        reduced = reduced - step.principal_wp()
+        witness = witness + step

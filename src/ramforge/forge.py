@@ -15,7 +15,10 @@ The central construction is the degree-p^3 tower over K = F_p((pi)):
 from a break b prime to p and an integer a > b with a != 0, -b mod p it
 produces a group-of-order-p^3 extension whose upper breaks are
 {b, a, a + b/p}, with the interior break of the top step certified by an
-actual Artin-Schreier reduction in F = K(y) rather than by formula.
+actual Artin-Schreier reduction in F = K(y) rather than by formula.  That
+reduction works modulo O_F, on principal parts, since nothing in O_F moves
+the break it records; so the tower costs the same at any p, and only the
+series window max(precision, 4*p*a) of beta and alpha grows with it.
 Larger targets are reached by composing towers and peeling breaks; the
 group-theoretic legs of those arguments are either machine-checked on
 materialized groups or recorded as named assumptions.
@@ -29,7 +32,7 @@ from functools import partial
 from itertools import zip_longest
 from math import gcd
 
-from .astower import ASExtension, as_reduce_F, as_reduce_K
+from .astower import ASExtension, as_reduce_F_mod_O, as_reduce_K
 from .errors import (
     InternalCheckError,
     ParameterError,
@@ -355,9 +358,8 @@ def _p3_steps(
             f"base datum reduced to {red1.outcome}, expected wild break {b}"
         )
     cert.step("cp-break-base", (("beta", beta),), (("break", b),))
-    ext = ASExtension(p, beta)  # its beta powers serve alpha and the top step
 
-    alpha = monomial(p, 1, -p * s, -p * s + window) * ext.beta_power(t)
+    alpha = monomial(p, 1, -p * s, -p * s + window) * beta**t
     red2 = as_reduce_K(alpha)
     if not (red2.outcome.is_wild and red2.outcome.break_value == a):
         raise InternalCheckError(
@@ -368,17 +370,20 @@ def _p3_steps(
     cert.step("cp-break-aux", (("alpha", alpha),), (("break", a), ("upper", u_m)))
 
     cert.assume("heisenberg-closure")
-    delta = ext.element({0: alpha * beta * r, 1: alpha})
-    red3 = as_reduce_F(delta)
+    # delta = alpha*y + r*alpha*beta modulo O_F, which fixes its break;
+    # alpha cut at b leaves alpha*beta known to exponent 0
+    ext = ASExtension(p, beta)
+    delta = ext.element({0: alpha.truncate(b) * beta * r, 1: alpha}).principal_part()
+    red3 = as_reduce_F_mod_O(delta)
     closed_form = 2 * b + p * (a - b)
     if not (red3.outcome.is_wild and red3.outcome.break_value == closed_form):
         raise InternalCheckError(
             f"top-step reduction gave {red3.outcome}, closed form says {closed_form}"
         )
-    # as_reduce_F reports a wild break as minus the residual's valuation
+    # a wild break is minus the residual's valuation, which no element of
+    # O_F can change
     residual_val = red3.reduced.valuation()
-    check = delta - red3.witness.wp() - red3.reduced
-    if not check.is_zero():
+    if not (delta - red3.witness.principal_wp() - red3.reduced).is_integral():
         raise InternalCheckError("reduction witness identity failed")
     cert.step(
         "wild-reduce-ext",

@@ -266,13 +266,27 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """self^k by repeated squaring.  Every product of powers keeps the
+        base's relative precision, so the result is that of k multiplies
+        by the base: known to k*val + (prec - val)."""
         if k < 0:
             raise ParameterError(f"exponent must be nonnegative, got {k}")
         out = _from_dense(self.p, 0, (1,), self.prec - self._val_floor())
         base = self
-        for _ in range(k):
-            out = out * base
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
+
+    def truncate(self, prec: int) -> "LaurentSeries":
+        """The series known only below ``prec``, or below its own precision
+        if that is smaller."""
+        if prec >= self.prec:
+            return self
+        return _from_dense(self.p, self._val_floor(), self.coeffs, prec)
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse, to the same relative precision.

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ramforge.astower import ASExtension, as_reduce_F, as_reduce_K
+from ramforge.astower import ASExtension, as_reduce_F, as_reduce_F_mod_O, as_reduce_K
 from ramforge.errors import InsufficientPrecisionError, ParameterError
 from ramforge.forge import P3Parameters
 from ramforge.laurent import INF, LaurentSeries, monomial, wp, zero
+
+from conftest import within
 
 WINDOW = 240
 
@@ -324,3 +326,135 @@ class TestReduceF:
         res = as_reduce_F(delta)
         assert res.reduced.valuation() > delta.valuation()
 
+
+
+# -- the reduction modulo O_F ---------------------------------------------------
+
+
+def tower_window(a, b):
+    """A series window far enough past the datum's valuation -p(a + b) for
+    the exact reduction."""
+    return 2 * (a + b) + 8
+
+
+def tower_datum(p, b, a, unit=None):
+    """(ext, delta) for the tower's top step at (p, b, a), with beta = pi^-b
+    times the unit whose coefficients from pi^0 on are ``unit``, if given."""
+    q = P3Parameters.derive(p, b, a)
+    window = tower_window(a, b)
+    beta = monomial(p, 1, -b, -b + window)
+    if unit is not None:
+        beta = beta * LaurentSeries(p, enumerate(unit), window)
+    ext = ASExtension(p, beta)
+    alpha = monomial(p, 1, -p * q.s, -p * q.s + window) * beta**q.t
+    return ext, ext.element({0: alpha * beta * q.r, 1: alpha})
+
+
+def assert_agrees_mod_O(delta):
+    """as_reduce_F_mod_O against the exact as_reduce_F: the same outcome
+    and residual valuation, residual and witness equal to the exact ones'
+    principal parts, and the witness identity modulo O_F."""
+    exact, mod_o = as_reduce_F(delta), as_reduce_F_mod_O(delta)
+    assert mod_o.outcome == exact.outcome
+    assert mod_o.reduced.valuation() == exact.reduced.valuation()
+    assert (exact.reduced.principal_part() - mod_o.reduced).is_integral()
+    assert (exact.witness.principal_part() - mod_o.witness).is_integral()
+    assert (delta - mod_o.witness.principal_wp() - mod_o.reduced).is_integral()
+    return mod_o
+
+
+def grid(p):
+    """(b, a) with b <= 7 and b < a <= b + 11, as `P3Parameters.derive`
+    allows at p."""
+    for b in range(1, 8):
+        for a in range(b + 1, b + 12):
+            if b % p and a % p and (a + b) % p:
+                yield b, a
+
+
+class TestReduceFModO:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+    def test_grid_agrees_with_exact(self, p):
+        with within(2, f"grid at p = {p}"):
+            for b, a in grid(p):
+                rng = random.Random(f"{p}:{b}:{a}")
+                dense = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(tower_window(a, b))]
+                for unit in (None, dense):
+                    res = assert_agrees_mod_O(tower_datum(p, b, a, unit)[1])
+                    assert res.outcome.break_value == 2 * b + p * (a - b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 11, 13, 101]), st.data())
+    def test_dense_beta_agrees_with_exact(self, p, data):
+        b, a = data.draw(st.sampled_from(list(grid(p))))
+        lead = data.draw(st.integers(1, p - 1))
+        tail = data.draw(st.lists(st.integers(0, p - 1), max_size=tower_window(a, b)))
+        with within(1, f"dense beta at {(p, b, a)}"):
+            assert_agrees_mod_O(tower_datum(p, b, a, [lead, *tail])[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 11]),
+        st.integers(1, 7),
+        st.dictionaries(
+            st.integers(0, 10),
+            st.tuples(st.integers(-30, 0), st.lists(st.integers(0, 10), max_size=8), st.integers(1, 40)),
+            max_size=3,
+        ),
+    )
+    def test_principal_wp_is_wp_modulo_O(self, p, b, comps):
+        """principal_wp is wp cut to principal parts, and forms no
+        component whose v_F bound p*v + (p-1)*b*k is >= 0 (nor any above a
+        term's own degree)."""
+        assume(b % p)
+        ext = ASExtension(p, monomial(p, 1, -b, 400))
+        x = ext.element(
+            {i % p: LaurentSeries(p, enumerate(cs, val), val + w) for i, (val, cs, w) in comps.items()}
+        )
+        got = x.principal_wp()
+        want = x.wp().principal_part()
+        assert (got - want).is_zero()
+        # known as far below O_F as the exact image is
+        assert min(got._lead()[1], 0) == min(want._lead()[1], 0)
+        formed = set(x.terms)
+        for i, c in x.terms.items():
+            v = p * min(c._val_floor(), ext.principal_prec(i)) - i * b
+            formed |= {k for k in range(i + 1) if p * v + (p - 1) * b * k < 0}
+        assert set(got.terms) == formed
+
+    def test_principal_part_windows(self):
+        # v_F(pi^e y^i) = 5e - 3i < 0 exactly for e < ceil(3i/5)
+        ext = ASExtension(5, monomial(5, 1, -3, 100))
+        x = ext.element({i: LaurentSeries(5, [(e, 1) for e in range(-3, 5)], 50) for i in range(5)})
+        cut = x.principal_part()
+        assert [cut.terms[i].prec for i in range(5)] == [0, 1, 2, 2, 3]
+        assert cut._lead()[1] >= 0 and (x - cut).is_integral()
+
+    def test_is_integral(self):
+        ext = ext_for(3, 1)
+        assert ext.element({}).is_integral()
+        assert ext.element({0: monomial(3, 1, 0, 5)}).is_integral()
+        assert ext.element({1: monomial(3, 1, 1, 5)}).is_integral()  # v_F = 2
+        assert not ext.y().is_integral()  # v_F = -1
+        assert not ext.element({0: zero(3, -1)}).is_integral()  # unknown below v_F = -3
+
+    def test_insufficient_precision(self):
+        # known only below pi^-4: the residual after the step at pi^-9 is not
+        # known to O_F
+        ext = ASExtension(3, monomial(3, 1, -1, 400))
+        delta = ext.element({0: LaurentSeries(3, [(-9, 1), (-5, 1)], -4)})
+        res = as_reduce_F_mod_O(delta)
+        assert res.outcome.break_value == 13
+        assert not (delta - res.witness.principal_wp() - res.reduced).is_integral()
+        with pytest.raises(InsufficientPrecisionError):
+            as_reduce_F_mod_O(ext.element({0: monomial(3, 1, 0, 400), 1: zero(3, -1)}))
+
+    @pytest.mark.parametrize("p", [10007, 1000003])
+    def test_large_p_costs_what_small_p_costs(self, p):
+        """At (2, 7) the witness degree is i' = (p + 9)/2, but only the
+        components below O_F are formed."""
+        with within(1, f"p = {p}"):
+            ext, delta = tower_datum(p, 2, 7)
+            res = as_reduce_F_mod_O(delta)
+        assert res.outcome.break_value == 2 * 2 + p * 5
+        assert max(len(res.witness.principal_wp().terms), len(res.reduced.terms)) <= 8

@@ -164,7 +164,8 @@ def _datum(p, b, dense):
 def test_beta_power_is_series_power(p, dense):
     """The extension's chain of beta powers gives beta**k, coefficient by
     coefficient and with its precision, for every k <= p - 1, whatever
-    power is asked for first: the tower takes beta^t from that chain."""
+    power is asked for first: the exact p-th power takes its powers of beta
+    from that chain."""
     beta = monomial(p, 1, -2, 200)
     if dense:
         beta = beta * LaurentSeries(p, [(0, 2), (1, 1), (3, p - 1)], 200)

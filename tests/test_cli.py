@@ -388,6 +388,20 @@ def test_large_p_tower_verifies_within_1s(tmp_path):
     assert code == EXIT_OK and out.endswith(": verified\n")
 
 
+def test_large_witness_degree_tower_within_1s(tmp_path):
+    """p = 1000003, (b, a) = (2, 7): the witness degree i' is 500006, but
+    the top step forms only the components of wp(w) below O_F, and beta^t
+    takes ~20 multiplies by squaring."""
+    with within(1, "p3 at p = 1000003, (2, 7)"):
+        code, out, _ = run(["p3", "--p", "1000003", "--b", "2", "--a", "7"])
+    assert code == EXIT_OK and "WITNESS: 7000023/1000003" in out
+    path = tmp_path / "tower.cert"
+    path.write_text(out)
+    with within(1, "verify at p = 1000003, (2, 7)"):
+        code, out, _ = run(["verify", str(path)])
+    assert code == EXIT_OK and out.endswith(": verified\n")
+
+
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "certs"
 CORPUS = sorted(CORPUS_DIR.glob("*.cert"))
 

@@ -416,6 +416,44 @@ class TestDifferential:
         assert key(m * s) == ref_mul(m, s)
         assert key(s * m) == ref_mul(s, m)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(0, 12), st.integers(0, 2**32))
+    def test_pow_is_repeated_multiplication(self, p, k, seed):
+        """a**k by squaring is k multiplies by a, starting from 1 known to
+        a's relative precision, on (val, coeffs, prec): zero-to-precision
+        bases, negative precisions and k = 0 included."""
+        rng = random.Random(seed)
+        val, n = rng.randint(-30, 10), rng.choice((0, 1, 2, 7, 60))
+        density = rng.choice((0.0, 0.3, 1.0))
+        pairs = [(val + i, rng.randrange(1, p)) for i in range(n) if rng.random() < density]
+        a = LaurentSeries(p, pairs, val + n + rng.randint(-n - 3, 5))
+        want = LaurentSeries(a.p, [(0, 1)], a.prec - ref_val_floor(a))
+        for _ in range(k):
+            want = want * a
+        assert key(a**k) == key(want)
+
+    def test_pow_takes_logarithmically_many_products(self):
+        a = LaurentSeries(5, [(-2, 1), (0, 3), (1, 1)], 20)
+        calls = []
+        real = laurent._kronecker_mul
+
+        def spy(x, y, n, p):
+            calls.append(n)
+            return real(x, y, n, p)
+
+        with mock.patch.object(laurent, "_kronecker_mul", spy):
+            got = a**1000
+        assert len(calls) <= 2 * (1000).bit_length()
+        assert (got.val, got.prec) == (-2000, -2000 + 22)
+
+    def test_truncate(self):
+        a = LaurentSeries(3, [(-2, 1), (0, 2), (3, 1)], 10)
+        assert key(a.truncate(1)) == (-2, (1, 0, 2), 1)
+        assert key(a.truncate(-2)) == (None, (), -2)
+        assert key(a.truncate(9)) == (-2, (1, 0, 2, 0, 0, 1), 9)
+        assert a.truncate(50).prec == 10  # never known past its own precision
+        assert key(zero(3, 4).truncate(2)) == (None, (), 2)
+
     @pytest.mark.parametrize("p", [3, 2**31 - 1, 2**61 - 1])
     @pytest.mark.parametrize("c", [1, 2, -1])
     def test_mul_one_term_cases(self, p, c):
