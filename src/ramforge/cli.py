@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import (
@@ -45,6 +44,7 @@ from .pgroups import (
 )
 from .pgroups.base import _check_limit, _log_p
 from .ramcalc import (
+    _read_break,
     compose_disjoint,
     fact1_resolve,
     lower_to_upper,
@@ -203,10 +203,7 @@ def cmd_breaks(args) -> int:
             ).to_text()
         )
     elif args.breaks_cmd == "fact1":
-        try:
-            u, v = Fraction(args.u), Fraction(args.v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"malformed break: --u {args.u!r} --v {args.v!r}") from exc
+        u, v = _read_break(args.u), _read_break(args.v)
         res = fact1_resolve(parse_multiset(args.multiset), u, v)
         _report(
             [

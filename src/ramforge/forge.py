@@ -26,7 +26,7 @@ materialized groups or recorded as named assumptions.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import zip_longest
@@ -316,7 +316,7 @@ def _pick_a_above(p: int, b: int, v) -> int:
 
 
 def _upper(p: int, breaks) -> BreakMultiset:
-    return BreakMultiset("upper", 1, p, tuple(sorted(Fraction(x) for x in breaks)))
+    return BreakMultiset("upper", 1, p, tuple(sorted(breaks)))
 
 
 def _case_split(cert: Certificate, upper: BreakMultiset, u, v):
@@ -342,7 +342,7 @@ def _p3_steps(
     beta_unit: LaurentSeries | None,
 ) -> None:
     """The seven tower steps; concludes with the tower's breaks."""
-    p, b, a, t, s, r = astuple(params)
+    p, b, a, t, s, r = params.p, params.b, params.a, params.t, params.s, params.r
     window = max(precision, 4 * p * a)
     beta = monomial(p, 1, -b, -b + window)
     if beta_unit is not None:

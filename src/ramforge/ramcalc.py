@@ -10,16 +10,44 @@ recursion
 with breaks counted with multiplicity.  Lower breaks are always positive
 integers; an upper multiset whose inversion is nonintegral is not
 realizable by any extension.
+
+The recursions run on integers.  Upper break i is N_i / (m * p^(i-1))
+with N_i = p * N_(i-1) + (b_i - b_(i-1)), so one `Fraction` is built per
+break.  Going down, (u_i - u_(i-1)) * m * p^(i-1) is one integer quotient,
+and a nonzero remainder is exactly a nonintegral lower break.  Order and
+equality of breaks are cross-multiplied integer comparisons of their
+numerators and denominators.
+
+A break is written, and read back, as an integer or ``int/int``; no
+other form is read.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import ParameterError, ParseError, UnrealizableMultisetError
 from .laurent import require_odd_prime
+
+# the forms `BreakMultiset.to_text` writes: an integer, or int/int with a
+# nonzero denominator
+_BREAK = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _read_break(token: str) -> Fraction:
+    """A break token of the form ``_BREAK``.  ``Fraction(token)`` would also
+    read decimals and exponent forms, and expands ``1e1000000000`` without
+    bound."""
+    token = token.strip()
+    try:
+        if _BREAK.fullmatch(token):
+            return Fraction(*map(int, token.split("/")))
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(f"malformed break {token!r}: expected an integer or int/int")
 
 
 @dataclass(frozen=True)
@@ -37,12 +65,20 @@ class BreakMultiset:
             raise ParameterError(f"numbering must be lower or upper, got {self.numbering!r}")
         if self.m < 1 or gcd(self.m, self.p) != 1:
             raise ParameterError(f"tame degree m={self.m} must be positive and prime to p={self.p}")
-        bs = tuple(Fraction(b) for b in self.breaks)
-        if any(b <= 0 for b in bs):
+        bs = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.breaks)
+        positive = ordered = integral = True
+        n0, d0 = 0, 1
+        for b in bs:
+            n, d = b.numerator, b.denominator
+            positive = positive and n > 0
+            ordered = ordered and n0 * d <= n * d0
+            integral = integral and d == 1
+            n0, d0 = n, d
+        if not positive:
             raise ParameterError("breaks must be positive")
-        if list(bs) != sorted(bs):
+        if not ordered:
             raise ParameterError("breaks must be sorted ascending")
-        if self.numbering == "lower" and any(b.denominator != 1 for b in bs):
+        if self.numbering == "lower" and not integral:
             raise ParameterError("lower breaks must be integers")
         object.__setattr__(self, "breaks", bs)
 
@@ -77,9 +113,9 @@ def parse_multiset(text: str) -> BreakMultiset:
     try:
         m = int(fields[1][2:])
         p = int(fields[2][2:])
-        breaks = tuple(Fraction(tok.strip()) for tok in body.split(",") if tok.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"malformed multiset text: {text!r}") from exc
+    breaks = tuple(_read_break(tok) for tok in body.split(",") if tok.strip())
     try:
         return BreakMultiset(fields[0], m, p, breaks)
     except ParameterError as exc:
@@ -91,11 +127,12 @@ def lower_to_upper(bm: BreakMultiset) -> BreakMultiset:
     if bm.numbering != "lower":
         raise ParameterError("lower_to_upper expects a lower-numbered multiset")
     us: list[Fraction] = []
-    u, lo, scale = 0, 0, bm.m  # u_0 = b_0 = 0: the first break is one more step
+    num, lo, scale = 0, 0, bm.m  # u_i = num / scale, u_0 = b_0 = 0
     for b in bm.breaks:
-        u += (b - lo) / scale
-        lo, scale = b, scale * bm.p
-        us.append(u)
+        b = b.numerator
+        num, lo = num * bm.p + b - lo, b
+        us.append(Fraction(num, scale))
+        scale *= bm.p
     return BreakMultiset("upper", bm.m, bm.p, tuple(us))
 
 
@@ -104,18 +141,32 @@ def upper_to_lower(bm: BreakMultiset) -> BreakMultiset:
     not realizable by an extension."""
     if bm.numbering != "upper":
         raise ParameterError("upper_to_lower expects an upper-numbered multiset")
-    bs: list[Fraction] = []
-    b, lo, scale = 0, 0, bm.m  # b_0 = u_0 = 0, as in lower_to_upper
+    bs: list[int] = []
+    b, n0, d0, scale = 0, 0, 1, bm.m  # b_0 = u_0 = n0/d0 = 0, as in lower_to_upper
     for i, u in enumerate(bm.breaks):
-        b += (u - lo) * scale
-        lo, scale = u, scale * bm.p
-        if b.denominator != 1 or b <= 0:
+        n, d = u.numerator, u.denominator
+        # b_i - b_(i-1) = (u_i - u_(i-1)) * scale = (n*d0 - n0*d) * scale / (d*d0)
+        step, rem = divmod((n * d0 - n0 * d) * scale, d * d0)
+        b += step
+        if rem or b <= 0:
             raise UnrealizableMultisetError(
                 f"upper multiset {bm.to_text()!r} is not realizable: "
-                f"lower break {i + 1} would be {b}"
+                f"lower break {i + 1} would be {b + Fraction(rem, d * d0)}"
             )
         bs.append(b)
+        n0, d0, scale = n, d, scale * bm.p
     return BreakMultiset("lower", bm.m, bm.p, tuple(bs))
+
+
+def _rank(bs: tuple[Fraction, ...], x: Fraction) -> tuple[int, bool]:
+    """How many of the sorted breaks ``bs`` lie below ``x``, and whether
+    ``x`` is one of them."""
+    n, d = x.numerator, x.denominator
+    for k, y in enumerate(bs):
+        c = y.numerator * d - n * y.denominator
+        if c >= 0:
+            return k, c == 0
+    return len(bs), False
 
 
 def compose_disjoint(u1: BreakMultiset, u2: BreakMultiset) -> BreakMultiset:
@@ -127,12 +178,21 @@ def compose_disjoint(u1: BreakMultiset, u2: BreakMultiset) -> BreakMultiset:
             raise ParameterError("compose_disjoint applies to p-extensions (m = 1)")
     if u1.p != u2.p:
         raise ParameterError(f"prime mismatch: {u1.p} vs {u2.p}")
-    common = set(u1.breaks) & set(u2.breaks)
-    if common:
-        raise ParameterError(
-            f"break sets are not disjoint: common value {sorted(common)[0]}"
-        )
-    return BreakMultiset("upper", 1, u1.p, tuple(sorted(u1.breaks + u2.breaks)))
+    xs, ys = u1.breaks, u2.breaks
+    merged: list[Fraction] = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        c = x.numerator * y.denominator - y.numerator * x.denominator
+        if c == 0:  # the merge meets the least common value first
+            raise ParameterError(f"break sets are not disjoint: common value {x}")
+        if c < 0:
+            merged.append(x)
+            i += 1
+        else:
+            merged.append(y)
+            j += 1
+    return BreakMultiset("upper", 1, u1.p, (*merged, *xs[i:], *ys[j:]))
 
 
 @dataclass(frozen=True)
@@ -156,25 +216,26 @@ class Fact1Result:
 
 
 def fact1_resolve(u_m: BreakMultiset, u, v) -> Fact1Result:
-    u = Fraction(u)
-    v = Fraction(v)
+    u = u if isinstance(u, Fraction) else Fraction(u)
+    v = v if isinstance(v, Fraction) else Fraction(v)
     if u_m.numbering != "upper":
         raise ParameterError("fact1_resolve expects an upper-numbered multiset")
-    if not u < v:
+    if u.numerator * v.denominator >= v.numerator * u.denominator:
         raise ParameterError(f"need u < v, got u={u}, v={v}")
-    if u in u_m.breaks or v in u_m.breaks:
+    bs = u_m.breaks
+    (iu, u_in), (iv, v_in) = _rank(bs, u), _rank(bs, v)
+    if u_in or v_in:
         raise ParameterError("u and v must not already be breaks of the quotient")
-    full = BreakMultiset("upper", u_m.m, u_m.p, tuple(sorted(u_m.breaks + (u, v))))
+    # iu <= iv as u < v; in the full multiset u sits at iu and v at iv + 1
+    full = BreakMultiset("upper", u_m.m, u_m.p, (*bs[:iu], u, *bs[iu:iv], v, *bs[iv:]))
     lowers = upper_to_lower(full)  # raises UnrealizableMultisetError if inconsistent
-    iu = full.breaks.index(u)
-    iv = full.breaks.index(v)
-    lower_u = int(lowers.breaks[iu])
-    lower_v = int(lowers.breaks[iv])
+    lower_u = lowers.breaks[iu].numerator
+    lower_v = lowers.breaks[iv + 1].numerator
     warnings = ()
-    if u_m.breaks and u < max(u_m.breaks):
-        warnings = (f"u = {u} lies below the existing top break {max(u_m.breaks)}",)
-    l0 = BreakMultiset("upper", u_m.m, u_m.p, tuple(sorted(u_m.breaks + (u,))))
-    other = BreakMultiset("upper", u_m.m, u_m.p, tuple(sorted(u_m.breaks + (v,))))
+    if iu < len(bs):
+        warnings = (f"u = {u} lies below the existing top break {bs[-1]}",)
+    l0 = BreakMultiset("upper", u_m.m, u_m.p, (*bs[:iu], u, *bs[iu:]))
+    other = BreakMultiset("upper", u_m.m, u_m.p, (*bs[:iv], v, *bs[iv:]))
     return Fact1Result(
         lower_u=lower_u,
         lower_v=lower_v,

@@ -206,6 +206,24 @@ class TestBreaksCommand:
         assert "lower_v: 19" in out
         assert err == "warning: u = 1 lies below the existing top break 4\n"
 
+    # a break is read as an integer or int/int: Fraction would also read an
+    # exponent form, and expanding 1e1000000000 takes unbounded time
+    @pytest.mark.parametrize("token", ["1e1000000000", "1.5"])
+    def test_tolower_refuses_other_break_forms(self, token):
+        with within(1, f"tolower {token}"):
+            code, out, err = run(["breaks", "tolower", f"upper m=1 p=3 : 1, {token}"])
+        assert code == EXIT_USAGE
+        assert not out and err == f"error: malformed break {token!r}: expected an integer or int/int\n"
+
+    @pytest.mark.parametrize("u, v", [("1e1000000000", "4"), ("1", "5e1000000000"), ("1.5", "4")])
+    def test_fact1_refuses_other_break_forms(self, u, v):
+        argv = ["breaks", "fact1", "--multiset", "upper m=1 p=3 :", "--u", u, "--v", v]
+        with within(1, f"fact1 --u {u} --v {v}"):
+            code, out, err = run(argv)
+        bad = v if u == "1" else u
+        assert code == EXIT_USAGE
+        assert not out and err == f"error: malformed break {bad!r}: expected an integer or int/int\n"
+
     @pytest.mark.parametrize("u, v", [("1/0", "4"), ("1", "5/0")])
     def test_fact1_zero_denominator(self, u, v):
         argv = ["breaks", "fact1", "--multiset", "upper m=1 p=3 :", "--u", u, "--v", v]
@@ -456,6 +474,7 @@ HOSTILE_PARAMS = {
     "A1d base of three breaks": ("nonint-A1d-p3-n1-d1", "base", "upper m=1 p=3 : 1, 4, 5", "must have 2 breaks, got 3"),
     "A1d base not increasing": ("nonint-A1d-p3-n1-d1", "base", "upper m=1 p=3 : 1, 1", "strictly increasing"),
     "A1d base break divisible by p": ("nonint-A1d-p3-n1-d1", "base", "upper m=1 p=3 : 3, 4", "integer prime to p, got 3"),
+    "nonint base break in exponent form": ("nonint-H-p3-n2-d1", "base", "upper m=1 p=3 : 1, 4, 1e1000000000", "malformed break '1e1000000000'"),
     "nonint n = 0": ("nonint-H-p3-n2-d1", "n", "0", "need n >= 1 and d >= 1, got n=0 d=1"),
     "nonint d = 0": ("nonint-H-p3-n2-d1", "d", "0", "need n >= 1 and d >= 1, got n=2 d=0"),
     "chat m = 0": ("chat-H11-m2-trivial", "m", "0", "m must be positive, got 0"),
