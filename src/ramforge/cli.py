@@ -32,7 +32,6 @@ from .forge import (
 from .laurent import parse_series
 from .pgroups import (
     DEFAULT_LIMIT,
-    CyclicPGroup,
     TableGroup,
     classify_minimal,
     group_basics,
@@ -77,7 +76,8 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def _load_group(descriptor: str, p_hint: int | None, limit: int):
-    """A group descriptor, or @path to a whitespace-separated Cayley table."""
+    """A GROUP operand: a descriptor, or @path to a whitespace-separated
+    Cayley table whose order is a power of ``p_hint`` (inferred if None)."""
     if descriptor.startswith("@"):
         with open(descriptor[1:]) as fh:  # open("") is a missing file; Path("") is "."
             text = fh.read()
@@ -126,29 +126,12 @@ def cmd_p3(args) -> int:
     return EXIT_OK
 
 
-def _named_group(args):
-    """The group of a `group` subcommand other than iso: ``--table``, else
-    ``--descriptor``, else ``--kind``/``--p``/``--n``/``--d`` (kind C reads
-    only ``--d``, as k)."""
-    if args.table is not None or args.descriptor is not None:
-        spec = args.descriptor if args.table is None else f"@{args.table}"
-        return _load_group(spec, args.p, args.limit)
-    if None in (args.kind, args.p, args.d) or (args.n is None and args.kind != "C"):
-        raise ParameterError("give --kind/--p/--n/--d, or --descriptor, or --table")
-    if args.kind == "C":
-        G = CyclicPGroup(args.p, args.d)
-    else:
-        G = make_group(args.kind, args.p, args.n, args.d)
-    _check_limit(G, args.limit)
-    return G
-
-
 def cmd_group(args) -> int:
     if args.limit < MIN_LIMIT:
         raise ParameterError(f"limit must be >= {MIN_LIMIT}, got {args.limit}")
+    groups = [_load_group(spec, args.p, args.limit) for spec in args.group]
     if args.group_cmd == "iso":
-        lhs = _load_group(args.lhs, args.p, args.limit)
-        rhs = _load_group(args.rhs, args.p, args.limit)
+        lhs, rhs = groups
         try:  # it tables only groups of one order and one centre order
             same = is_isomorphic(lhs, rhs)
         except MaterializationLimitError:
@@ -159,7 +142,7 @@ def cmd_group(args) -> int:
             same = is_isomorphic(lhs, rhs)
         print("isomorphic" if same else "not isomorphic")
         return EXIT_OK
-    G = _named_group(args)
+    (G,) = groups
     if args.group_cmd == "make":
         _report([("group", G.descriptor()), ("order", G.order)])
         return EXIT_OK
@@ -269,20 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gp = sub.add_parser("group", help="construct and analyze p-groups")
     gsub = gp.add_subparsers(dest="group_cmd", required=True)
-    for name in ("make", "basics", "classify", "minquot"):
+    for name, operands in (("make", 1), ("basics", 1), ("classify", 1), ("minquot", 1), ("iso", 2)):
         g = gsub.add_parser(name)
-        g.add_argument("--kind", default=None)
-        g.add_argument("--p", type=int, default=None)
-        g.add_argument("--n", type=int, default=None)
-        g.add_argument("--d", type=int, default=None)
-        g.add_argument("--descriptor", default=None, help="full group descriptor text")
-        g.add_argument("--table", default=None, help="path to a Cayley table file")
+        g.add_argument("group", nargs=operands, metavar="GROUP", help="descriptor or @table-path")
+        g.add_argument(
+            "--p", type=int, help="the prime of a table's order (inferred for 3, 5, 7, 11, 13)"
+        )
         g.set_defaults(func=cmd_group)
-    gi = gsub.add_parser("iso")
-    gi.add_argument("--lhs", required=True, help="descriptor or @table-path")
-    gi.add_argument("--rhs", required=True, help="descriptor or @table-path")
-    gi.add_argument("--p", type=int, default=None)
-    gi.set_defaults(func=cmd_group)
 
     br = sub.add_parser("breaks", help="break multiset calculus")
     bsub = br.add_subparsers(dest="breaks_cmd", required=True)

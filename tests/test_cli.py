@@ -76,32 +76,32 @@ class TestP3Command:
 
 class TestGroupCommand:
     def test_classify(self):
-        code, out, _ = run(["group", "classify", "--kind", "H", "--p", "3", "--n", "1", "--d", "2"])
+        code, out, _ = run(["group", "classify", "kind=H p=3 n=1 d=2"])
         assert code == EXIT_OK
         assert out.strip() == "H n=1 d=2"
 
     def test_make(self):
-        code, out, _ = run(["group", "make", "--kind", "H", "--p", "3", "--n", "0", "--d", "2"])
+        code, out, _ = run(["group", "make", "kind=H p=3 n=0 d=2"])
         assert code == EXIT_OK
         assert "order: 9" in out
 
     def test_make_cyclic(self):
-        code, out, _ = run(["group", "make", "--kind", "C", "--p", "3", "--d", "2"])
+        code, out, _ = run(["group", "make", "kind=C p=3 k=2"])
         assert code == EXIT_OK
         assert "group: kind=C p=3 k=2" in out and "order: 9" in out
 
     def test_limit_floor(self):
-        code, out, err = run(["--limit", "26", "group", "make", "--kind", "C", "--p", "3", "--d", "2"])
+        code, out, err = run(["--limit", "26", "group", "make", "kind=C p=3 k=2"])
         assert code == EXIT_USAGE
         assert not out and ">= 27" in err
 
     def test_basics(self):
-        code, out, _ = run(["group", "basics", "--kind", "A", "--p", "3", "--n", "1", "--d", "1"])
+        code, out, _ = run(["group", "basics", "kind=A p=3 n=1 d=1"])
         assert code == EXIT_OK
         assert "order: 27" in out and "exponent: 9" in out
 
     def test_no_output_format_option(self):
-        code, out, err = run(["--output", "text", "group", "make", "--kind", "C", "--p", "3", "--d", "2"])
+        code, out, err = run(["--output", "text", "group", "make", "kind=C p=3 k=2"])
         assert code == EXIT_USAGE
         assert not out and "usage:" in err
 
@@ -110,7 +110,7 @@ class TestGroupCommand:
         t = tables(G)
         path = tmp_path / "hxc3.table"
         path.write_text("\n".join(" ".join(map(str, row)) for row in t.mul) + "\n")
-        code, out, _ = run(["group", "minquot", "--table", str(path)])
+        code, out, _ = run(["group", "minquot", f"@{path}"])
         assert code == EXIT_OK
         assert "kind=H p=3 n=1 d=1" in out
 
@@ -121,13 +121,13 @@ class TestGroupCommand:
         t = tables(cp)
         path = tmp_path / "cp.table"
         path.write_text("\n".join(" ".join(map(str, row)) for row in t.mul) + "\n")
-        code, out, _ = run(["group", "iso", "--lhs", f"@{path}", "--rhs", "kind=H p=3 n=2 d=1"])
+        code, out, _ = run(["group", "iso", f"@{path}", "kind=H p=3 n=2 d=1"])
         assert code == EXIT_OK
         assert out.strip() == "isomorphic"
 
     def test_iso_negative(self):
         code, out, _ = run(
-            ["group", "iso", "--lhs", "kind=H p=3 n=1 d=1", "--rhs", "kind=A p=3 n=1 d=1"]
+            ["group", "iso", "kind=H p=3 n=1 d=1", "kind=A p=3 n=1 d=1"]
         )
         assert code == EXIT_OK
         assert out.strip() == "not isomorphic"
@@ -136,20 +136,20 @@ class TestGroupCommand:
         # the README's order-729 pair: |Z| is 81 against 9
         built = table_spy(monkeypatch)
         lhs = "kind=H p=3 n=1 d=2 x kind=C p=3 k=1 x kind=C p=3 k=1"
-        code, out, _ = run(["group", "iso", "--lhs", lhs, "--rhs", "kind=H p=3 n=2 d=2"])
+        code, out, _ = run(["group", "iso", lhs, "kind=H p=3 n=2 d=2"])
         assert (code, out.strip()) == (EXIT_OK, "not isomorphic")
         assert 729 not in built
 
     def test_limit_exceeded(self):
-        code, _, err = run(["--limit", "27", "group", "basics", "--descriptor", "kind=H p=3 n=2 d=1"])
+        code, _, err = run(["--limit", "27", "group", "basics", "kind=H p=3 n=2 d=1"])
         assert code == EXIT_LIMIT and "limit" in err
 
     def test_bad_args(self):
-        code, _, err = run(["group", "classify", "--kind", "H"])
+        code, _, err = run(["group", "classify", "kind=H"])
         assert code == EXIT_USAGE
 
     def test_missing_table(self, tmp_path):
-        code, out, err = run(["group", "basics", "--table", f"@{tmp_path / 'absent.table'}"])
+        code, out, err = run(["group", "basics", f"@{tmp_path / 'absent.table'}"])
         assert code == EXIT_USAGE
         assert not out and "absent.table" in err
 
@@ -157,7 +157,7 @@ class TestGroupCommand:
         "p, n, message", [("4", "1", "p must be prime, got 4"), ("3", "-1", "H(n, d) needs n >= 0")]
     )
     def test_descriptor_error_names_violation(self, p, n, message):
-        code, out, err = run(["group", "make", "--kind", "H", "--p", p, "--n", n, "--d", "1"])
+        code, out, err = run(["group", "make", f"kind=H p={p} n={n} d=1"])
         assert code == EXIT_USAGE
         assert not out and message in err
 
@@ -321,16 +321,16 @@ BIG_P = 10000000000000061  # prime: hours by trial division
 
 # name: (argv with {f} for the input file, the file's text or None, exit code)
 HOSTILE = {
-    "empty file": (["group", "basics", "--table", "{f}"], "", EXIT_USAGE),
-    "blank file": (["group", "basics", "--table", "{f}"], " \n\n\t \n", EXIT_USAGE),
-    "empty file as iso operand": (["group", "iso", "--lhs", "@{f}", "--rhs", H11], "", EXIT_USAGE),
-    "empty table path": (["group", "basics", "--table", ""], None, EXIT_USAGE),
-    "non-square table": (["group", "basics", "--table", "{f}"], "0 1 2\n1 2 0\n", EXIT_USAGE),
-    "non-integer token": (["group", "basics", "--table", "{f}"], "0 1 2\n1 2 0\n2 0 x\n", EXIT_USAGE),
-    "over-limit table": (["--limit", "27", "group", "basics", "--table", "{f}"], "0\n" * 28, EXIT_LIMIT),
-    "huge descriptor": (["group", "make", "--descriptor", HUGE], None, EXIT_LIMIT),
+    "empty file": (["group", "basics", "@{f}"], "", EXIT_USAGE),
+    "blank file": (["group", "basics", "@{f}"], " \n\n\t \n", EXIT_USAGE),
+    "empty file as iso operand": (["group", "iso", "@{f}", H11], "", EXIT_USAGE),
+    "empty table path": (["group", "basics", "@"], None, EXIT_USAGE),
+    "non-square table": (["group", "basics", "@{f}"], "0 1 2\n1 2 0\n", EXIT_USAGE),
+    "non-integer token": (["group", "basics", "@{f}"], "0 1 2\n1 2 0\n2 0 x\n", EXIT_USAGE),
+    "over-limit table": (["--limit", "27", "group", "basics", "@{f}"], "0\n" * 28, EXIT_LIMIT),
+    "huge descriptor": (["group", "make", HUGE], None, EXIT_LIMIT),
     "huge chat certificate": (["verify", "{f}"], CHAT_CERT.read_text().replace(H11, HUGE, 1), EXIT_LIMIT),
-    "vast descriptor": (["group", "make", "--descriptor", VAST], None, EXIT_LIMIT),
+    "vast descriptor": (["group", "make", VAST], None, EXIT_LIMIT),
     "vast chat certificate": (["verify", "{f}"], CHAT_CERT.read_text().replace(H11, VAST, 1), EXIT_LIMIT),
     # its group legs are decided on exponents, so 3^20000003 is never computed
     "vast nonint certificate": (
@@ -370,7 +370,7 @@ def test_table_refused_before_its_tokens(tmp_path, case):
     path = tmp_path / "input"
     path.write_text((" ".join(["1"] * 560_000) + "\n") * rows)
     with within(1, case):
-        code, out, err = run(head + ["group", "basics", "--table", str(path)])
+        code, out, err = run(head + ["group", "basics", f"@{path}"])
     assert code == want
     assert not out and err.startswith("error: ") and err.count("\n") == 1
 
@@ -391,7 +391,7 @@ def test_minquot_order_2187_within_1s():
     takes ~46 s on this group (2-core VM)."""
     descriptor = "kind=A p=3 n=1 d=1 x kind=A p=3 n=1 d=1 x kind=C p=3 k=1"
     with within(1, "group minquot A(1,1) x A(1,1) x C3"):
-        code, out, _ = run(["group", "minquot", "--descriptor", descriptor])
+        code, out, _ = run(["group", "minquot", descriptor])
     assert code == EXIT_OK
     assert out == "kernel_order: 81\nquotient: kind=A p=3 n=1 d=1\n"
 
@@ -511,7 +511,7 @@ def test_table_entry_out_of_range(tmp_path, entry):
     path = tmp_path / "input"
     path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
     with within(1, f"entry {entry}"):
-        code, out, err = run(["group", "basics", "--table", str(path)])
+        code, out, err = run(["group", "basics", f"@{path}"])
     assert code == EXIT_USAGE and not out and f"table entry {entry} out of range" in err
 
 
@@ -533,13 +533,13 @@ def test_precision_below_floor_refused(tmp_path, path, precision):
 H2 = "kind=H p=3 n=2 d=1"
 # group commands on groups of order 243, which table quotients of order 81
 ORDER_243 = {
-    "basics": ["group", "basics", "--descriptor", H2],
-    "classify H(2,1)": ["group", "classify", "--kind", "H", "--p", "3", "--n", "2", "--d", "1"],
-    "classify A(2,1)": ["group", "classify", "--descriptor", "kind=A p=3 n=2 d=1"],
-    "minquot": ["group", "minquot", "--descriptor", "kind=H p=3 n=1 d=1 x kind=C p=3 k=2"],
-    "iso": ["group", "iso", "--lhs", H2, "--rhs", "kind=A p=3 n=2 d=1"],
-    "iso of a table": ["group", "iso", "--lhs", "@{f}", "--rhs", H2],
-    "classify a table": ["group", "classify", "--table", "{f}"],
+    "basics": ["group", "basics", H2],
+    "classify H(2,1)": ["group", "classify", "kind=H p=3 n=2 d=1"],
+    "classify A(2,1)": ["group", "classify", "kind=A p=3 n=2 d=1"],
+    "minquot": ["group", "minquot", "kind=H p=3 n=1 d=1 x kind=C p=3 k=2"],
+    "iso": ["group", "iso", H2, "kind=A p=3 n=2 d=1"],
+    "iso of a table": ["group", "iso", "@{f}", H2],
+    "classify a table": ["group", "classify", "@{f}"],
 }
 
 
@@ -559,22 +559,22 @@ def test_limit_above_default_reaches_every_command(monkeypatch, tmp_path, case):
         base, "_within_limit", lambda p, e, limit: real(p, e, 27 if limit == DEFAULT_LIMIT else limit)
     )
     assert run(["--limit", "243"] + argv) == want and want[0] == EXIT_OK
-    assert run(["--limit", "80", "group", "minquot", "--descriptor", f"{H11} x kind=C p=3 k=1"])[0] == EXIT_LIMIT
+    assert run(["--limit", "80", "group", "minquot", f"{H11} x kind=C p=3 k=1"])[0] == EXIT_LIMIT
     if "table" not in case:  # the lowered default bites without --limit
         assert run(argv)[0] == EXIT_LIMIT
 
 
 UNTABLED = {
     "make above the default limit": (
-        ["--limit", "20000", "group", "make", "--kind", "H", "--p", "3", "--n", "4", "--d", "1"],
+        ["--limit", "20000", "group", "make", "kind=H p=3 n=4 d=1"],
         "order: 19683",
     ),
     "iso of two primes": (
-        ["group", "iso", "--lhs", "kind=H p=3 n=3 d=2", "--rhs", "kind=C p=5 k=1"],
+        ["group", "iso", "kind=H p=3 n=3 d=2", "kind=C p=5 k=1"],
         "not isomorphic",
     ),
     "iso of two orders": (
-        ["group", "iso", "--lhs", "kind=H p=3 n=3 d=2", "--rhs", "kind=C p=3 k=1"],
+        ["group", "iso", "kind=H p=3 n=3 d=2", "kind=C p=3 k=1"],
         "not isomorphic",
     ),
 }
@@ -594,6 +594,55 @@ def test_answered_without_tables(monkeypatch, case):
     assert code == EXIT_OK and want in out and built == []
 
 
+A11 = "kind=A p=3 n=1 d=1"
+A11_BASICS = "order: 27\ncenter_order: 3\ncommutator_order: 3\nfrattini_order: 3\nrank: 2\nexponent: 9\n"
+# every group subcommand on a descriptor and on an @table operand ({a} is a
+# table of A(1,1), {c} one of C17), with its expected output
+OPERANDS = {
+    "make a descriptor": (["make", A11], f"group: {A11}\norder: 27\n"),
+    "make a table": (["make", "@{a}"], "group: table(order=27, p=3)\norder: 27\n"),
+    "basics a descriptor": (["basics", A11], f"group: {A11}\n{A11_BASICS}"),
+    "basics a table": (["basics", "@{a}"], f"group: table(order=27, p=3)\n{A11_BASICS}"),
+    "classify a descriptor": (["classify", A11], "A n=1 d=1\n"),
+    "classify a table": (["classify", "@{a}"], "A n=1 d=1\n"),
+    "minquot a descriptor": (["minquot", A11], f"kernel_order: 1\nquotient: {A11}\n"),
+    "minquot a table": (["minquot", "@{a}"], f"kernel_order: 1\nquotient: {A11}\n"),
+    "iso of a descriptor and a table": (["iso", A11, "@{a}"], "isomorphic\n"),
+    "iso of two groups": (["iso", H11, "@{a}"], "not isomorphic\n"),
+    # 17 is not inferred: the table is read only under --p
+    "make a table of order 17": (["make", "@{c}", "--p", "17"], "group: table(order=17, p=17)\norder: 17\n"),
+    "iso of a table of order 17": (["iso", "@{c}", "kind=C p=17 k=1", "--p", "17"], "isomorphic\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPERANDS))
+def test_group_operands(tmp_path, case):
+    """Each group subcommand names its groups by GROUP operands."""
+    a, c = tmp_path / "a11.table", tmp_path / "c17.table"
+    a.write_text("".join(" ".join(map(str, row)) + "\n" for row in tables(make_group("A", 3, 1, 1)).mul))
+    c.write_text("".join(" ".join(str((i + j) % 17) for j in range(17)) + "\n" for i in range(17)))
+    argv, want = OPERANDS[case]
+    argv = [arg.replace("{a}", str(a)).replace("{c}", str(c)) for arg in argv]
+    assert run(["group"] + argv) == (EXIT_OK, want, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--kind", "H", "--p", "3", "--n", "1", "--d", "2"],
+        ["basics", "--descriptor", A11],
+        ["minquot", "--table", "a11.table"],
+        ["iso", "--lhs", H11, "--rhs", A11],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_group_flags_refused(argv):
+    """A group is named only by operands: --kind, --descriptor, --table and
+    --lhs are usage errors."""
+    code, out, err = run(["group"] + argv)
+    assert code == EXIT_USAGE and not out and "usage:" in err
+
+
 TOWER_CERT = Path(__file__).resolve().parent.parent / "certs" / "p3-tower-p3-b1-a4.cert"
 PARSER_CALLS = [
     ["p3", "--p", "3"],
@@ -602,7 +651,7 @@ PARSER_CALLS = [
     ["verify", str(TOWER_CERT)],
     ["breaks", "tolower", "upper m=1 p=3 : 1, 4"],
     ["p3", "--p", "3", "--b", "1", "--a", "4"],
-    ["group", "classify", "--kind", "H", "--p", "3", "--n", "1", "--d", "2"],
+    ["group", "classify", "kind=H p=3 n=1 d=2"],
     ["breaks", "compose"],
 ]
 
