@@ -40,7 +40,6 @@ dropped).
 
 from __future__ import annotations
 
-import functools
 import sys
 from array import array
 from itertools import chain, compress, count, repeat
@@ -58,8 +57,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-# memoized, as every BreakMultiset and series re-checks its p; bounded, as p is untrusted
-@functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; n at or above the bound is refused."""
     if n >= _MR_BOUND:

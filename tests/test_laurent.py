@@ -58,12 +58,6 @@ class TestIsPrime:
         with pytest.raises(ParameterError, match="too large"):
             is_prime(MR_BOUND)
 
-    def test_refusal_is_not_cached(self):
-        """is_prime is memoized; a refused n is refused on every call."""
-        for _ in range(2):
-            with pytest.raises(ParameterError, match="too large"):
-                is_prime(MR_BOUND)
-
     @settings(max_examples=500, deadline=None)
     @given(
         st.one_of(

@@ -38,12 +38,6 @@ class TestMultiset:
         with pytest.raises(ParameterError):
             BreakMultiset("sideways", 1, 3, ())
 
-    def test_composite_p_refused_on_every_call(self):
-        # the primality test is memoized: its False answer is cached, not skipped
-        for _ in range(2):
-            with pytest.raises(ParameterError, match="p must be prime, got 9"):
-                BreakMultiset("upper", 1, 9, (Fraction(1),))
-
     def test_text(self):
         bm = upper(3, [1, 4, Fraction(13, 3)])
         assert bm.to_text() == "upper m=1 p=3 : 1, 4, 13/3"
