@@ -76,8 +76,9 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def _load_group(descriptor: str, p_hint: int | None, limit: int):
-    """A GROUP operand: a descriptor, or @path to a whitespace-separated
-    Cayley table whose order is a power of ``p_hint`` (inferred if None)."""
+    """A GROUP operand: a descriptor, whose prime ``p_hint`` must match if
+    given, or @path to a whitespace-separated Cayley table whose order is a
+    power of ``p_hint`` (inferred if None)."""
     if descriptor.startswith("@"):
         with open(descriptor[1:]) as fh:  # open("") is a missing file; Path("") is "."
             text = fh.read()
@@ -101,6 +102,8 @@ def _load_group(descriptor: str, p_hint: int | None, limit: int):
             rows.append([int(tok) for tok in row])
         return TableGroup(p_hint, rows)
     G = parse_group_descriptor(descriptor)
+    if p_hint is not None and p_hint != G.p:
+        raise ParameterError(f"--p {p_hint} disagrees with the prime {G.p} of {descriptor!r}")
     _check_limit(G, limit)
     return G
 
@@ -143,15 +146,17 @@ def cmd_group(args) -> int:
         print("isomorphic" if same else "not isomorphic")
         return EXIT_OK
     (G,) = groups
+    # an @FILE operand is named as given, so the line can be fed back
+    name = args.group[0] if args.group[0].startswith("@") else G.descriptor()
     if args.group_cmd == "make":
-        _report([("group", G.descriptor()), ("order", G.order)])
+        _report([("group", name), ("order", G.order)])
         return EXIT_OK
     tables(G, args.limit)  # the analysis below finds this table and takes no limit
     if args.group_cmd == "basics":
         gb = group_basics(G)
         _report(
             [
-                ("group", G.descriptor()),
+                ("group", name),
                 ("order", gb.order),
                 ("center_order", len(gb.center)),
                 ("commutator_order", len(gb.commutator_subgroup)),
@@ -256,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         g = gsub.add_parser(name)
         g.add_argument("group", nargs=operands, metavar="GROUP", help="descriptor or @table-path")
         g.add_argument(
-            "--p", type=int, help="the prime of a table's order (inferred for 3, 5, 7, 11, 13)"
+            "--p", type=int, help="the prime of a table's order (inferred for 3, 5, 7, 11, 13) and of each descriptor"
         )
         g.set_defaults(func=cmd_group)
 

@@ -32,9 +32,10 @@ oracle for the tables.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import gcd, prod
 from operator import add, itemgetter, mod, neg
 from typing import Callable, NamedTuple
@@ -663,6 +664,38 @@ def quotient(parent: PGroup, normal_indices) -> PGroup:
     )
 
 
+def _row_keys(rows: list[tuple[int, ...]], n: int):
+    """The rows of an order-n Cayley table as keys that compare like them,
+    and ``compose``: compose(a) yields, for x = 0..n-1, the key of the row
+    y -> x (a y).  When n <= 256 every index fits in a byte, so the keys
+    are bytes and that row is a's key translated by x's: one
+    ``bytes.translate`` in place of n lookups through itemgetter.  Above
+    256 the keys are the rows.  Raises TypeError, ValueError or
+    OverflowError unless every entry is an integer in [0, n).
+    """
+    if n <= 256:
+        keys = [bytes(row) for row in rows]
+        indices = bytes(range(n))
+        if any(key.translate(None, indices) for key in keys):  # an entry in [n, 256)
+            raise ValueError
+        padded = [key + bytes(256 - n) for key in keys]
+        return keys, lambda a: map(keys[a].translate, padded)
+    if any(max(array("Q", row)) >= n for row in rows):
+        raise ValueError
+    return rows, lambda a: map(itemgetter(*rows[a]), rows)
+
+
+def _entry_error(rows: list[tuple], n: int) -> ParameterError:
+    """The error naming the first entry of ``rows`` that is not an integer
+    in [0, n)."""
+    for x in chain.from_iterable(rows):
+        if not hasattr(type(x), "__index__"):
+            return ParameterError(f"table entry {x!r} is not an integer")
+        if not 0 <= x < n:
+            return ParameterError(f"table entry {x} out of range")
+    raise InternalCheckError("every table entry is an index")
+
+
 class TableGroup(_IndexGroup):
     """A group given by an explicit Cayley table of 0-based indices.
 
@@ -683,10 +716,10 @@ class TableGroup(_IndexGroup):
             raise ParameterError("Cayley table must be square")
         _log_p(n, p)
         rows = [tuple(row) for row in table]
-        for row in rows:
-            if min(row) < 0 or max(row) >= n:
-                bad = next(x for x in row if not 0 <= x < n)
-                raise ParameterError(f"table entry {bad} out of range")
+        try:
+            keys, compose = _row_keys(rows, n)
+        except (TypeError, ValueError, OverflowError):
+            raise _entry_error(rows, n) from None
         identity_row = tuple(range(n))
         ident = next(
             (e for e in range(n) if rows[e] == identity_row and all(rows[x][e] == x for x in range(n))),
@@ -697,18 +730,17 @@ class TableGroup(_IndexGroup):
         # The first right inverse must also be a left inverse: when another
         # two-sided inverse exists the table is not associative anyway.
         inverse = []
-        for a, row in enumerate(rows):
-            b = row.index(ident) if ident in row else None
+        for a, key in enumerate(keys):
+            b = key.index(ident) if ident in key else None
             if b is None or rows[b][a] != ident:
                 raise ParameterError(f"element {a} has no inverse")
             inverse.append(b)
         # every element is a product e s_1 s_2 ... of these generators
         gens = _greedy_generators(range(n), {ident}, lambda x, s: rows[x][s])
         for a in gens:
-            row_a = rows[a]
-            gather = itemgetter(*row_a)
-            for x, row_x in enumerate(rows):
-                if gather(row_x) != rows[row_x[a]]:
+            for x, (key, row_x) in enumerate(zip(compose(a), rows)):
+                if key != keys[row_x[a]]:
+                    row_a = rows[a]
                     y = next(y for y in range(n) if row_x[row_a[y]] != rows[row_x[a]][y])
                     raise ParameterError(
                         f"table is not associative at ({x}, {a}, {y})"

@@ -600,9 +600,9 @@ A11_BASICS = "order: 27\ncenter_order: 3\ncommutator_order: 3\nfrattini_order: 3
 # table of A(1,1), {c} one of C17), with its expected output
 OPERANDS = {
     "make a descriptor": (["make", A11], f"group: {A11}\norder: 27\n"),
-    "make a table": (["make", "@{a}"], "group: table(order=27, p=3)\norder: 27\n"),
+    "make a table": (["make", "@{a}"], "group: @{a}\norder: 27\n"),
     "basics a descriptor": (["basics", A11], f"group: {A11}\n{A11_BASICS}"),
-    "basics a table": (["basics", "@{a}"], f"group: table(order=27, p=3)\n{A11_BASICS}"),
+    "basics a table": (["basics", "@{a}"], f"group: @{{a}}\n{A11_BASICS}"),
     "classify a descriptor": (["classify", A11], "A n=1 d=1\n"),
     "classify a table": (["classify", "@{a}"], "A n=1 d=1\n"),
     "minquot a descriptor": (["minquot", A11], f"kernel_order: 1\nquotient: {A11}\n"),
@@ -610,7 +610,7 @@ OPERANDS = {
     "iso of a descriptor and a table": (["iso", A11, "@{a}"], "isomorphic\n"),
     "iso of two groups": (["iso", H11, "@{a}"], "not isomorphic\n"),
     # 17 is not inferred: the table is read only under --p
-    "make a table of order 17": (["make", "@{c}", "--p", "17"], "group: table(order=17, p=17)\norder: 17\n"),
+    "make a table of order 17": (["make", "@{c}", "--p", "17"], "group: @{c}\norder: 17\n"),
     "iso of a table of order 17": (["iso", "@{c}", "kind=C p=17 k=1", "--p", "17"], "isomorphic\n"),
 }
 
@@ -621,9 +621,47 @@ def test_group_operands(tmp_path, case):
     a, c = tmp_path / "a11.table", tmp_path / "c17.table"
     a.write_text("".join(" ".join(map(str, row)) + "\n" for row in tables(make_group("A", 3, 1, 1)).mul))
     c.write_text("".join(" ".join(str((i + j) % 17) for j in range(17)) + "\n" for i in range(17)))
+
+    def fill(text):
+        return text.replace("{a}", str(a)).replace("{c}", str(c))
+
     argv, want = OPERANDS[case]
-    argv = [arg.replace("{a}", str(a)).replace("{c}", str(c)) for arg in argv]
-    assert run(["group"] + argv) == (EXIT_OK, want, "")
+    assert run(["group"] + [fill(arg) for arg in argv]) == (EXIT_OK, fill(want), "")
+
+
+@pytest.mark.parametrize("command", ["make", "basics"])
+def test_table_named_as_given(tmp_path, command):
+    """The `group:` line names an @FILE operand as given, and fed back as
+    the operand it reports the same group."""
+    path = tmp_path / "a11.table"
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in tables(make_group("A", 3, 1, 1)).mul))
+    code, out, _ = run(["group", command, f"@{path}"])
+    name = out.splitlines()[0].removeprefix("group: ")
+    assert code == EXIT_OK and name == f"@{path}"
+    assert run(["group", command, name]) == (EXIT_OK, out, "")
+
+
+# a --p that disagrees with a descriptor operand's prime is refused; one
+# that agrees is accepted
+P_CONFLICTS = {
+    "make": ["make", "--p", "5", H11],
+    "basics": ["basics", "--p", "5", A11],
+    "iso, second operand": ["iso", "--p", "3", H11, "kind=C p=5 k=1"],
+    "iso of a table and a descriptor": ["iso", "--p", "17", "@{c}", "kind=C p=3 k=1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(P_CONFLICTS))
+def test_p_conflict_refused(tmp_path, case):
+    path = tmp_path / "c17.table"
+    path.write_text("".join(" ".join(str((i + j) % 17) for j in range(17)) + "\n" for i in range(17)))
+    code, out, err = run(["group"] + [arg.replace("{c}", str(path)) for arg in P_CONFLICTS[case]])
+    assert code == EXIT_USAGE and not out and "disagrees with the prime" in err
+
+
+def test_agreeing_p_accepted():
+    assert run(["group", "make", "--p", "3", H11]) == run(["group", "make", H11]) == (
+        EXIT_OK, f"group: {H11}\norder: 27\n", "")
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import itertools
 import random
+import re
 import time
 import weakref
 from collections import Counter
@@ -888,6 +889,45 @@ class TestTableGroup:
     def test_rejects_wrong_order(self):
         with pytest.raises(ParameterError):
             TableGroup(3, [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("p", [3, 17], ids=["order 9, bytes", "order 289, itemgetter"])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (1.0, "table entry 1.0 is not an integer"),
+            ("1", "table entry '1' is not an integer"),
+            (-1, "table entry -1 out of range"),
+            (300, "table entry 300 out of range"),
+            (2**70, f"table entry {2**70} out of range"),
+        ],
+        ids=["float", "str", "negative", "above 255", "above 2^64"],
+    )
+    def test_entry_not_an_index_refused(self, p, entry, message):
+        # each composition path converts the rows and refuses a bad entry
+        # by name, never with a TypeError from the conversion
+        n = p * p
+        rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+        rows[3][4] = entry
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            TableGroup(p, rows)
+
+    @pytest.mark.parametrize("n", [9, 729])
+    def test_first_bad_entry_named(self, n):
+        rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+        rows[2][5], rows[2][7], rows[4][1] = n, 1.5, -1
+        with pytest.raises(ParameterError, match=f"^table entry {n} out of range$"):
+            TableGroup(3, rows)
+        rows[2][5] = 0
+        with pytest.raises(ParameterError, match="^table entry 1.5 is not an integer$"):
+            TableGroup(3, rows)
+
+    def test_entry_in_byte_range_above_order_refused(self):
+        # 9 <= b < 256 fits in a byte, so the bytes conversion alone does
+        # not refuse it
+        rows = [[(a + b) % 9 for b in range(9)] for a in range(9)]
+        rows[8][8] = 9
+        with pytest.raises(ParameterError, match="^table entry 9 out of range$"):
+            TableGroup(3, rows)
 
     def test_tables_are_the_checked_rows(self, monkeypatch):
         # the rows given (tuples are kept as they are) are the table's

@@ -8,6 +8,7 @@ scan is the oracle for `TableGroup`'s axiom check.
 """
 
 import functools
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.combinatorics.homomorphisms import is_isomorphic as sympy_is_isomorphic
 from test_pgroups import law_tables, relabelled
+
+from conftest import within
 
 from ramforge.errors import ParameterError
 from ramforge.pgroups import (
@@ -376,3 +379,88 @@ class TestTableGroupAxioms:
         except ParameterError:
             accepted = False
         assert accepted == exhaustive_group_check(rows)
+
+
+def cyclic_rows(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def greedy_generators(rows, e):
+    """Each index, in increasing order, that lies outside the subgroup the
+    ones taken before generate: the oracle for a table's generators."""
+    gens, span = [], {e}
+    for g in range(len(rows)):
+        if g in span:
+            continue
+        gens.append(g)
+        span, frontier = {e}, [e]
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                if rows[x][s] not in span:
+                    span.add(rows[x][s])
+                    frontier.append(rows[x][s])
+    return gens
+
+
+class TestCompositionPaths:
+    """Light's test composes rows as bytes up to order 256 and through
+    itemgetter above it: C(13^2) and C(17^2) take one path each."""
+
+    @pytest.mark.parametrize("p", [13, 17], ids=["C(13^2), bytes", "C(17^2), itemgetter"])
+    def test_cyclic_accepted(self, p):
+        n = p * p
+        with within(1, f"C({p}^2)"):
+            t = tables(TableGroup(p, cyclic_rows(n)))
+        assert (t.n, t.e, t.gens) == (n, 0, (1,))
+        assert t.inv == [-a % n for a in range(n)]
+
+    @pytest.mark.parametrize("p", [13, 17], ids=["C(13^2), bytes", "C(17^2), itemgetter"])
+    @pytest.mark.parametrize(
+        "where, message",
+        [("identity row", "table has no identity element"), ("inside", "table is not associative")],
+    )
+    def test_corrupted_entry_refused(self, p, where, message):
+        # inside: a, b and both entries are not the identity 0, so the
+        # identity and every inverse survive and only Light's test can
+        # refuse the table
+        n = p * p
+        rows = cyclic_rows(n)
+        a, b = (0, 5) if where == "identity row" else (2, 3)
+        rows[a][b] = (rows[a][b] + 1) % n
+        with within(1, f"C({p}^2) corrupted in its {where}"):
+            with pytest.raises(ParameterError, match=message):
+                TableGroup(p, rows)
+
+    def test_relabelled_order_729(self):
+        G = make_group("A", 3, 1, 4)
+        law = law_tables(G)
+        n = len(law)
+        new = list(range(n))
+        random.Random(729).shuffle(new)
+        rows = [[0] * n for _ in range(n)]
+        for a, row in enumerate(law):
+            for b, ab in enumerate(row):
+                rows[new[a]][new[b]] = new[ab]
+        with within(1, "relabelled A(1,4)"):
+            t = tables(TableGroup(3, rows))
+        elems, idx = G.elements(), G.index_map()
+        assert t.e == new[idx[G.identity()]]
+        assert t.gens == tuple(greedy_generators(rows, t.e))
+        assert all(t.inv[new[a]] == new[idx[G.inv(g)]] for a, g in enumerate(elems))
+
+    def test_loop_times_cyclic_order_625(self):
+        # TestTableGroupAxioms.test_loop_times_cyclic with C_125 in place
+        # of C_5: order 625, past the bytes path
+        loops = [
+            rows
+            for rows in reduced_latin_squares(5)
+            if all(rows[rows[a].index(0)][a] == 0 for a in range(5))
+            and not exhaustive_group_check(rows)
+        ]
+        assert loops
+        for loop in loops:
+            rows = [[loop[a // 125][b // 125] * 125 + (a + b) % 125 for b in range(625)] for a in range(625)]
+            with within(1, "order-5 loop x C_125"):
+                with pytest.raises(ParameterError, match="not associative"):
+                    TableGroup(5, rows)
