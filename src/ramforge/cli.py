@@ -9,8 +9,8 @@ carries only the artifact; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -75,10 +75,9 @@ def _exit_code_for(exc: Exception) -> int:
     raise exc
 
 
-def _load_group(descriptor: str, p_hint: int | None, limit: int):
-    """A GROUP operand: a descriptor, whose prime ``p_hint`` must match if
-    given, or @path to a whitespace-separated Cayley table whose order is a
-    power of ``p_hint`` (inferred if None)."""
+def _load_group(descriptor: str, limit: int):
+    """A GROUP operand: a descriptor, or @path to a whitespace-separated
+    Cayley table whose order is a power of an odd prime."""
     if descriptor.startswith("@"):
         with open(descriptor[1:]) as fh:  # open("") is a missing file; Path("") is "."
             text = fh.read()
@@ -92,28 +91,21 @@ def _load_group(descriptor: str, p_hint: int | None, limit: int):
             raise MaterializationLimitError(
                 f"table of order {n} exceeds materialization limit {limit}"
             )
-        if p_hint is None:
-            p_hint = _infer_prime(n)
+        # its prime is the least prime factor of n, 3 for the trivial table
+        p = next((q for q in range(2, math.isqrt(n) + 1) if n % q == 0), n if n > 1 else 3)
+        if p == 2:
+            raise ParameterError(f"order {n} is even, not a power of an odd prime")
+        _log_p(n, p)
         rows = []
         for line in lines:
             row = line.split()
             if len(row) != n:
                 raise ParameterError(f"Cayley table of {n} rows has a row of {len(row)} entries")
             rows.append([int(tok) for tok in row])
-        return TableGroup(p_hint, rows)
+        return TableGroup(p, rows)
     G = parse_group_descriptor(descriptor)
-    if p_hint is not None and p_hint != G.p:
-        raise ParameterError(f"--p {p_hint} disagrees with the prime {G.p} of {descriptor!r}")
     _check_limit(G, limit)
     return G
-
-
-def _infer_prime(n: int) -> int:
-    for p in (3, 5, 7, 11, 13):
-        with contextlib.suppress(ParameterError):
-            _log_p(n, p)
-            return p
-    raise ParameterError(f"order {n} is not a power of a small odd prime; pass --p")
 
 
 def _report(pairs) -> None:
@@ -132,7 +124,7 @@ def cmd_p3(args) -> int:
 def cmd_group(args) -> int:
     if args.limit < MIN_LIMIT:
         raise ParameterError(f"limit must be >= {MIN_LIMIT}, got {args.limit}")
-    groups = [_load_group(spec, args.p, args.limit) for spec in args.group]
+    groups = [_load_group(spec, args.limit) for spec in args.group]
     if args.group_cmd == "iso":
         lhs, rhs = groups
         try:  # it tables only groups of one order and one centre order
@@ -259,9 +251,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gsub = gp.add_subparsers(dest="group_cmd", required=True)
     for name, operands in (("make", 1), ("basics", 1), ("classify", 1), ("minquot", 1), ("iso", 2)):
         g = gsub.add_parser(name)
-        g.add_argument("group", nargs=operands, metavar="GROUP", help="descriptor or @table-path")
         g.add_argument(
-            "--p", type=int, help="the prime of a table's order (inferred for 3, 5, 7, 11, 13) and of each descriptor"
+            "group",
+            nargs=operands,
+            metavar="GROUP",
+            help="descriptor, or @path to a Cayley table of odd prime-power order",
         )
         g.set_defaults(func=cmd_group)
 

@@ -421,10 +421,9 @@ def burnside_action_check(P: PGroup, perm, m: int) -> BurnsideResult:
     perm = list(perm)
     if not all(isinstance(x, int) for x in perm) or sorted(perm) != list(range(t.n)):
         raise ParameterError("alpha is not a permutation of the group's indices")
-    # the one homomorphism with s -> alpha(s) on the generators, if any:
-    # alpha is a homomorphism exactly when it is that map
-    phi = _extend_partial(t.e, t.e, [(t.mul[s], t.mul[perm[s]]) for s in t.gens])
-    if phi != dict(enumerate(perm)):
+    # alpha(s x) = alpha(s) alpha(x) for each generator s and every x gives
+    # alpha(e) = e (x = e) and, by induction on word length, every product
+    if any(perm[sx] != t.mul[perm[s]][perm[x]] for s in t.gens for x, sx in enumerate(t.mul[s])):
         raise ParameterError("alpha is not a homomorphism")
     order = perm_order(perm)
     if m % order:

@@ -771,6 +771,8 @@ def parse_group_descriptor(text: str) -> PGroup:
             k, sep, v = tok.partition("=")
             if not sep:
                 raise ParseError(f"malformed group descriptor: {part!r}")
+            if k in kv:  # a later copy would silently win
+                raise ParseError(f"repeated field {k!r} in descriptor {part!r}")
             kv[k] = v
         try:
             kind = kv.pop("kind")

@@ -27,7 +27,14 @@ from ramforge.errors import (
     VerificationMismatchError,
 )
 from ramforge.forge import P3Parameters, build_p3_tower
-from ramforge.pgroups import DEFAULT_LIMIT, CyclicPGroup, DirectProductGroup, make_group, tables
+from ramforge.pgroups import (
+    DEFAULT_LIMIT,
+    CyclicPGroup,
+    DirectProductGroup,
+    make_group,
+    parse_group_descriptor,
+    tables,
+)
 from ramforge.pgroups import base
 
 from conftest import table_spy, within
@@ -357,22 +364,25 @@ def test_hostile_group_input(tmp_path, case):
 
 # a row of 560,000 tokens: converting 27 or 28 of them takes seconds
 TABLE_CAPS = {
-    "28 long rows over --limit 27": (["--limit", "27"], 28, EXIT_LIMIT),
-    "27 rows of the wrong length": ([], 27, EXIT_USAGE),
+    "28 long rows over --limit 27": (["--limit", "27"], 28, EXIT_LIMIT, "exceeds materialization limit 27"),
+    "27 rows of the wrong length": ([], 27, EXIT_USAGE, "has a row of 560000 entries"),
+    # no power of an odd prime (even, or a power of none of its primes):
+    # refused by the order, before the first row's length is looked at
+    **{f"{n} long rows": ([], n, EXIT_USAGE, f"order {n} is") for n in (2, 6, 12, 15)},
 }
 
 
 @pytest.mark.parametrize("case", sorted(TABLE_CAPS))
 def test_table_refused_before_its_tokens(tmp_path, case):
-    """An explicit table's order and row lengths are refused before its
-    tokens are converted."""
-    head, rows, want = TABLE_CAPS[case]
+    """An explicit table's order (by the limit, then by its primes) and
+    row lengths are refused before its tokens are converted."""
+    head, rows, want, why = TABLE_CAPS[case]
     path = tmp_path / "input"
     path.write_text((" ".join(["1"] * 560_000) + "\n") * rows)
     with within(1, case):
         code, out, err = run(head + ["group", "basics", f"@{path}"])
     assert code == want
-    assert not out and err.startswith("error: ") and err.count("\n") == 1
+    assert not out and err.startswith("error: ") and err.count("\n") == 1 and why in err, err
 
 
 def test_large_prime_within_1s():
@@ -485,6 +495,11 @@ HOSTILE_PARAMS = {
     "group of unknown kind": ("pchat-H11xC3", "group", "kind=Q p=3 n=1 d=1", "unknown group kind 'Q'"),
     "group with an extra field": ("pchat-H11xC3", "group", "kind=H p=3 n=1 d=1 e=2", "unexpected fields ['e']"),
     "group with a bare key": ("pchat-H11xC3", "group", "kind=H p=3 n=1 d", "malformed group descriptor"),
+    # the last copy would win, and the text would misname its own group
+    "group with a repeated prime": ("chat-H11-m2-trivial", "group", "kind=H p=5 p=3 n=1 d=1", "repeated field 'p'"),
+    "group with a repeated kind": (
+        "pchat-H11xC3", "group", "kind=H p=3 n=1 d=1 kind=A x kind=C p=3 k=1", "repeated field 'kind'"
+    ),
 }
 
 
@@ -597,7 +612,8 @@ def test_answered_without_tables(monkeypatch, case):
 A11 = "kind=A p=3 n=1 d=1"
 A11_BASICS = "order: 27\ncenter_order: 3\ncommutator_order: 3\nfrattini_order: 3\nrank: 2\nexponent: 9\n"
 # every group subcommand on a descriptor and on an @table operand ({a} is a
-# table of A(1,1), {c} one of C17), with its expected output
+# table of A(1,1), {c} one of C17, {t} one of C3 and {e} the trivial
+# table), with its expected output
 OPERANDS = {
     "make a descriptor": (["make", A11], f"group: {A11}\norder: 27\n"),
     "make a table": (["make", "@{a}"], "group: @{a}\norder: 27\n"),
@@ -609,24 +625,27 @@ OPERANDS = {
     "minquot a table": (["minquot", "@{a}"], f"kernel_order: 1\nquotient: {A11}\n"),
     "iso of a descriptor and a table": (["iso", A11, "@{a}"], "isomorphic\n"),
     "iso of two groups": (["iso", H11, "@{a}"], "not isomorphic\n"),
-    # 17 is not inferred: the table is read only under --p
-    "make a table of order 17": (["make", "@{c}", "--p", "17"], "group: @{c}\norder: 17\n"),
-    "iso of a table of order 17": (["iso", "@{c}", "kind=C p=17 k=1", "--p", "17"], "isomorphic\n"),
+    # a table's prime is the least prime factor of its order
+    "make a table of order 17": (["make", "@{c}"], "group: @{c}\norder: 17\n"),
+    "iso of a table of order 17": (["iso", "@{c}", "kind=C p=17 k=1"], "isomorphic\n"),
+    "iso of tables of two primes": (["iso", "@{c}", "@{t}"], "not isomorphic\n"),
+    "make the trivial table": (["make", "@{e}"], "group: @{e}\norder: 1\n"),
 }
+
+
+def _table_text(G) -> str:
+    return "".join(" ".join(map(str, row)) + "\n" for row in tables(G).mul)
 
 
 @pytest.mark.parametrize("case", sorted(OPERANDS))
 def test_group_operands(tmp_path, case):
     """Each group subcommand names its groups by GROUP operands."""
-    a, c = tmp_path / "a11.table", tmp_path / "c17.table"
-    a.write_text("".join(" ".join(map(str, row)) + "\n" for row in tables(make_group("A", 3, 1, 1)).mul))
-    c.write_text("".join(" ".join(str((i + j) % 17) for j in range(17)) + "\n" for i in range(17)))
-
-    def fill(text):
-        return text.replace("{a}", str(a)).replace("{c}", str(c))
-
+    paths = {name: tmp_path / f"{name}.table" for name in "acte"}
+    for name, G in (("a", make_group("A", 3, 1, 1)), ("c", CyclicPGroup(17, 1)), ("t", CyclicPGroup(3, 1))):
+        paths[name].write_text(_table_text(G))
+    paths["e"].write_text("0\n")
     argv, want = OPERANDS[case]
-    assert run(["group"] + [fill(arg) for arg in argv]) == (EXIT_OK, fill(want), "")
+    assert run(["group"] + [arg.format_map(paths) for arg in argv]) == (EXIT_OK, want.format_map(paths), "")
 
 
 @pytest.mark.parametrize("command", ["make", "basics"])
@@ -641,27 +660,20 @@ def test_table_named_as_given(tmp_path, command):
     assert run(["group", command, name]) == (EXIT_OK, out, "")
 
 
-# a --p that disagrees with a descriptor operand's prime is refused; one
-# that agrees is accepted
-P_CONFLICTS = {
-    "make": ["make", "--p", "5", H11],
-    "basics": ["basics", "--p", "5", A11],
-    "iso, second operand": ["iso", "--p", "3", H11, "kind=C p=5 k=1"],
-    "iso of a table and a descriptor": ["iso", "--p", "17", "@{c}", "kind=C p=3 k=1"],
-}
-
-
-@pytest.mark.parametrize("case", sorted(P_CONFLICTS))
-def test_p_conflict_refused(tmp_path, case):
-    path = tmp_path / "c17.table"
-    path.write_text("".join(" ".join(str((i + j) % 17) for j in range(17)) + "\n" for i in range(17)))
-    code, out, err = run(["group"] + [arg.replace("{c}", str(path)) for arg in P_CONFLICTS[case]])
-    assert code == EXIT_USAGE and not out and "disagrees with the prime" in err
-
-
-def test_agreeing_p_accepted():
-    assert run(["group", "make", "--p", "3", H11]) == run(["group", "make", H11]) == (
-        EXIT_OK, f"group: {H11}\norder: 27\n", "")
+# orders 17, 17^2 and 5^3: a prime outside 3, 5, 7, 11, 13 and a
+# nonabelian group of another prime than 3
+@pytest.mark.parametrize("descriptor", ["kind=C p=17 k=1", "kind=C p=17 k=2", "kind=H p=5 n=1 d=1"])
+def test_table_prime_read_off_its_order(tmp_path, descriptor):
+    """A table is read with the least prime factor of its order as its
+    prime, and answers each subcommand as its descriptor does."""
+    path = tmp_path / "g.table"
+    path.write_text(_table_text(parse_group_descriptor(descriptor)))
+    for command in ("make", "basics"):
+        code, out, _ = run(["group", command, descriptor])
+        assert code == EXIT_OK
+        want = out.replace(f"group: {descriptor}", f"group: @{path}", 1)
+        assert run(["group", command, f"@{path}"]) == (EXIT_OK, want, "")
+    assert run(["group", "iso", f"@{path}", descriptor]) == (EXIT_OK, "isomorphic\n", "")
 
 
 @pytest.mark.parametrize(
@@ -671,12 +683,23 @@ def test_agreeing_p_accepted():
         ["basics", "--descriptor", A11],
         ["minquot", "--table", "a11.table"],
         ["iso", "--lhs", H11, "--rhs", A11],
+    ]
+    + [
+        pytest.param([command, "--p", "3", *operands], id=f"{command} --p")
+        for command, operands in [
+            ("make", [H11]),
+            ("basics", [H11]),
+            ("classify", [H11]),
+            ("minquot", [H11]),
+            ("iso", [H11, A11]),
+        ]
     ],
     ids=lambda argv: argv[1],
 )
 def test_group_flags_refused(argv):
-    """A group is named only by operands: --kind, --descriptor, --table and
-    --lhs are usage errors."""
+    """A group is named only by operands, and a table's prime is read off
+    its order: --kind, --descriptor, --table, --lhs and --p are usage
+    errors."""
     code, out, err = run(["group"] + argv)
     assert code == EXIT_USAGE and not out and "usage:" in err
 

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from ramforge.errors import InternalCheckError, MaterializationLimitError, ParameterError
+from ramforge.errors import InternalCheckError, MaterializationLimitError, ParameterError, ParseError
 from ramforge.forge import derive_nonint, verify_certificate
 from ramforge.pgroups import (
     DEFAULT_LIMIT,
@@ -1161,6 +1161,28 @@ class TestDescriptors:
         G = parse_group_descriptor("kind=H p=3 n=1 d=1 x kind=C p=3 k=1")
         assert G.order == 81
         assert not is_minimal_nonabelian(G)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("kind=H p=5 p=3 n=1 d=1", "p"),
+            ("kind=H p=3 n=1 d=1 kind=A", "kind"),
+            ("kind=C p=3 k=1 k=1", "k"),  # a repeat of the same value too
+            ("kind=H p=3 n=1 d=1 x kind=A p=3 n=1 d=1 d=2", "d"),
+            ("kind=C p=3 k=1 x kind=C p=3 n=1 k=2 n=1", "n"),
+        ],
+    )
+    def test_repeated_field_refused(self, text, field):
+        # otherwise the last copy wins, and the text misnames its group
+        with pytest.raises(ParseError, match=f"repeated field '{field}'"):
+            parse_group_descriptor(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["kind=H p=3 n=1 d=1", "kind=A p=5 n=2 d=1", "kind=C p=17 k=2", "kind=H p=3 n=1 d=1 x kind=C p=3 k=1"],
+    )
+    def test_canonical_descriptor_round_trips(self, text):
+        assert parse_group_descriptor(text).descriptor() == text
 
     def test_element_orders(self):
         t = tables(A(1, 1))
