@@ -102,7 +102,9 @@ def _load_group(descriptor: str, limit: int):
             if len(row) != n:
                 raise ParameterError(f"Cayley table of {n} rows has a row of {len(row)} entries")
             rows.append([int(tok) for tok in row])
-        return TableGroup(p, rows)
+        G = TableGroup(p, rows)
+        G._descriptor = descriptor  # the `group:` line and every message name it as given
+        return G
     G = parse_group_descriptor(descriptor)
     _check_limit(G, limit)
     return G
@@ -138,17 +140,15 @@ def cmd_group(args) -> int:
         print("isomorphic" if same else "not isomorphic")
         return EXIT_OK
     (G,) = groups
-    # an @FILE operand is named as given, so the line can be fed back
-    name = args.group[0] if args.group[0].startswith("@") else G.descriptor()
     if args.group_cmd == "make":
-        _report([("group", name), ("order", G.order)])
+        _report([("group", G.descriptor()), ("order", G.order)])
         return EXIT_OK
     tables(G, args.limit)  # the analysis below finds this table and takes no limit
     if args.group_cmd == "basics":
         gb = group_basics(G)
         _report(
             [
-                ("group", name),
+                ("group", G.descriptor()),
                 ("order", gb.order),
                 ("center_order", len(gb.center)),
                 ("commutator_order", len(gb.commutator_subgroup)),
@@ -201,18 +201,10 @@ def cmd_breaks(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.certificate == "":  # Path("") is the working directory
-        raise ParameterError("certificate path '' names no file")
-    paths = [Path(args.certificate)] if args.certificate is not None else []
-    if args.seed_corpus is not None:
-        # a missing directory globs nothing; "" would glob the working one
-        corpus = sorted(Path(args.seed_corpus).glob("*.cert")) if args.seed_corpus else []
-        if not corpus:
-            raise ParameterError(f"--seed-corpus {args.seed_corpus!r}: no *.cert file there")
-        paths += corpus
-    if not paths:
-        raise ParameterError("nothing to verify: pass a certificate file or --seed-corpus")
-    for path in paths:
+    for name in args.certificate:
+        if name == "":  # Path("") is the working directory
+            raise ParameterError("certificate path '' names no file")
+        path = Path(name)
         verify_certificate(path.read_text())
         print(f"{path}: verified")
     return EXIT_OK
@@ -275,12 +267,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bf.add_argument("--v", required=True)
     bf.set_defaults(func=cmd_breaks)
 
-    vf = sub.add_parser("verify", help="re-execute and compare a certificate")
-    vf.add_argument("certificate", nargs="?", default=None)
+    vf = sub.add_parser("verify", help="re-execute and compare certificates")
     vf.add_argument(
-        "--seed-corpus",
-        default=None,
-        help="directory of *.cert files to verify in name order",
+        "certificate",
+        nargs="+",
+        metavar="CERT",
+        help="certificate file, checked in the order given; the first failure stops the run",
     )
     vf.set_defaults(func=cmd_verify)
     return ap

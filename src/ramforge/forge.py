@@ -590,6 +590,11 @@ def _nonint_steps(
     precision: int,
 ) -> None:
     """Composite construction for H(n, d), A(n, d) (n >= 2), or A(1, d)."""
+    # a totally ramified extension of degree p^k has k upper breaks; the base
+    # group is H or A(n - 1, d), of order p^(2(n - 1) + d), or C(p^(d + 1))
+    k = 2 * (n - 1) + d + (kind == "A1d")
+    if len(base.breaks) != k:
+        raise ParameterError(f"base must have {k} breaks, got {len(base.breaks)}")
     cert.assume("base-extension-exists")
     base_lower = upper_to_lower(base)  # realizability gate
     v = max(base.breaks)
@@ -597,10 +602,6 @@ def _nonint_steps(
 
     b, a, mid = _composite_breaks(kind, p, base)
     if kind == "A1d":
-        if len(base.breaks) != d + 1:
-            raise ParameterError(
-                f"cyclic base chain must have {d + 1} breaks, got {len(base.breaks)}"
-            )
         if list(base.breaks) != sorted(set(base.breaks)):
             raise ParameterError("cyclic base chain must be strictly increasing")
         if Fraction(b) != base.breaks[0] or b % p == 0:
@@ -679,17 +680,19 @@ def derive_nonint(
     """Certificate for a group-of-type H(n, d) or A(n, d) extension whose
     largest upper break is a + b/p (not an integer).
 
-    ``kind`` is "H", "A", or "A1d"; A with n = 1 is routed to the A1d
-    construction, and H(1, 1) degenerates to a plain tower certificate.
+    ``kind`` is "H", "A", or "A1d" (with n = 1); A with n = 1 is routed
+    to the A1d construction, and H(1, 1) degenerates to a plain tower
+    certificate.  A given base has one break per factor p of the base
+    group's order.
     """
     _check_precision(precision)
     require_odd_prime(p)
     if kind not in ("H", "A", "A1d"):
         raise ParameterError(f"kind must be H, A, or A1d, got {kind!r}")
-    if kind == "A1d":
-        n = 1
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n} d={d}")
+    if kind == "A1d" and n != 1:
+        raise ParameterError(f"kind A1d needs n = 1, got n={n}")
 
     kind, tower, base = _route(kind, p, n, d, base_breaks)
     if tower is not None:

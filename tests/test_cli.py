@@ -264,25 +264,35 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
 
     def test_seed_corpus(self, tmp_path):
+        # a corpus is its files as operands, checked in the order given
+        paths = []
         for i, (b, a) in enumerate([(1, 4), (2, 11)]):
-            (tmp_path / f"c{i}.cert").write_text(
-                build_p3_tower(P3Parameters.derive(3, b, a)).render()
-            )
-        code, out, _ = run(["verify", "--seed-corpus", str(tmp_path)])
-        assert code == EXIT_OK
-        assert out.count("verified") == 2
+            path = tmp_path / f"c{i}.cert"
+            path.write_text(build_p3_tower(P3Parameters.derive(3, b, a)).render())
+            paths.append(str(path))
+        paths.reverse()
+        code, out, _ = run(["verify", *paths])
+        assert (code, out) == (EXIT_OK, "".join(f"{path}: verified\n" for path in paths))
 
-    @pytest.mark.parametrize("corpus", ["missing", "empty"])
-    def test_seed_corpus_without_certificates_refused(self, tmp_path, corpus):
-        # refused by name, alone or next to a certificate file, before
-        # anything is verified
-        (tmp_path / "empty").mkdir()
-        cert = tmp_path / "ok.cert"
-        cert.write_text(build_p3_tower(P3Parameters.derive(3, 1, 4)).render())
-        folder = str(tmp_path / corpus)
-        for argv in (["verify", "--seed-corpus", folder], ["verify", str(cert), "--seed-corpus", folder]):
-            code, out, err = run(argv)
-            assert (code, out) == (EXIT_USAGE, "") and folder in err
+    def test_first_failure_stops_the_run(self, tmp_path):
+        # a good certificate prints before a missing one is refused, and
+        # nothing after the missing one is read
+        good = tmp_path / "good.cert"
+        good.write_text(build_p3_tower(P3Parameters.derive(3, 1, 4)).render())
+        absent = tmp_path / "absent.cert"
+        code, out, err = run(["verify", str(good), str(absent), str(good)])
+        assert (code, out) == (EXIT_USAGE, f"{good}: verified\n")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "absent.cert" in err
+
+    @pytest.mark.parametrize("argv", [["--seed-corpus", "certs"], ["tower.cert", "--seed-corpus", "certs"]])
+    def test_seed_corpus_option_refused(self, argv):
+        # certificates are named only by operands
+        code, out, err = run(["verify", *argv])
+        assert code == EXIT_USAGE and not out and "usage:" in err
+
+    def test_directory_refused(self, tmp_path):
+        code, out, err = run(["verify", str(tmp_path)])
+        assert code == EXIT_USAGE and not out and err.startswith("error: ")
 
     def test_empty_certificate_path_refused(self):
         # an empty path is a path given, not an absent one
@@ -315,8 +325,8 @@ class TestVerifyCommand:
         assert not out and "absent.cert" in err
 
     def test_nothing_to_verify(self):
-        code, _, _ = run(["verify"])
-        assert code == EXIT_USAGE
+        code, out, err = run(["verify"])
+        assert code == EXIT_USAGE and not out and "usage:" in err
 
 
 CHAT_CERT = Path(__file__).resolve().parent.parent / "certs" / "chat-H11-m2-trivial.cert"
@@ -339,11 +349,11 @@ HOSTILE = {
     "huge chat certificate": (["verify", "{f}"], CHAT_CERT.read_text().replace(H11, HUGE, 1), EXIT_LIMIT),
     "vast descriptor": (["group", "make", VAST], None, EXIT_LIMIT),
     "vast chat certificate": (["verify", "{f}"], CHAT_CERT.read_text().replace(H11, VAST, 1), EXIT_LIMIT),
-    # its group legs are decided on exponents, so 3^20000003 is never computed
+    # its 3-break base is refused by length: H(n - 1, d) would need 19999999
     "vast nonint certificate": (
         ["verify", "{f}"],
         NONINT_CERT.read_text().replace("param n = 2\n", "param n = 10000000\n", 1),
-        EXIT_MISMATCH,
+        EXIT_USAGE,
     ),
 }
 
@@ -485,6 +495,14 @@ HOSTILE_PARAMS = {
     "A1d base not increasing": ("nonint-A1d-p3-n1-d1", "base", "upper m=1 p=3 : 1, 1", "strictly increasing"),
     "A1d base break divisible by p": ("nonint-A1d-p3-n1-d1", "base", "upper m=1 p=3 : 3, 4", "integer prime to p, got 3"),
     "nonint base break in exponent form": ("nonint-H-p3-n2-d1", "base", "upper m=1 p=3 : 1, 4, 1e1000000000", "malformed break '1e1000000000'"),
+    # a base has one upper break per factor p of its group's order, H(1, 1)'s three
+    "nonint base of two breaks": ("nonint-H-p3-n2-d1", "base", "upper m=1 p=3 : 1, 4", "base must have 3 breaks, got 2"),
+    # refused before its lower breaks, of up to 4,000 digits, are computed
+    "nonint base of 8500 breaks": (
+        "nonint-H-p3-n2-d1", "base", "upper m=1 p=3 : " + ", ".join(map(str, range(1, 8501))), "must have 3 breaks, got 8500"
+    ),
+    "nonint-A base of two breaks": ("nonint-A-p3-n2-d1", "base", "upper m=1 p=3 : 1, 4", "base must have 3 breaks, got 2"),
+    "A1d n = 2": ("nonint-A1d-p3-n1-d1", "n", "2", "A1d needs n = 1, got n=2"),
     "nonint n = 0": ("nonint-H-p3-n2-d1", "n", "0", "need n >= 1 and d >= 1, got n=0 d=1"),
     "nonint d = 0": ("nonint-H-p3-n2-d1", "d", "0", "need n >= 1 and d >= 1, got n=2 d=0"),
     "chat m = 0": ("chat-H11-m2-trivial", "m", "0", "m must be positive, got 0"),
@@ -658,6 +676,16 @@ def test_table_named_as_given(tmp_path, command):
     name = out.splitlines()[0].removeprefix("group: ")
     assert code == EXIT_OK and name == f"@{path}"
     assert run(["group", command, name]) == (EXIT_OK, out, "")
+
+
+@pytest.mark.parametrize(
+    "command, why", [("classify", "is not minimal nonabelian"), ("minquot", "is abelian; no nonabelian quotient")]
+)
+def test_table_error_names_the_operand(tmp_path, command, why):
+    """An error about an @FILE operand names it as given."""
+    path = tmp_path / "c289.table"
+    path.write_text(_table_text(CyclicPGroup(17, 2)))
+    assert run(["group", command, f"@{path}"]) == (EXIT_USAGE, "", f"error: @{path} {why}\n")
 
 
 # orders 17, 17^2 and 5^3: a prime outside 3, 5, 7, 11, 13 and a

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,8 @@ from ramforge.pgroups import CyclicPGroup, build_A1d_via_Gd, central_product, is
 from ramforge.ramcalc import parse_multiset, upper_to_lower
 
 from conftest import table_spy, within
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "certs"
 
 
 class TestParameters:
@@ -312,6 +316,34 @@ class TestDeriveNonint:
             )
         with pytest.raises(ParameterError):
             derive_nonint("B", 3, 2, 1)
+
+    @pytest.mark.parametrize("breaks", ["1", "1, 4", "1, 4, 5, 8, 29/3"])
+    def test_base_has_one_break_per_factor(self, monkeypatch, breaks):
+        # H(1, 1) has order p^3: a base of another length names no extension,
+        # and is refused before its lower breaks are computed
+        monkeypatch.setattr(forge, "upper_to_lower", lambda base: pytest.fail("lower breaks computed"))
+        with pytest.raises(ParameterError, match=r"base must have 3 breaks, got \d"):
+            derive_nonint("H", 3, 2, 1, base_breaks=parse_multiset(f"upper m=1 p=3 : {breaks}"))
+
+    def test_a1d_refuses_n_other_than_1(self):
+        with pytest.raises(ParameterError, match="A1d needs n = 1, got n=2"):
+            derive_nonint("A1d", 3, 2, 1)
+
+    @pytest.mark.parametrize(
+        "kind, n, d",
+        # the benchmark's nonint grid (perfbench/workloads.py NONINT)
+        [("H", 2, 1), ("A", 2, 1), ("H", 1, 2), ("A", 1, 2), ("H", 2, 2), ("A1d", 1, 1), ("A1d", 1, 2)],
+    )
+    def test_one_predicted_break_per_factor(self, kind, n, d):
+        # the target H(n, d) or A(n, d) has order p^(2n + d)
+        assert len(derive_nonint(kind, 3, n, d).predicted.breaks) == 2 * n + d
+
+    def test_corpus_predicts_one_break_per_factor(self):
+        for path in sorted(CORPUS_DIR.glob("nonint-*.cert")):
+            text = path.read_text()
+            params = parse_certificate(text).params
+            predicted = parse_multiset(re.search(r"^PREDICTED: (.*)$", text, re.M).group(1))
+            assert len(predicted.breaks) == 2 * int(params["n"]) + int(params["d"]), path.name
 
     def test_synthesized_base_is_the_prediction_one_level_down(self, monkeypatch):
         # the oracle is the full certificate one level down; the synthesized
