@@ -39,7 +39,6 @@ from .pgroups import (
     make_group,
     minimal_nonabelian_quotient,
     parse_group_descriptor,
-    tables,
 )
 from .pgroups.base import _check_limit, _log_p
 from .ramcalc import (
@@ -58,8 +57,6 @@ EXIT_PRECISION = 4
 EXIT_LIMIT = 5
 EXIT_UNREALIZABLE = 6
 
-MIN_LIMIT = 27
-
 
 def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, (VerificationMismatchError, InternalCheckError)):
@@ -75,7 +72,7 @@ def _exit_code_for(exc: Exception) -> int:
     raise exc
 
 
-def _load_group(descriptor: str, limit: int):
+def _load_group(descriptor: str):
     """A GROUP operand: a descriptor, or @path to a whitespace-separated
     Cayley table whose order is a power of an odd prime."""
     if descriptor.startswith("@"):
@@ -87,9 +84,9 @@ def _load_group(descriptor: str, limit: int):
         n = len(lines)
         if n == 0:
             raise ParameterError(f"no Cayley table in {descriptor[1:]!r}")
-        if n > limit:
+        if n > DEFAULT_LIMIT:
             raise MaterializationLimitError(
-                f"table of order {n} exceeds materialization limit {limit}"
+                f"table of order {n} exceeds materialization limit {DEFAULT_LIMIT}"
             )
         # its prime is the least prime factor of n, 3 for the trivial table
         p = next((q for q in range(2, math.isqrt(n) + 1) if n % q == 0), n if n > 1 else 3)
@@ -106,7 +103,7 @@ def _load_group(descriptor: str, limit: int):
         G._descriptor = descriptor  # the `group:` line and every message name it as given
         return G
     G = parse_group_descriptor(descriptor)
-    _check_limit(G, limit)
+    _check_limit(G)
     return G
 
 
@@ -124,26 +121,14 @@ def cmd_p3(args) -> int:
 
 
 def cmd_group(args) -> int:
-    if args.limit < MIN_LIMIT:
-        raise ParameterError(f"limit must be >= {MIN_LIMIT}, got {args.limit}")
-    groups = [_load_group(spec, args.limit) for spec in args.group]
+    groups = [_load_group(spec) for spec in args.group]
     if args.group_cmd == "iso":
-        lhs, rhs = groups
-        try:  # it tables only groups of one order and one centre order
-            same = is_isomorphic(lhs, rhs)
-        except MaterializationLimitError:
-            # an untabled operand above DEFAULT_LIMIT: tabled under --limit,
-            # it passes
-            tables(lhs, args.limit)
-            tables(rhs, args.limit)
-            same = is_isomorphic(lhs, rhs)
-        print("isomorphic" if same else "not isomorphic")
+        print("isomorphic" if is_isomorphic(*groups) else "not isomorphic")
         return EXIT_OK
     (G,) = groups
     if args.group_cmd == "make":
         _report([("group", G.descriptor()), ("order", G.order)])
         return EXIT_OK
-    tables(G, args.limit)  # the analysis below finds this table and takes no limit
     if args.group_cmd == "basics":
         gb = group_basics(G)
         _report(
@@ -210,21 +195,44 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage error names a ``--name`` it does not define,
+    before the value after it can be read as an operand or a command.  It
+    looks at its own arguments, up to its subcommand, and skips the value
+    after each option it defines; with --help, argparse prints help."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        known, unknown, tokens = self._option_string_actions, [], iter(args)
+        for arg in tokens:
+            if not arg.startswith("-"):  # an operand, or the subcommand
+                if self._subparsers is not None:
+                    break
+                continue
+            if arg == "--":
+                break
+            name = arg.split("=", 1)[0]
+            found = [known[name]] if name in known else [a for s, a in known.items() if s.startswith(name)]
+            if not found and name.startswith("--"):
+                unknown.append(name)
+            elif len(found) == 1 and isinstance(found[0], argparse._HelpAction):
+                return super().parse_known_args(args, namespace)
+            elif len(found) == 1 and found[0].nargs != 0 and "=" not in arg:
+                next(tokens, None)  # its value, which may start with "-"
+        if unknown:
+            self.error(f"unrecognized option: {unknown[0]}")
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call; parse_args leaves it unchanged."""
-    ap = argparse.ArgumentParser(prog="ramforge", description=__doc__)
+    ap = _Parser(prog="ramforge", description=__doc__)
     ap.add_argument(
         "--precision",
         type=int,
         default=DEFAULT_PRECISION,
         help=f"p3: series precision window in coefficients (default {DEFAULT_PRECISION})",
-    )
-    ap.add_argument(
-        "--limit",
-        type=int,
-        default=DEFAULT_LIMIT,
-        help=f"group: materialization limit (default {DEFAULT_LIMIT})",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -68,10 +68,10 @@ DEFAULT_PRECISION = 400
 # the least series window a builder accepts, so `verify` refuses what `p3` does
 MIN_PRECISION = 64
 
-# Group sanity checks inside certificates run only up to this order; above
-# it they are recorded as assumptions so certificates stay deterministic
-# regardless of the configured materialization limit.  It bounds no cost:
-# the form leg checks the one map its construction names, and the
+# Group sanity checks inside certificates run only up to this order, below
+# DEFAULT_LIMIT; above it they are recorded as assumptions, so a
+# certificate's bytes do not follow the materialization limit.  It bounds
+# no cost: the form leg checks the one map its construction names, and the
 # distinctness leg compares centre orders without a table.
 CERT_GROUP_LIMIT = 729
 

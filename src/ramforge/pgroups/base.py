@@ -5,13 +5,10 @@ Every group exposes a deterministic element order and a generating set;
 all searches and constructions derive their results from that order, never
 from timing, so repeated runs give identical answers.  Every group knows
 its order as p^e before any element is enumerated, and a limit check
-decides on e before p^e is computed.  The sizing rule has two parts.  An
-index group (below) is never sized, as it is no larger than the parent
-whose sized law it was built from.  Any other group is sized when its
-rows, its composed law or its table is first built: `PGroup._rows` and a
-direct product's composed law against DEFAULT_LIMIT, and
-`tables(G, limit)`, the one function that takes a limit, against its own,
-which it hands to `_rows`.  Each group keeps one row per generator
+decides on e before p^e is computed.  Every group but an index group
+(below), which is no larger than the parent whose sized law it was built
+from, is sized against DEFAULT_LIMIT when its rows, its composed law or
+its table is first built.  Each group keeps one row per generator
 (`PGroup._rows`), which `tables` composes into the table; kept rows and a
 kept table are returned without sizing again.  No table calls a group
 law: H(n, d), A(n, d) and the cyclic C(p^k) = H(0, k) share one
@@ -92,13 +89,11 @@ class PGroup:
         n = len(law.inv)
         return law.e, {s: [law.mul(s, b) for b in range(n)] for s in law.gens}, law.inv
 
-    def _rows(self, limit: int = DEFAULT_LIMIT) -> tuple[int, dict, list[int]]:
+    def _rows(self) -> tuple[int, dict, list[int]]:
         """`_generator_rows()`, built once and kept.  The group is sized
-        against ``limit`` (`_check_limit`) when they are built, so kept
-        rows are returned whatever the limit: `tables` hands its own
-        through, and every other caller reads them under DEFAULT_LIMIT."""
+        (`_check_limit`) when they are built."""
         if getattr(self, "_row_view", None) is None:
-            _check_limit(self, limit)
+            _check_limit(self)
             self._row_view = self._generator_rows()
         return self._row_view
 
@@ -278,8 +273,8 @@ def _within_limit(p: int, e: int, limit: int) -> bool:
     return e <= limit.bit_length() and p**e <= limit
 
 
-def _check_limit(G: PGroup, limit: int) -> None:
-    """Refuse a group of order above ``limit`` (see `_within_limit`)
+def _check_limit(G: PGroup) -> None:
+    """Refuse a group of order above DEFAULT_LIMIT (see `_within_limit`)
     unless it is an index group, which is never sized: a subgroup or
     quotient is no larger than the parent whose sized law it was built
     from, and an explicit table is already in memory.  The message names
@@ -287,13 +282,13 @@ def _check_limit(G: PGroup, limit: int) -> None:
     Python to print in decimal."""
     if isinstance(G, _IndexGroup):
         return
-    if not _within_limit(G.p, G._exp, limit):
+    if not _within_limit(G.p, G._exp, DEFAULT_LIMIT):
         raise MaterializationLimitError(
-            f"group {G.descriptor()} exceeds materialization limit {limit}"
+            f"group {G.descriptor()} exceeds materialization limit {DEFAULT_LIMIT}"
         )
 
 
-def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
+def tables(G: PGroup) -> GroupTables:
     """Materialize multiplication/inverse index tables (cached on the group).
 
     The group supplies one row per generator and the inverses (by index
@@ -301,19 +296,14 @@ def tables(G: PGroup, limit: int = DEFAULT_LIMIT) -> GroupTables:
     row is composed from those breadth-first from the identity, so the
     table agrees with the law whenever the law is associative and the rows
     agree with it.  An explicit table's checked rows are its tables,
-    cached when it is made.
-
-    This is the one public function that takes a limit.  A kept table is
-    returned as it is: the limit exists to refuse building one.  Any other
-    group is sized against ``limit`` (`_check_limit`), even when its rows
-    are kept already, and its rows are read under the same limit.
+    cached when it is made.  A kept table is returned as it is; any other
+    group is sized (`_check_limit`) by `_rows` before its rows are built.
     """
     cached = getattr(G, "_tables", None)
     if cached is not None:
         return cached
-    _check_limit(G, limit)
+    e, rows, inv = G._rows()
     n = G.order
-    e, rows, inv = G._rows(limit)
     gens = tuple(rows)
     # gather[s] maps the row of a to the row of a s, since (a s) b = a (s b)
     gather = {s: itemgetter(*row) for s, row in rows.items()}
@@ -523,14 +513,14 @@ class DirectProductGroup(PGroup):
         if getattr(self, "_tables", None) is not None:
             return self._tables.law()
         # the one law composed without a table of its own, so it is sized
-        _check_limit(self, DEFAULT_LIMIT)
+        _check_limit(self)
         return self._composed_law()
 
     def _composed_law(self) -> _IndexLaw:
         # (a, b) has index a n2 + b, and (a, b) (c, d) = (a c, b d): only
-        # the factors are tabled, each under the product's sized order
-        t1 = tables(self.g1, self.order)
-        t2 = tables(self.g2, self.order)
+        # the factors are tabled
+        t1 = tables(self.g1)
+        t2 = tables(self.g2)
         n2 = t2.n
         m1, m2 = t1.mul, t2.mul
 

@@ -3,8 +3,8 @@ import signal
 
 import pytest
 
-from ramforge import cli, forge
-from ramforge.pgroups import DEFAULT_LIMIT, analysis, base, iso, tables
+from ramforge import forge
+from ramforge.pgroups import analysis, base, iso, tables
 from ramforge.pgroups.analysis import commutator_subgroup_idx, conjugacy_classes_idx
 from ramforge.pgroups.base import closure
 
@@ -39,12 +39,12 @@ def table_spy(monkeypatch) -> list:
     built = []
     real = base.tables
 
-    def spy(G, limit=DEFAULT_LIMIT):
+    def spy(G):
         if getattr(G, "_tables", None) is None:
             built.append(G.order)
-        return real(G, limit)
+        return real(G)
 
-    for mod in (base, analysis, iso, forge, cli):
+    for mod in (base, analysis, iso, forge):
         monkeypatch.setattr(mod, "tables", spy)
     return built
 

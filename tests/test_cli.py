@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ramforge import cli
 from ramforge.cli import (
     EXIT_LIMIT,
     EXIT_MISMATCH,
@@ -97,11 +98,6 @@ class TestGroupCommand:
         assert code == EXIT_OK
         assert "group: kind=C p=3 k=2" in out and "order: 9" in out
 
-    def test_limit_floor(self):
-        code, out, err = run(["--limit", "26", "group", "make", "kind=C p=3 k=2"])
-        assert code == EXIT_USAGE
-        assert not out and ">= 27" in err
-
     def test_basics(self):
         code, out, _ = run(["group", "basics", "kind=A p=3 n=1 d=1"])
         assert code == EXIT_OK
@@ -148,8 +144,9 @@ class TestGroupCommand:
         assert 729 not in built
 
     def test_limit_exceeded(self):
-        code, _, err = run(["--limit", "27", "group", "basics", "kind=H p=3 n=2 d=1"])
-        assert code == EXIT_LIMIT and "limit" in err
+        # H(4, 1) has order 3^9 = 19683, above DEFAULT_LIMIT
+        code, out, err = run(["group", "basics", "kind=H p=3 n=4 d=1"])
+        assert code == EXIT_LIMIT and not out and "limit 10000" in err
 
     def test_bad_args(self):
         code, _, err = run(["group", "classify", "kind=H"])
@@ -344,7 +341,8 @@ HOSTILE = {
     "empty table path": (["group", "basics", "@"], None, EXIT_USAGE),
     "non-square table": (["group", "basics", "@{f}"], "0 1 2\n1 2 0\n", EXIT_USAGE),
     "non-integer token": (["group", "basics", "@{f}"], "0 1 2\n1 2 0\n2 0 x\n", EXIT_USAGE),
-    "over-limit table": (["--limit", "27", "group", "basics", "@{f}"], "0\n" * 28, EXIT_LIMIT),
+    # refused by its order: its 1-entry rows are never looked at
+    "over-limit table": (["group", "basics", "@{f}"], "0\n" * (DEFAULT_LIMIT + 1), EXIT_LIMIT),
     "huge descriptor": (["group", "make", HUGE], None, EXIT_LIMIT),
     "huge chat certificate": (["verify", "{f}"], CHAT_CERT.read_text().replace(H11, HUGE, 1), EXIT_LIMIT),
     "vast descriptor": (["group", "make", VAST], None, EXIT_LIMIT),
@@ -372,25 +370,27 @@ def test_hostile_group_input(tmp_path, case):
     assert not out and err.startswith("error: ") and err.count("\n") == 1
 
 
-# a row of 560,000 tokens: converting 27 or 28 of them takes seconds
+# a row of 560,000 tokens: converting 27 or 28 of them takes seconds; the
+# first entry is the cap the table's order is checked against
 TABLE_CAPS = {
-    "28 long rows over --limit 27": (["--limit", "27"], 28, EXIT_LIMIT, "exceeds materialization limit 27"),
-    "27 rows of the wrong length": ([], 27, EXIT_USAGE, "has a row of 560000 entries"),
+    "28 long rows over a cap of 27": (27, 28, EXIT_LIMIT, "exceeds materialization limit 27"),
+    "27 rows of the wrong length": (DEFAULT_LIMIT, 27, EXIT_USAGE, "has a row of 560000 entries"),
     # no power of an odd prime (even, or a power of none of its primes):
     # refused by the order, before the first row's length is looked at
-    **{f"{n} long rows": ([], n, EXIT_USAGE, f"order {n} is") for n in (2, 6, 12, 15)},
+    **{f"{n} long rows": (DEFAULT_LIMIT, n, EXIT_USAGE, f"order {n} is") for n in (2, 6, 12, 15)},
 }
 
 
 @pytest.mark.parametrize("case", sorted(TABLE_CAPS))
-def test_table_refused_before_its_tokens(tmp_path, case):
-    """An explicit table's order (by the limit, then by its primes) and
+def test_table_refused_before_its_tokens(monkeypatch, tmp_path, case):
+    """An explicit table's order (by the cap, then by its primes) and
     row lengths are refused before its tokens are converted."""
-    head, rows, want, why = TABLE_CAPS[case]
+    cap, rows, want, why = TABLE_CAPS[case]
+    monkeypatch.setattr(cli, "DEFAULT_LIMIT", cap)
     path = tmp_path / "input"
     path.write_text((" ".join(["1"] * 560_000) + "\n") * rows)
     with within(1, case):
-        code, out, err = run(head + ["group", "basics", f"@{path}"])
+        code, out, err = run(["group", "basics", f"@{path}"])
     assert code == want
     assert not out and err.startswith("error: ") and err.count("\n") == 1 and why in err, err
 
@@ -563,45 +563,8 @@ def test_precision_below_floor_refused(tmp_path, path, precision):
     assert code == EXIT_USAGE and not out and f">= 64, got {precision}" in err
 
 
-H2 = "kind=H p=3 n=2 d=1"
-# group commands on groups of order 243, which table quotients of order 81
-ORDER_243 = {
-    "basics": ["group", "basics", H2],
-    "classify H(2,1)": ["group", "classify", "kind=H p=3 n=2 d=1"],
-    "classify A(2,1)": ["group", "classify", "kind=A p=3 n=2 d=1"],
-    "minquot": ["group", "minquot", "kind=H p=3 n=1 d=1 x kind=C p=3 k=2"],
-    "iso": ["group", "iso", H2, "kind=A p=3 n=2 d=1"],
-    "iso of a table": ["group", "iso", "@{f}", H2],
-    "classify a table": ["group", "classify", "@{f}"],
-}
-
-
-@pytest.mark.parametrize("case", sorted(ORDER_243))
-def test_limit_above_default_reaches_every_command(monkeypatch, tmp_path, case):
-    """``--limit`` sizes the group named on the command line once: with
-    every check against DEFAULT_LIMIT lowered to 27, ``--limit 243`` still
-    runs each analysis command on a group of order 243, whose quotients
-    and subgroups are never sized again."""
-    path = tmp_path / "h21.table"
-    rows = tables(make_group("H", 3, 2, 1)).mul
-    path.write_text("\n".join(" ".join(map(str, row)) for row in rows) + "\n")
-    argv = [a.replace("{f}", str(path)) for a in ORDER_243[case]]
-    want = run(["--limit", "243"] + argv)
-    real = base._within_limit
-    monkeypatch.setattr(
-        base, "_within_limit", lambda p, e, limit: real(p, e, 27 if limit == DEFAULT_LIMIT else limit)
-    )
-    assert run(["--limit", "243"] + argv) == want and want[0] == EXIT_OK
-    assert run(["--limit", "80", "group", "minquot", f"{H11} x kind=C p=3 k=1"])[0] == EXIT_LIMIT
-    if "table" not in case:  # the lowered default bites without --limit
-        assert run(argv)[0] == EXIT_LIMIT
-
-
 UNTABLED = {
-    "make above the default limit": (
-        ["--limit", "20000", "group", "make", "kind=H p=3 n=4 d=1"],
-        "order: 19683",
-    ),
+    "make": (["group", "make", "kind=H p=3 n=3 d=2"], "order: 6561"),
     "iso of two primes": (
         ["group", "iso", "kind=H p=3 n=3 d=2", "kind=C p=5 k=1"],
         "not isomorphic",
@@ -748,22 +711,61 @@ PARSER_CALLS = [
 TOLOWER = ["breaks", "tolower", "upper m=1 p=3 : 1, 4"]
 
 
-@pytest.mark.parametrize(
-    "flags, precision, argv",
-    [
-        (["--limit", "5"], None, ["verify", str(TOWER_CERT)]),
-        ([], "10", ["verify", str(TOWER_CERT)]),
-        ([], "10", TOLOWER),
-        (["--limit", "5"], None, TOLOWER),
-    ],
-)
-def test_setting_read_only_by_its_command(flags, precision, argv):
-    """The precision is read only by p3 and the limit only by group: a
-    value that they refuse changes no other command's exit code or output."""
+@pytest.mark.parametrize("argv", [["verify", str(TOWER_CERT)], TOLOWER], ids=["verify", "tolower"])
+def test_setting_read_only_by_its_command(argv):
+    """The precision is read only by p3: a value that it refuses changes
+    no other command's exit code or output."""
     want = run(argv)
-    if precision is not None:
-        flags = ["--precision", precision] + flags
-    assert run(flags + argv) == want and want[0] == EXIT_OK
+    assert run(["--precision", "10"] + argv) == want and want[0] == EXIT_OK
+
+
+# an option no parser defines, with a value that argparse would otherwise
+# read as the command or as an operand
+LEFTOVER = {
+    "--limit before group": ["--limit", "243", "group", "classify", H11],
+    "--limit before verify": ["--limit", "243", "verify", str(TOWER_CERT)],
+    "--limit before breaks": ["--limit", "243", *TOLOWER],
+    "--limit=243 before group": ["--limit=243", "group", "classify", H11],
+    "--limit after --precision": ["--precision", "64", "--limit", "243", "group", "classify", H11],
+    "--p after group make": ["group", "make", "--p", "5", H11],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEFTOVER))
+def test_leftover_option_named(case):
+    """A usage error names the undefined option itself, not its value."""
+    code, out, err = run(LEFTOVER[case])
+    option = case.split()[0].split("=")[0]
+    assert (code, out) == (EXIT_USAGE, "") and "usage:" in err
+    assert err.splitlines()[-1].endswith(f"error: unrecognized option: {option}"), err
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        # a value after a defined option is its value, even when it starts with "-"
+        (["breaks", "fact1", "--multiset", "upper m=1 p=3 : 1, 4", "--u", "-1/2", "--v", "1"], "expected one argument"),
+        (["p3", "--p", "3", "--b", "1", "--a", "4", "--beta-unit", "-1:1"], "expected one argument"),
+        (["breaks", "tolower", "-1/2"], "required: multiset"),
+    ],
+    ids=["break", "series", "operand"],
+)
+def test_dash_value_not_read_as_an_option(argv, why):
+    """A value that starts with "-" is left to argparse's own errors."""
+    code, out, err = run(argv)
+    assert (code, out) == (EXIT_USAGE, "") and why in err and "unrecognized" not in err, err
+
+
+def test_abbreviated_option_is_defined():
+    """argparse reads --prec as --precision, so it is not refused."""
+    argv = ["p3", "--p", "3", "--b", "1", "--a", "4"]
+    want = run(["--precision", "64"] + argv)
+    assert run(["--prec", "64"] + argv) == want and want[0] == EXIT_OK
+
+
+def test_help_wins_over_a_leftover_option():
+    code, out, _ = run(["group", "make", "--p", "5", "--help"])
+    assert code == EXIT_OK and out.startswith("usage: ramforge group make")
 
 
 def test_parser_reused_across_calls():

@@ -300,14 +300,6 @@ class TestTables:
         assert time.perf_counter() - start < 1.0
         assert getattr(G, "_elements", None) is None
 
-    def test_kept_rows_are_sized_again_by_tables(self):
-        # rows built under DEFAULT_LIMIT do not let a table past a lower limit
-        G = H(2, 1)  # order 243
-        assert not is_abelian(G)
-        with pytest.raises(MaterializationLimitError):
-            tables(G, 81)
-        assert getattr(G, "_tables", None) is None
-
     def test_generators_must_generate(self):
         # the rows of x and z alone: <x, z> is a proper subgroup
         G = H(1, 1)
@@ -931,7 +923,7 @@ class TestTableGroup:
 
     def test_tables_are_the_checked_rows(self, monkeypatch):
         # the rows given (tuples are kept as they are) are the table's
-        # rows: nothing is composed, and no limit refuses them
+        # rows: nothing is composed
         rows = [tuple(row) for row in relabelled(law_tables(A(1, 2)), 4)]
         G = TableGroup(3, rows)
         monkeypatch.setattr(G, "_generator_rows", None)
@@ -939,7 +931,6 @@ class TestTableGroup:
         assert all(a is b for a, b in zip(t.mul, rows)) and len(t.mul) == len(rows)
         assert (t.e, t.gens) == (G.identity(), tuple(G.generators()))
         assert t.inv == [G.inv(a) for a in range(t.n)]
-        assert tables(G, limit=27) is t
 
 
 class TestQuotientDeterminism:
@@ -1145,15 +1136,45 @@ class TestIndexNative:
             build_A1d_via_Gd(3, 5)  # H(1, 1) x C(3^6) has order 3^9
 
 
-def test_only_tables_takes_a_limit():
-    """A group is sized once, where it enters: `tables` is the one public
-    pgroups callable with a ``limit`` parameter."""
-    takes = [
-        name
-        for name in pgroups.__all__
-        if callable(obj := getattr(pgroups, name)) and "limit" in inspect.signature(obj).parameters
-    ]
-    assert takes == ["tables"]
+def test_no_callable_takes_a_limit():
+    """Every group is sized against the one cap, DEFAULT_LIMIT: no public
+    pgroups callable, nor `PGroup._rows` or `_check_limit`, takes a
+    ``limit`` parameter."""
+    callables = [getattr(pgroups, name) for name in pgroups.__all__] + [base.PGroup._rows, base._check_limit]
+    takes = [obj for obj in callables if callable(obj) and "limit" in inspect.signature(obj).parameters]
+    assert takes == []
+
+
+# nonabelian groups of order 243, whose analyses build quotients and
+# subgroups of order 81 and below
+ORDER_243 = {
+    "H(2,1)": lambda: H(2, 1),
+    "A(2,1)": lambda: A(2, 1),
+    "H(1,1) x C9": lambda: DirectProductGroup(H(1, 1), CyclicPGroup(3, 2)),
+    "a table": lambda: TableGroup(3, relabelled(law_tables(H(2, 1)), 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_243))
+def test_analysis_sizes_no_group_it_builds(monkeypatch, case):
+    """A group is sized once, when it is tabled: the quotients and
+    subgroups its analyses build are never sized, so with every size
+    check refusing after that, each analysis answers as it did."""
+
+    def answers(G, other):
+        gb = group_basics(G)
+        kernel, _, cls = minimal_nonabelian_quotient(G)
+        counts = (len(gb.center), len(gb.commutator_subgroup), len(gb.frattini))
+        return counts, gb.rank, gb.exponent, len(kernel), cls, is_isomorphic(G, other)
+
+    want = answers(ORDER_243[case](), H(2, 1))
+    G, other = ORDER_243[case](), H(2, 1)
+    tables(G), tables(other)
+    monkeypatch.setattr(base, "_within_limit", lambda p, e, limit: False)
+    if case != "a table":  # the refusal bites on a group not yet tabled
+        with pytest.raises(MaterializationLimitError):
+            tables(ORDER_243[case]())
+    assert answers(G, other) == want
 
 
 class TestDescriptors:
