@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, product
 from math import gcd, prod
 from operator import add, itemgetter, mod, neg
@@ -654,25 +654,40 @@ def quotient(parent: PGroup, normal_indices) -> PGroup:
     )
 
 
-def _row_keys(rows: list[tuple[int, ...]], n: int):
-    """The rows of an order-n Cayley table as keys that compare like them,
-    and ``compose``: compose(a) yields, for x = 0..n-1, the key of the row
-    y -> x (a y).  When n <= 256 every index fits in a byte, so the keys
-    are bytes and that row is a's key translated by x's: one
-    ``bytes.translate`` in place of n lookups through itemgetter.  Above
-    256 the keys are the rows.  Raises TypeError, ValueError or
+@cache
+def _row_maps(n: int):
+    """How maps of 0..n-1, given as rows (``row[x]`` is the image of x), are
+    composed whole, each composition one call into C.  ``key(row)`` is the
+    row as a key that compares like it; it raises TypeError, ValueError or
     OverflowError unless every entry is an integer in [0, n).
-    """
+    ``outer(f)`` readies a key f to be applied last, and ``after(g)`` is
+    the function outer(f) -> the key of x -> f(g(x)).  ``solve(xs, ys)``
+    is the key of the map xs[i] -> ys[i] when the key xs is a permutation;
+    otherwise it raises KeyError or is some map of 0..n-1.  When n <= 256
+    every index fits in a byte, so the keys are bytes, f(g(x)) is g
+    translated by f padded to 256 (one ``bytes.translate`` in place of n
+    lookups) and ``solve`` is ``bytes.maketrans``.  Above 256 the keys are
+    tuples (a tuple row is its own key), f(g(x)) gathers f through
+    ``itemgetter(*g)`` and ``solve`` goes through a dict."""
     if n <= 256:
-        keys = [bytes(row) for row in rows]
-        indices = bytes(range(n))
-        if any(key.translate(None, indices) for key in keys):  # an entry in [n, 256)
+        indices, pad = bytes(range(n)), bytes(256 - n)
+
+        def key(row) -> bytes:
+            k = bytes(row)
+            if k.translate(None, indices):  # an entry in [n, 256)
+                raise ValueError
+            return k
+
+        return key, lambda f: f + pad, lambda g: g.translate, lambda xs, ys: bytes.maketrans(xs, ys)[:n]
+
+    def key(row) -> tuple:
+        row = tuple(row)
+        if max(array("Q", row)) >= n:
             raise ValueError
-        padded = [key + bytes(256 - n) for key in keys]
-        return keys, lambda a: map(keys[a].translate, padded)
-    if any(max(array("Q", row)) >= n for row in rows):
-        raise ValueError
-    return rows, lambda a: map(itemgetter(*rows[a]), rows)
+        return row
+
+    domain = itemgetter(*range(n))
+    return key, tuple, lambda g: itemgetter(*g), lambda xs, ys: domain(dict(zip(xs, ys)))
 
 
 def _entry_error(rows: list[tuple], n: int) -> ParameterError:
@@ -706,8 +721,9 @@ class TableGroup(_IndexGroup):
             raise ParameterError("Cayley table must be square")
         _log_p(n, p)
         rows = [tuple(row) for row in table]
+        key, outer, after, _ = _row_maps(n)
         try:
-            keys, compose = _row_keys(rows, n)
+            keys = list(map(key, rows))
         except (TypeError, ValueError, OverflowError):
             raise _entry_error(rows, n) from None
         identity_row = tuple(range(n))
@@ -720,16 +736,18 @@ class TableGroup(_IndexGroup):
         # The first right inverse must also be a left inverse: when another
         # two-sided inverse exists the table is not associative anyway.
         inverse = []
-        for a, key in enumerate(keys):
-            b = key.index(ident) if ident in key else None
+        for a, k in enumerate(keys):
+            b = k.index(ident) if ident in k else None
             if b is None or rows[b][a] != ident:
                 raise ParameterError(f"element {a} has no inverse")
             inverse.append(b)
         # every element is a product e s_1 s_2 ... of these generators
         gens = _greedy_generators(range(n), {ident}, lambda x, s: rows[x][s])
+        outers = list(map(outer, keys))
         for a in gens:
-            for x, (key, row_x) in enumerate(zip(compose(a), rows)):
-                if key != keys[row_x[a]]:
+            # the row y -> x (a y), for x = 0..n-1
+            for x, (xa, row_x) in enumerate(zip(map(after(keys[a]), outers), rows)):
+                if xa != keys[row_x[a]]:
                     row_a = rows[a]
                     y = next(y for y in range(n) if row_x[row_a[y]] != rows[row_x[a]][y])
                     raise ParameterError(

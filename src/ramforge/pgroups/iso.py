@@ -1,12 +1,14 @@
 """Brute-force isomorphism testing for desk-scale p-groups.
 
 The orders p^e are compared first, then the centre orders, counted from
-generator rows, so two groups that differ there are never tabled.  A
-direct product counts its centre from its factors, as
-Z(A x B) = Z(A) x Z(B), so only rows of its factors' orders are built for
-the count; any other group counts from the rows it keeps
-(`PGroup._rows`, which sizes it when it builds them), and `tables`
-composes its table from those same rows.  Cheap invariants of the tables
+generator rows, so two groups that differ there are never tabled.  For r
+generator rows the count takes O(|G| r^2) element steps, all but one
+walk of |G| r steps in C: whole-row compositions build and check the map
+a -> a s of each generator s (`_center`).  A direct product counts its
+centre from its factors, as Z(A x B) = Z(A) x Z(B), so only rows of its
+factors' orders are built for the count; any other group counts from the
+rows it keeps (`PGroup._rows`, which sizes it when it builds them), and
+`tables` composes its table from those same rows.  Cheap invariants of the tables
 (order profile, commutator / Frattini sizes, abelian type) reject most
 other non-isomorphic pairs outright; otherwise a backtracking search maps
 a Burnside-minimal generating sequence of one group into the other.  Each
@@ -24,6 +26,7 @@ materialized groups.
 from __future__ import annotations
 
 from collections import Counter
+from operator import eq
 
 from ..errors import InternalCheckError
 from .analysis import (
@@ -37,6 +40,7 @@ from .base import (
     PGroup,
     _extend_partial,
     _greedy_generators,
+    _row_maps,
     tables,
 )
 
@@ -45,27 +49,53 @@ def _center(G: PGroup) -> int:
     """|Z(G)|, from generator rows and never from a table.  A direct
     product multiplies its factors' centre orders, so it is not sized
     itself: each factor is sized where its rows are built (`PGroup._rows`).
-    Otherwise a is central when s a = a s for every generator s.  The rows
-    give s a, and a -> a s sends e to s and commutes with every row, as
-    t (a s) = (t a) s: one `_extend_partial` walk per s builds it and
-    refuses rows that no such map fits.  The generators must reach every
-    element, as in `tables`, so the count rests on what a table would: the
-    rows and an associative law.  O(|G| r^2) for r generators."""
+    Otherwise a is central when s a = a s for every generator s.  The row
+    R_s gives s a, and a s = (s^-1 a^-1)^-1, so rho_s = inv o R_s^-1 o inv
+    would send a to a s: it is solved as the map (s b)^-1 -> b^-1 from the
+    inverse list.  rho_s is kept only as the one map that sends e to s,
+    commutes with every row (t (a s) = (t a) s) and is injective, once a
+    breadth-first walk has shown that the rows reach every element from e,
+    as in `tables`.  So the count rests on what a table would, the rows and
+    an associative law, and never on the inverse list; rows that no such
+    map fits, or a wrong inverse list, are refused.  For r generators the
+    walk takes |G| r steps in Python, and the rest O(|G| r^2) element steps
+    in whole-row operations in C (`_row_maps`)."""
     if isinstance(G, DirectProductGroup):
         return _center(G.g1) * _center(G.g2)
     n = G.order
-    e, rows, _ = G._rows()
-    lefts = [(row, row) for row in rows.values()]
-    # with no generators the one walk, from e to e, reaches e alone
-    rights = [_extend_partial(e, s, lefts) for s in rows or [e]]
-    if any(right is None for right in rights):
-        raise InternalCheckError(f"generator rows of {G.descriptor()} are inconsistent")
-    if len(rights[0]) != n:  # every walk reaches the same elements
-        raise InternalCheckError(f"generators of {G.descriptor()} do not reach every element")
-    central = range(n)
-    for row, right in zip(rows.values(), rights):
-        central = [a for a in central if row[a] == right[a]]
-    return len(central)
+    e, rows, inv = G._rows()
+    key, outer, after, solve = _row_maps(n)
+    rhos = []
+    try:
+        lefts = list(map(key, rows.values()))
+        reached = {e}
+        queue = [e]  # not `closure`, whose call per step costs ~1.5x here
+        for x in queue:
+            for left in lefts:
+                y = left[x]
+                if y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+        if len(reached) != n:
+            raise InternalCheckError(f"generators of {G.descriptor()} do not reach every element")
+        outers = list(map(outer, lefts))
+        afters = list(map(after, lefts))
+        inv_key = key(inv)
+        inv_outer = outer(inv_key)
+        for s, after_s in zip(rows, afters):
+            rho = solve(after_s(inv_outer), inv_key)
+            rho_after, rho_outer = after(rho), outer(rho)
+            if (
+                rho[e] != s
+                or any(rho_after(t) != a(rho_outer) for t, a in zip(outers, afters))
+                or len(set(rho)) != n
+            ):
+                raise ValueError
+            rhos.append(rho)
+    except (TypeError, ValueError, OverflowError, LookupError):
+        raise InternalCheckError(f"generator rows of {G.descriptor()} are inconsistent") from None
+    # range(n) leads each tuple, so with no generators every element counts
+    return sum(map(eq, zip(range(n), *lefts), zip(range(n), *rhos)))
 
 
 def _signatures(t: GroupTables) -> list[tuple[int, int]]:

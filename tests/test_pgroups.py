@@ -773,6 +773,14 @@ CENTER_CASES.update(
         "table A(2,1)": lambda: TableGroup(3, relabelled(law_tables(A(2, 1)), 2)),
     }
 )
+# above 256 the rows are composed through itemgetter: H(2,2) and A(2,2)
+# (order 729) are among the factors above; H(3,1) has order 2187
+CENTER_CASES.update(
+    {
+        "H(3,1)": lambda: H(3, 1),
+        "table H(2,2)": lambda: TableGroup(3, relabelled(tables(H(2, 2)).mul, 7)),
+    }
+)
 # the side groups base x C3 x C3 of the checked distinctness legs
 CENTER_CASES.update(
     {
@@ -865,6 +873,76 @@ class TestCenterOrder:
         with within(1, "is_abelian(H(9, 1))"):
             with pytest.raises(MaterializationLimitError):
                 is_abelian(G)
+
+    def test_inconsistent_rows_are_refused_above_256(self):
+        # as above, on the rows of H(2,2) (order 729), which are composed
+        # through itemgetter: y_1's row with two entries swapped
+        G = H(2, 2)
+        e, rows, inv = G._generator_rows()
+        y = G.index_map()[G.gen_y(0)]
+        row = list(rows[y])
+        row[3], row[728] = row[728], row[3]
+        G._generator_rows = lambda: (e, {**rows, y: row}, inv)
+        with pytest.raises(InternalCheckError, match="inconsistent"):
+            iso._center(G)
+
+    def test_generators_must_generate_above_256(self):
+        # without y_1's row the rows of H(2,2) reach a proper subgroup
+        G = H(2, 2)
+        e, rows, inv = G._generator_rows()
+        y = G.index_map()[G.gen_y(0)]
+        kept = {s: row for s, row in rows.items() if s != y}
+        G._generator_rows = lambda: (e, kept, inv)
+        with pytest.raises(InternalCheckError, match="do not reach"):
+            iso._center(G)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 2)], ids=["order 27, bytes", "order 729, itemgetter"])
+    @pytest.mark.parametrize("wrong", ["swapped", "twisted"])
+    def test_wrong_inverses_are_refused(self, n, d, wrong):
+        # The count must rest on the rows alone.  "swapped" exchanges the
+        # inverses of x_1 and y_1.  "twisted" is a -> phi(a)^-1 for the
+        # automorphism phi: x_i -> x_i^-1, y_i -> y_i, z -> z^-1 of order 2;
+        # with it inv o R_s^-1 o inv is right multiplication by phi(s),
+        # which commutes with every row and is injective, so only the check
+        # that it sends e to s refuses it (a count would read 0: not even e
+        # has s e = e phi(s)).
+        G = H(n, d)
+        e, rows, inv = G._generator_rows()
+        F = H(n, d)
+        idx = F.index_map()
+        x, y = idx[F.gen_x(0)], idx[F.gen_y(0)]
+        if wrong == "swapped":
+            bad = list(inv)
+            bad[x], bad[y] = bad[y], bad[x]
+        else:
+            images = {F.gen_x(i): F.inv(F.gen_x(i)) for i in range(n)}
+            images.update({F.gen_y(i): F.gen_y(i) for i in range(n)})
+            images[F.gen_z()] = F.inv(F.gen_z())
+            phi = automorphism_from_generator_images(F, images)
+            bad = [idx[phi[g]] for g in F.elements()]
+            bad = [bad[a] for a in inv]
+        assert bad != inv
+        G._generator_rows = lambda: (e, rows, bad)
+        with pytest.raises(InternalCheckError, match="inconsistent"):
+            iso._center(G)
+
+
+class TestRowMaps:
+    @pytest.mark.parametrize("n, kind", [(255, bytes), (256, bytes), (257, tuple)])
+    def test_split_at_256(self, n, kind):
+        # every index of an order-256 group fits in a byte, so its rows are
+        # composed as bytes; one more element and they are tuples
+        key, outer, after, solve = base._row_maps(n)
+        shift = key([(x + 1) % n for x in range(n)])  # x -> x + 1
+        double = key([2 * x % n for x in range(n)])  # x -> 2 x
+        assert type(shift) is kind
+        # x -> 2 (x + 1) and x -> 2 x + 1
+        assert list(after(shift)(outer(double))) == [(2 * x + 2) % n for x in range(n)]
+        assert list(after(double)(outer(shift))) == [(2 * x + 1) % n for x in range(n)]
+        # the inverse of the shift
+        assert list(solve(shift, key(range(n)))) == [(x - 1) % n for x in range(n)]
+        with pytest.raises((ValueError, IndexError)):  # an entry past n
+            key([n] * n)
 
 
 class TestTableGroup:
