@@ -513,17 +513,17 @@ def _form_images(kind: str, n: int, construction: PGroup) -> list[int]:
 def _realizes(target: PGroup, construction: PGroup, images: list[int]) -> bool:
     """Whether the target's generators (in `tables` order) -> ``images``
     is an isomorphism onto ``construction``.  `_extend_partial` walks the
-    target's generator rows against the images' rows in the construction's
-    law, refusing an inconsistent or non-injective step, so it returns a
-    homomorphism on the subgroup it reaches.  One that reaches every
-    element of the target is injective into a group of the same order p^e
-    (sized when the construction was built), hence an isomorphism."""
+    target's generator rows against the images' whole rows in the
+    construction's law (`_IndexLaw.row`), refusing an inconsistent or
+    non-injective step, so it returns a homomorphism on the subgroup it
+    reaches.  One that reaches every element of the target is injective
+    into a group of the same order p^e (sized when the construction was
+    built), hence an isomorphism."""
     if construction._exp != target._exp:
         return False
     e, rows, _ = target._rows()
     law = construction._index_law()
-    image_rows = [[law.mul(h, b) for b in range(len(law.inv))] for h in images]
-    phi = _extend_partial(e, law.e, list(zip(rows.values(), image_rows)))
+    phi = _extend_partial(e, law.e, list(zip(rows.values(), map(law.row, images))))
     return phi is not None and len(phi) == len(law.inv)
 
 

@@ -12,13 +12,16 @@ its table is first built.  Each group keeps one row per generator
 (`PGroup._rows`), which `tables` composes into the table; kept rows and a
 kept table are returned without sizing again.  No table calls a group
 law: H(n, d), A(n, d) and the cyclic C(p^k) = H(0, k) share one
-class-two normal form, which computes generator rows and inverses by
-arithmetic on its mixed-radix index layout, and a direct product pairs
-its factors' rows.  Every other group is an index group: its elements
-are the indices 0..n-1.  An explicit table is one once its axioms are
-checked, and its checked rows are its table and its generator rows.
-`subgroup` and `quotient` take parent indices and return one whose law
-is composed from the parent's index law, so they keep no element view.
+class-two normal form, whose generator rows and inverses are block
+permutations of its mixed-radix index layout, assembled from whole
+slices and gathers, and a direct product pairs its factors' rows.  Every
+other group is an index group: its elements are the indices 0..n-1.  An
+explicit table is one once its axioms are checked, and its checked rows
+are its table and its generator rows.  `subgroup` and `quotient` take
+parent indices and return one whose law is composed from the parent's
+index law, so they keep no element view.  Each index law also gives the
+whole row b -> a b of an element (`_IndexLaw.row`), gathered from the
+parent's row, so no row is built one product at a time.
 A direct product without a table of its own multiplies indices through
 its factors' tables, so a subgroup or quotient of a product never tables
 the product itself; a tabled product reads its law from its rows.  A
@@ -35,7 +38,7 @@ from functools import cache, cached_property
 from itertools import chain, product
 from math import gcd, prod
 from operator import add, itemgetter, mod, neg
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from ..errors import (
     InternalCheckError,
@@ -83,11 +86,10 @@ class PGroup:
         """The identity's index, the row ``b -> s b`` of each generator
         index ``s`` (without the identity or repeats, in generator order),
         and the inverse of every index, all without calling the law.  By
-        default they are read from `_index_law`.  Called only by `_rows`,
-        which sizes the group first."""
+        default they are read from `_index_law`'s rows.  Called only by
+        `_rows`, which sizes the group first."""
         law = self._index_law()
-        n = len(law.inv)
-        return law.e, {s: [law.mul(s, b) for b in range(n)] for s in law.gens}, law.inv
+        return law.e, {s: law.row(s) for s in law.gens}, law.inv
 
     def _rows(self) -> tuple[int, dict, list[int]]:
         """`_generator_rows()`, built once and kept.  The group is sized
@@ -125,12 +127,14 @@ class PGroup:
 
 
 class _IndexLaw(NamedTuple):
-    """Identity, generators (as in `GroupTables.gens`), product and
-    inverses of a group, on its element indices."""
+    """Identity, generators (as in `GroupTables.gens`), product, the whole
+    row b -> a b of an element a, and inverses of a group, on its element
+    indices."""
 
     e: int
     gens: tuple[int, ...]
     mul: Callable[[int, int], int]
+    row: Callable[[int], Sequence[int]]
     inv: list[int]
 
 
@@ -181,7 +185,7 @@ class GroupTables:
     def law(self) -> _IndexLaw:
         """The group law read from the rows."""
         rows = self.mul
-        return _IndexLaw(self.e, self.gens, lambda a, b: rows[a][b], self.inv)
+        return _IndexLaw(self.e, self.gens, lambda a, b: rows[a][b], rows.__getitem__, self.inv)
 
     def power(self, g: int, k: int) -> int:
         out = self.e
@@ -197,7 +201,10 @@ class GroupTables:
 def closure(start, gens, mul) -> set:
     """The elements reached from ``start`` by right multiplication by
     ``gens`` under ``mul``; from the identity this is the subgroup the
-    generators generate, from a normal subgroup N it is N<gens>."""
+    generators generate, from a normal subgroup N it is N<gens>.  From the
+    identity alone ``mul`` may multiply on the left instead (``subgroup``
+    steps x -> g x through g's row): both sides reach the same subgroup.
+    From any other start, left steps reach a different set."""
     seen = set(start)
     frontier = list(seen)
     while frontier:
@@ -331,16 +338,22 @@ def tables(G: PGroup) -> GroupTables:
     return t
 
 
-def _step(radix: list[int], i: int) -> list[int]:
-    """For each index of a mixed-radix digit vector (first digit most
-    significant), the index after adding 1 to digit i modulo radix[i]."""
-    w, r = prod(radix[i + 1 :]), radix[i]
-    return [
-        h + (d + 1) % r * w + k
-        for h in range(0, prod(radix), r * w)
-        for d in range(r)
-        for k in range(w)
-    ]
+def _gather(idx):
+    """The function src -> (src[i] for i in idx), one call into C."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda src: tuple(map(src.__getitem__, idx))
+
+
+def _runs(dst: list, src, block: int, lo: int, hi: int, off: int = 0) -> None:
+    """dst[h + x] = src[h + x + off] for lo <= x < hi in every block of
+    ``block`` indices starting at h: one slice per block or one strided
+    slice per x, whichever is fewer."""
+    size = len(dst)
+    if size // block <= hi - lo:
+        for h in range(0, size, block):
+            dst[h + lo : h + hi] = src[h + lo + off : h + hi + off]
+    else:
+        for x in range(lo, hi):
+            dst[x::block] = src[x + off :: block]
 
 
 class _ClassTwoGroup(PGroup):
@@ -405,35 +418,46 @@ class _ClassTwoGroup(PGroup):
         return tables(self).law()
 
     def _generator_rows(self) -> tuple[int, dict, list[int]]:
-        # Each generator steps its digit; y_i also takes shift * (x_i mod p)
-        # off the central digit.  The inverse negates every digit and takes
-        # shift * sum_i (x_i mod p) y_i off the central one.  Entry 0 of a
-        # row is its generator's index.
+        # Every row is a block permutation of the index layout, assembled
+        # from whole slices (`_runs`) and gathers.  Digit j's step rotates
+        # each block of radix[j] w_j indices by w_j; x_i's row is its step.
+        # T_i takes shift * t off the central digit where x_i's digit is
+        # t mod p, and y_i's row is T_i o step.  The inverse negates every
+        # digit (n - 1 - a complements each digit, and the steps then add
+        # 1 to it) and takes shift * (x_i mod p) y_i off the central digit
+        # for each i: T_i^y where y_i's digit is y.  Entry 0 of a row is
+        # its generator's index.
         radix, n, p, z = self._radix, self.n, self.p, self._zpos
-        size = prod(radix)
-        rz, wz, shift = radix[z], prod(radix[z + 1 :]), radix[z] // p
+        base = list(range(prod(radix)))
+        ws = [prod(radix[j + 1 :]) for j in range(len(radix))]
 
-        def digit(j: int, m: int, sign: int = 1) -> list[int]:
-            # sign times digit j of every index, mod m
-            w, r = prod(radix[j + 1 :]), radix[j]
-            return [sign * d % m for d in range(r) for _ in range(w)] * (size // (r * w))
+        def rotated(j: int, k: int) -> list[int]:
+            # digit j plus k, modulo its radix
+            block, s = radix[j] * ws[j], k % radix[j] * ws[j]
+            row = base[s:] + base[:s]
+            _runs(row, base, block, block - s, block, s - block)
+            return row
 
-        def twisted(row, cs, ts):
-            # row with shift * t taken off the central digit c of each entry
-            return [j + ((c - shift * t) % rz - c) * wz for j, c, t in zip(row, cs, ts)]
+        def masked(j: int, srcs: list) -> list[int]:
+            # srcs[t] where digit j is t mod p
+            out, w = list(srcs[0]), ws[j]
+            for t in range(1, p):
+                _runs(out, srcs[t], p * w, t * w, (t + 1) * w)
+            return out
 
-        xs = [digit(i, p) for i in range(n)]
-        rows = [_step(radix, j) for j in range(len(radix))]
-        cs = digit(z, rz)
-        rows[n : 2 * n] = [twisted(rows[n + i], cs, xs[i]) for i in range(n)]
-        negated = [0]
-        for r in radix:
-            negated = [a * r + (-b) % r for a in negated for b in range(r)]
-        ts = [0] * size
+        rows = [rotated(j, 1) for j in range(len(radix))]
+        inv = base[::-1]
+        for row in rows:
+            inv = itemgetter(*inv)(row)
+        twists = [rotated(z, -t * radix[z] // p) for t in range(p)] if n else []
         for i in range(n):
-            ts = [t + x * y for t, x, y in zip(ts, xs[i], digit(n + i, p))]
-        inv = twisted(negated, digit(z, rz, -1), ts)
-        return 0, {row[0]: row for row in rows}, inv
+            T = masked(i, twists)
+            rows[n + i] = list(itemgetter(*rows[n + i])(T))
+            powers = [base]
+            for _ in range(1, p):
+                powers.append(itemgetter(*powers[-1])(T))
+            inv = itemgetter(*inv)(masked(n + i, powers))
+        return 0, {row[0]: row for row in rows}, list(inv)
 
     def generators(self) -> list:
         # one per digit: x_1..x_n, y_1..y_n, and z where it has its own
@@ -518,28 +542,27 @@ class DirectProductGroup(PGroup):
 
     def _composed_law(self) -> _IndexLaw:
         # (a, b) has index a n2 + b, and (a, b) (c, d) = (a c, b d): only
-        # the factors are tabled
+        # the factors are tabled.  Block c of the row of (a, b) is block
+        # a c of the identity row gathered through b's row; the inverses
+        # pair the same way
         t1 = tables(self.g1)
         t2 = tables(self.g2)
         n2 = t2.n
         m1, m2 = t1.mul, t2.mul
+        ident = list(range(t1.n * n2))
+        blocks = [ident[x : x + n2] for x in range(0, len(ident), n2)]
 
         def mul(i: int, j: int) -> int:
             a, b = divmod(i, n2)
             c, d = divmod(j, n2)
             return m1[a][c] * n2 + m2[b][d]
 
-        gens = tuple(s * n2 + t2.e for s in t1.gens) + tuple(t1.e * n2 + s for s in t2.gens)
-        inv = [a * n2 + b for a in t1.inv for b in t2.inv]
-        return _IndexLaw(t1.e * n2 + t2.e, gens, mul, inv)
+        def pair(r1, r2) -> list[int]:
+            return list(chain.from_iterable(map(_gather(r2), map(blocks.__getitem__, r1))))
 
-    def _generator_rows(self) -> tuple[int, dict, list[int]]:
-        # the row of (s1, s2) pairs the factor rows of s1 and s2
-        law = self._composed_law()
-        m1, m2 = tables(self.g1).mul, tables(self.g2).mul
-        n2 = len(m2)
-        rows = {s: [x * n2 + y for x in m1[s // n2] for y in m2[s % n2]] for s in law.gens}
-        return law.e, rows, law.inv
+        gens = tuple(s * n2 + t2.e for s in t1.gens) + tuple(t1.e * n2 + s for s in t2.gens)
+        row = lambda i: pair(m1[i // n2], m2[i % n2])
+        return _IndexLaw(t1.e * n2 + t2.e, gens, mul, row, pair(t1.inv, t2.inv))
 
     def _element_list(self):
         return [(a, b) for a in self.g1.elements() for b in self.g2.elements()]
@@ -547,15 +570,16 @@ class DirectProductGroup(PGroup):
 
 class _IndexGroup(PGroup):
     """A group whose elements are the indices 0..n-1 and whose law is
-    ``mul`` and ``inv`` on them: a subgroup or a quotient, with its law
-    composed from its parent's, or an explicit table.  ``gens`` become its
-    generators, without the identity ``e`` or repeats."""
+    ``mul``, ``row`` and ``inv`` on them (see `_IndexLaw`): a subgroup or a
+    quotient, with its law composed from its parent's, or an explicit
+    table.  ``gens`` become its generators, without the identity ``e`` or
+    repeats."""
 
-    def __init__(self, p: int, descriptor: str, e: int, gens, mul, inv: list[int]):
+    def __init__(self, p: int, descriptor: str, e: int, gens, mul, row, inv: list[int]):
         own = dict.fromkeys(gens)
         own.pop(e, None)
         self.p = p
-        self._law = _IndexLaw(e, tuple(own), mul, inv)
+        self._law = _IndexLaw(e, tuple(own), mul, row, inv)
         self._exp = _log_p(len(inv), p)
         self._descriptor = descriptor
 
@@ -590,20 +614,22 @@ def subgroup(parent: PGroup, gen_indices) -> PGroup:
     """The subgroup of ``parent`` generated by the elements with the parent
     indices ``gen_indices``.  Its k-th element is the k-th smallest parent
     index in it; its generators are those of ``gen_indices``, in order,
-    without the identity or repeats.  Closure, rows and inverses use the
-    parent's index law."""
+    without the identity or repeats.  Its members are closed from the
+    generators' rows, and its rows and inverses are the parent's gathered
+    through its members and relabelled."""
     law = parent._index_law()
     gens = _parent_indices(law, gen_indices, "generating set")
-    members = sorted(closure([law.e], gens, law.mul))
-    pos = {m: k for k, m in enumerate(members)}
-    pmul = law.mul
+    members = sorted(closure([law.e], list(map(law.row, gens)), lambda x, row: row[x]))
+    pos = dict(zip(members, range(len(members))))
+    pmul, prow, at = law.mul, law.row, _gather(members)
     return _IndexGroup(
         parent.p,
         f"subgroup(order={len(members)}) of {parent.descriptor()}",
         pos[law.e],
         (pos[g] for g in gens),
         lambda a, b: pos[pmul(members[a], members[b])],
-        [pos[law.inv[m]] for m in members],
+        lambda a: list(map(pos.__getitem__, at(prow(members[a])))),
+        list(map(pos.__getitem__, at(law.inv))),
     )
 
 
@@ -615,10 +641,11 @@ def quotient(parent: PGroup, normal_indices) -> PGroup:
     it, which is its representative, so the element order is
     deterministic.  Cosets, the normality check and the quotient's law all
     use the parent's index law (a direct product without a table of its
-    own multiplies through its factors' tables).  Normality is tested on
-    the parent's generators only: conjugation is a bijection, so
-    s^-1 N s within N gives s^-1 N s = N, and the elements fixing N form
-    a subgroup.
+    own multiplies through its factors' tables); the quotient's rows and
+    inverses are the parent's, gathered through the representatives and
+    relabelled.  Normality is tested on the parent's generators only:
+    conjugation is a bijection, so s^-1 N s within N gives s^-1 N s = N,
+    and the elements fixing N form a subgroup.
     """
     law = parent._index_law()
     mul = law.mul
@@ -643,6 +670,7 @@ def quotient(parent: PGroup, normal_indices) -> PGroup:
         reps.append(g)
     if any(mul(mul(law.inv[s], h), s) not in nidx for s in law.gens for h in nidx):
         raise ParameterError("subgroup is not normal")
+    label, prow, at = coset_id.__getitem__, law.row, _gather(reps)
     # coset c times coset d is the coset of rep(c) rep(d)
     return _IndexGroup(
         parent.p,
@@ -650,7 +678,8 @@ def quotient(parent: PGroup, normal_indices) -> PGroup:
         coset_id[law.e],
         (coset_id[s] for s in law.gens),
         lambda a, b: coset_id[mul(reps[a], reps[b])],
-        [coset_id[law.inv[r]] for r in reps],
+        lambda a: list(map(label, at(prow(reps[a])))),
+        list(map(label, at(law.inv))),
     )
 
 
@@ -754,7 +783,8 @@ class TableGroup(_IndexGroup):
                         f"table is not associative at ({x}, {a}, {y})"
                     )
         super().__init__(
-            p, f"table(order={n}, p={p})", ident, gens, lambda a, b: rows[a][b], inverse
+            p, f"table(order={n}, p={p})", ident, gens,
+            lambda a, b: rows[a][b], rows.__getitem__, inverse,
         )
         self._tables = GroupTables(p, n, ident, rows, inverse, tuple(gens))
         self._row_view = ident, {s: rows[s] for s in gens}, inverse

@@ -9,6 +9,8 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramforge.errors import InternalCheckError, MaterializationLimitError, ParameterError, ParseError
 from ramforge.forge import derive_nonint, verify_certificate
@@ -1119,6 +1121,104 @@ class TestIndexRows:
         for s, row in rows.items():
             assert row == [idx[G.mul(elems[s], b)] for b in elems]
         assert inv == [idx[G.inv(a)] for a in elems]
+
+
+def _exponent(kind, n, d):
+    """e with p^e the order of H(n, d), A(n, d) or, for kind C, C(p^n)."""
+    return n if kind == "C" else 2 * n + d
+
+
+# H(n, d), A(n, d) and C(p^k) at p in {3, 5, 7} of order at most 3^8
+CLASS_TWO = st.one_of(
+    st.tuples(st.just("H"), st.sampled_from((3, 5, 7)), st.integers(0, 3), st.integers(1, 4)),
+    st.tuples(st.just("A"), st.sampled_from((3, 5, 7)), st.integers(1, 3), st.integers(1, 4)),
+    st.tuples(st.just("C"), st.sampled_from((3, 5, 7)), st.integers(1, 8), st.none()),
+).filter(lambda c: c[1] ** _exponent(c[0], c[2], c[3]) <= 3**8)
+
+
+class TestRowSlices:
+    """The rows the class-two form assembles from slices and gathers are
+    the element law's, on seeded draws (`derandomize`)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(CLASS_TWO)
+    # A with d >= 2, whose x_1 digit has radix p^(d+1) and carries z: one
+    # each side of 256 elements; a twist at p = 7; a cyclic group of 243
+    @example(("A", 3, 1, 2))
+    @example(("A", 5, 1, 2))
+    @example(("A", 3, 2, 2))
+    @example(("H", 7, 1, 1))
+    @example(("H", 5, 2, 1))
+    @example(("C", 3, 5, None))
+    def test_rows_are_the_law(self, case):
+        kind, p, n, d = case
+        with within(2, f"rows of {case}"):
+            G = CyclicPGroup(p, n) if kind == "C" else make_group(kind, p, n, d)
+            e, rows, inv = G._generator_rows()
+            elems, idx = G.elements(), G.index_map()
+            assert e == idx[G.identity()]
+            assert list(rows) == [idx[g] for g in G.generators()]
+            for s, row in rows.items():
+                assert row == [idx[G.mul(elems[s], b)] for b in elems]
+            assert inv == [idx[G.inv(a)] for a in elems]
+
+
+def gd_of(p, d):
+    """G_d = <(x1, w), (y1, 0), (z, 0)> in H(1,1) x C(p^(d+1)), as
+    `build_A1d_via_Gd` builds it."""
+    prod = DirectProductGroup(H(1, 1, p), CyclicPGroup(p, d + 1))
+    law = prod._index_law()
+    x, y, z, w = law.gens
+    return subgroup(prod, [law.mul(x, w), y, z])
+
+
+# index laws whose rows are gathered: a product (untabled), a subgroup of
+# one (G_d, order 81 and 243), quotients of a product and of G_d
+INDEX_LAWS = {
+    "H(1,1) x C9": lambda: DirectProductGroup(H(1, 1), CyclicPGroup(3, 2)),
+    "A(1,1) x H(1,1)": lambda: DirectProductGroup(A(1, 1), H(1, 1)),
+    "G_1": lambda: gd_of(3, 1),
+    "G_2": lambda: gd_of(3, 2),
+    "H(1,1) * H(1,1)": lambda: central_product(H(1, 1), H(1, 1)),
+    "A(1,2) via G_2": lambda: build_A1d_via_Gd(3, 2),
+    "H(1,1) / Z": quotient_by_center,
+}
+
+
+class TestIndexLawRows:
+    """`_IndexLaw.row(a)` is the row b -> a b of the law's products."""
+
+    @pytest.mark.parametrize("name", sorted(INDEX_LAWS))
+    def test_row_is_the_product(self, name):
+        G = INDEX_LAWS[name]()
+        law = G._index_law()
+        n = len(law.inv)
+        assert n == G.order
+        for a in range(n):
+            assert list(law.row(a)) == [law.mul(a, b) for b in range(n)]
+            assert law.mul(a, law.inv[a]) == law.e == law.mul(law.inv[a], a)
+        assert getattr(G, "_tables", None) is None  # nothing was tabled for it
+
+    def test_product_rows_are_the_element_law(self):
+        G = DirectProductGroup(A(1, 1), CyclicPGroup(3, 2))
+        law = G._index_law()
+        elems, idx = G.elements(), G.index_map()
+        for a in (0, 1, 40, len(elems) - 1):
+            assert list(law.row(a)) == [idx[G.mul(elems[a], b)] for b in elems]
+        assert law.inv == [idx[G.inv(g)] for g in elems]
+
+    @pytest.mark.parametrize("G, rank", [(H(2, 2), 5), (A(2, 1), 4)], ids=repr)
+    def test_frattini_quotient_matches_law(self, G, rank):
+        # G / Phi(G) is elementary abelian of G's rank: z is a generator of
+        # H(2,2) (order 729), and z = x_1^3 in A(2,1)
+        N = sorted(analysis.frattini_idx(tables(G)))
+        mul, inv = law_quotient(G, [G.elements()[i] for i in N])
+        Q = quotient(G, N)
+        law = Q._index_law()
+        assert Q.order == len(mul) == 3**rank
+        assert [list(law.row(a)) for a in range(Q.order)] == mul
+        assert law.inv == inv
+        assert [list(row) for row in tables(Q).mul] == mul
 
 
 class TestIndexNative:
