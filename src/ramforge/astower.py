@@ -18,7 +18,8 @@ The reduction functions replace a datum by a representative of the same
 class modulo the Artin-Schreier operator with maximal valuation, which
 certifies the ramification break of the degree-p extension it generates.
 Each returns the accumulated witness w with reduced = delta - wp(w), so the
-claim can be re-checked by direct arithmetic.
+claim can be re-checked by direct arithmetic; a step that does not raise the
+leading valuation is refused.
 
 The break over F depends only on the class of the datum modulo
 wp(F) + O_F (Serre, *Local Fields*, IV-V), and that is how the tower's top
@@ -328,7 +329,7 @@ def as_reduce_K(delta: LaurentSeries) -> Reduction:
     p = delta.p
     witness = _from_dense(p, 0, (), delta.prec)
     reduced = delta
-    guard = 0
+    last = -INF
     while True:
         v = reduced.valuation()  # INF when zero to precision
         if v >= 0:  # a nonzero residual is known past v, so only a zero one can fail
@@ -336,20 +337,17 @@ def as_reduce_K(delta: LaurentSeries) -> Reduction:
                 raise InsufficientPrecisionError(
                     f"residual is zero to precision {reduced.prec} < 0"
                 )
-            outcome = BreakOutcome("nonnegative")
-            break
+            return Reduction(reduced, BreakOutcome("nonnegative"), witness)
         if v % p != 0:
-            outcome = BreakOutcome("wild", -v)
-            break
+            return Reduction(reduced, BreakOutcome("wild", -v), witness)
+        if v <= last:
+            raise InternalCheckError("K-reduction failed to make progress")
+        last = v
         c = reduced.leading_coefficient()
         # exact, and known far enough that its wp loses none of reduced.prec
         step = _from_dense(p, v // p, (c,), max(reduced.prec, -(-reduced.prec // p)))
         reduced = reduced - step.wp()
         witness = witness + step
-        guard += 1
-        if guard > abs(v) + 8:
-            raise InternalCheckError("K-reduction failed to make progress")
-    return Reduction(reduced, outcome, witness)
 
 
 def _witness_monomial(ext: ASExtension, j: int, c: int) -> tuple[int, int, int]:
@@ -364,78 +362,14 @@ def _witness_monomial(ext: ASExtension, j: int, c: int) -> tuple[int, int, int]:
     return i_new, (j + i_new * b) // p, c * pow(ext.beta.leading_coefficient(), -i_new, p) % p
 
 
-def as_reduce_F(delta: ASElement) -> Reduction:
-    """Reduce delta mod wp(F) and certify the break it defines over F.
-
-    A residual with v_F divisible by p necessarily has its leading term in
-    the degree-0 component, say c*pi^j with v_F = p*j.  The unique witness
-    monomial w = c'*pi^j'*y^i' with wp(w) matching that term has
-    i' = -j/b mod p, j' = (j + i'*b)/p, and c' = c / lead(beta)^i'; each
-    subtraction strictly increases v_F.  Every element is kept exactly,
-    every component of each wp(w) included.
-    """
-    ext = delta.ext
-    p, b = ext.p, ext.b
-    witness = ext.zero_element(delta._max_prec())
-    reduced = delta
-    guard = 0
-    start = None
-    while True:
-        lead, floor = reduced._lead()
-        if lead is None or lead[0] >= 0:
-            if floor < 0:
-                raise InsufficientPrecisionError(
-                    f"residual is nonnegative only to precision floor {floor} < 0"
-                )
-            outcome = BreakOutcome("nonnegative")
-            break
-        v, i0, j, c = lead
-        if v > floor:
-            raise InsufficientPrecisionError(
-                f"leading term at {v} not certified: unknown below {floor}"
-            )
-        if v % p != 0:
-            outcome = BreakOutcome("wild", -v)
-            break
-        if start is None:
-            start = v
-        if i0 != 0:
-            raise InternalCheckError(
-                f"p-divisible valuation attained at y-degree {i0} != 0"
-            )
-        i_new, j_new, c_new = _witness_monomial(ext, j, c)
-        # exact, and known far enough that wp(step) loses none of the floor:
-        # its degree-0 p-th power term needs p^2*prec - p*b*i' >= floor,
-        # and -step needs p*prec - b*i' >= floor
-        prec = max(
-            j_new + 1,
-            reduced._max_prec(),
-            -(-(floor + p * b * i_new) // (p * p)),
-            -(-(floor + b * i_new) // p),
-        )
-        step = ext.monomial_element(c_new, j_new, i_new, prec)
-        reduced = reduced - step.wp()
-        witness = witness + step
-        guard += 1
-        if guard > abs(start) + 8:
-            raise InternalCheckError("F-reduction failed to make progress")
-    return Reduction(reduced, outcome, witness)
-
-
-def as_reduce_F_mod_O(delta: ASElement) -> Reduction:
-    """as_reduce_F on principal parts, at a cost independent of p.
-
-    The break depends only on delta modulo wp(F) + O_F: by Hensel's lemma
-    the maximal ideal lies in wp(F), and a constant changes the extension
-    only by an unramified twist.  A leading term of negative v_F is the same
-    modulo O_F, so the steps, the outcome and a wild residual's valuation
-    are as_reduce_F's; the residual is the exact one's principal part, and
-    delta - w.principal_wp() - reduced is integral.
-    """
-    ext = delta.ext
-    reduced = delta.principal_part()
-    witness = ext.element({})
-    last = -INF  # each step must raise the leading v_F
+def _reduce_F(reduced: ASElement, witness: ASElement, kill) -> Reduction:
+    """The F-reduction loop.  A residual with v_F divisible by p necessarily
+    has its leading term c*pi^j in degree 0, v_F = p*j; `_witness_monomial`
+    gives the (i', j', c') of the w whose wp leads with it, and
+    ``kill(reduced, floor, i', j', c')`` the step w and the image of wp(w)
+    to subtract.  Each subtraction must raise the leading v_F."""
+    p = reduced.ext.p
+    last = -INF
     while True:
         lead, floor = reduced._lead()
         if lead is None or lead[0] >= 0:
@@ -449,14 +383,58 @@ def as_reduce_F_mod_O(delta: ASElement) -> Reduction:
             raise InsufficientPrecisionError(
                 f"leading term at {v} not certified: unknown below {floor}"
             )
-        if v % ext.p != 0:
+        if v % p != 0:
             return Reduction(reduced, BreakOutcome("wild", -v), witness)
         if i0 != 0:
             raise InternalCheckError(f"p-divisible valuation attained at y-degree {i0} != 0")
         if v <= last:
             raise InternalCheckError("F-reduction failed to make progress")
         last = v
-        i_new, j_new, c_new = _witness_monomial(ext, j, c)
-        step = ext.monomial_element(c_new, j_new, i_new, ext.principal_prec(i_new))
-        reduced = reduced - step.principal_wp()
+        step, image = kill(reduced, floor, *_witness_monomial(reduced.ext, j, c))
+        reduced = reduced - image
         witness = witness + step
+
+
+def as_reduce_F(delta: ASElement) -> Reduction:
+    """Reduce delta mod wp(F) and certify the break it defines over F.
+
+    The steps are `_reduce_F`'s.  Every element is kept exactly, every
+    component of each wp(w) included, and reduced = delta - wp(w).
+    """
+    ext = delta.ext
+    p, b = ext.p, ext.b
+
+    def kill(reduced, floor, i, j, c):
+        # exact, and known far enough that wp(step) loses none of the floor:
+        # its degree-0 p-th power term needs p^2*prec - p*b*i' >= floor,
+        # and -step needs p*prec - b*i' >= floor
+        prec = max(
+            j + 1,
+            reduced._max_prec(),
+            -(-(floor + p * b * i) // (p * p)),
+            -(-(floor + b * i) // p),
+        )
+        step = ext.monomial_element(c, j, i, prec)
+        return step, step.wp()
+
+    return _reduce_F(delta, ext.zero_element(delta._max_prec()), kill)
+
+
+def as_reduce_F_mod_O(delta: ASElement) -> Reduction:
+    """as_reduce_F on principal parts, at a cost independent of p.
+
+    The break depends only on delta modulo wp(F) + O_F: by Hensel's lemma
+    the maximal ideal lies in wp(F), and a constant changes the extension
+    only by an unramified twist.  A leading term of negative v_F is the same
+    modulo O_F, so `_reduce_F` takes as_reduce_F's steps, each known to
+    O_F and subtracted as its `principal_wp`, and reaches the same outcome
+    and wild residual valuation; the residual is the exact one's principal
+    part, and delta - w.principal_wp() - reduced is integral.
+    """
+    ext = delta.ext
+
+    def kill(reduced, floor, i, j, c):
+        step = ext.monomial_element(c, j, i, ext.principal_prec(i))
+        return step, step.principal_wp()
+
+    return _reduce_F(delta.principal_part(), ext.element({}), kill)

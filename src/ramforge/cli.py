@@ -196,10 +196,14 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage error names a ``--name`` it does not define,
-    before the value after it can be read as an operand or a command.  It
-    looks at its own arguments, up to its subcommand, and skips the value
-    after each option it defines; with --help, argparse prints help."""
+    """A parser, like each of its subparsers, that reads an option by its
+    full name only, and whose usage error names a ``--name`` it does not
+    define, before the value after it can be read as an operand or a
+    command.  It looks at its own arguments, up to its subcommand, and skips
+    the value after each option it defines; with --help, argparse prints help."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else args
@@ -212,12 +216,12 @@ class _Parser(argparse.ArgumentParser):
             if arg == "--":
                 break
             name = arg.split("=", 1)[0]
-            found = [known[name]] if name in known else [a for s, a in known.items() if s.startswith(name)]
-            if not found and name.startswith("--"):
+            action = known.get(name)
+            if action is None and name.startswith("--"):
                 unknown.append(name)
-            elif len(found) == 1 and isinstance(found[0], argparse._HelpAction):
+            elif isinstance(action, argparse._HelpAction):
                 return super().parse_known_args(args, namespace)
-            elif len(found) == 1 and found[0].nargs != 0 and "=" not in arg:
+            elif action is not None and action.nargs != 0 and "=" not in arg:
                 next(tokens, None)  # its value, which may start with "-"
         if unknown:
             self.error(f"unrecognized option: {unknown[0]}")

@@ -18,16 +18,16 @@ slices and gathers, and a direct product pairs its factors' rows.  Every
 other group is an index group: its elements are the indices 0..n-1.  An
 explicit table is one once its axioms are checked, and its checked rows
 are its table and its generator rows.  `subgroup` and `quotient` take
-parent indices and return one whose law is composed from the parent's
-index law, so they keep no element view.  Each index law also gives the
-whole row b -> a b of an element (`_IndexLaw.row`), gathered from the
-parent's row, so no row is built one product at a time.
+parent indices and return one whose law is the parent's index law
+relabelled (`_relabelled`), so they keep no element view.  Each index law
+also gives the whole row b -> a b of an element (`_IndexLaw.row`),
+gathered from the parent's row, so no row is built one product at a time.
 A direct product without a table of its own multiplies indices through
 its factors' tables, so a subgroup or quotient of a product never tables
 the product itself; a tabled product reads its law from its rows.  A
-quotient checks normality by conjugating N by the parent's generators
-only.  The laws of H, A, C and products stay the public API and the test
-oracle for the tables.
+quotient refuses an N that is not a subgroup, and checks normality by
+conjugating N by the parent's generators only.  The laws of H, A, C and
+products stay the public API and the test oracle for the tables.
 """
 
 from __future__ import annotations
@@ -610,42 +610,49 @@ def _parent_indices(law: _IndexLaw, xs, what: str) -> list[int]:
     return xs
 
 
+def _relabelled(parent: PGroup, law: _IndexLaw, what: str, picks, label, gens) -> PGroup:
+    """The index group whose element k is the parent's ``picks[k]``: its
+    products, rows and inverses are the parent's ``law`` gathered through
+    ``picks`` and relabelled by ``label`` (a parent index -> its element)."""
+    pmul, prow, at = law.mul, law.row, _gather(picks)
+    return _IndexGroup(
+        parent.p,
+        f"{what}(order={len(picks)}) of {parent.descriptor()}",
+        label(law.e),
+        map(label, gens),
+        lambda a, b: label(pmul(picks[a], picks[b])),
+        lambda a: list(map(label, at(prow(picks[a])))),
+        list(map(label, at(law.inv))),
+    )
+
+
 def subgroup(parent: PGroup, gen_indices) -> PGroup:
     """The subgroup of ``parent`` generated by the elements with the parent
     indices ``gen_indices``.  Its k-th element is the k-th smallest parent
     index in it; its generators are those of ``gen_indices``, in order,
     without the identity or repeats.  Its members are closed from the
-    generators' rows, and its rows and inverses are the parent's gathered
-    through its members and relabelled."""
+    generators' rows, and its law is the parent's relabelled through its
+    members (`_relabelled`)."""
     law = parent._index_law()
     gens = _parent_indices(law, gen_indices, "generating set")
     members = sorted(closure([law.e], list(map(law.row, gens)), lambda x, row: row[x]))
     pos = dict(zip(members, range(len(members))))
-    pmul, prow, at = law.mul, law.row, _gather(members)
-    return _IndexGroup(
-        parent.p,
-        f"subgroup(order={len(members)}) of {parent.descriptor()}",
-        pos[law.e],
-        (pos[g] for g in gens),
-        lambda a, b: pos[pmul(members[a], members[b])],
-        lambda a: list(map(pos.__getitem__, at(prow(members[a])))),
-        list(map(pos.__getitem__, at(law.inv))),
-    )
+    return _relabelled(parent, law, "subgroup", members, pos.__getitem__, gens)
 
 
 def quotient(parent: PGroup, normal_indices) -> PGroup:
     """G/N for the normal subgroup N of ``parent`` with the parent indices
     ``normal_indices``.
 
-    Coset k is the k-th coset in the order of the least parent index in
-    it, which is its representative, so the element order is
-    deterministic.  Cosets, the normality check and the quotient's law all
-    use the parent's index law (a direct product without a table of its
-    own multiplies through its factors' tables); the quotient's rows and
-    inverses are the parent's, gathered through the representatives and
-    relabelled.  Normality is tested on the parent's generators only:
-    conjugation is a bijection, so s^-1 N s within N gives s^-1 N s = N,
-    and the elements fixing N form a subgroup.
+    N must be a subgroup: the closure of generators greedily taken from it
+    is N itself.  Coset k is the k-th coset in the order of the least
+    parent index in it, its representative, so the element order is
+    deterministic.  Cosets, the checks and the quotient's law (the
+    parent's, relabelled through the representatives by `_relabelled`) all
+    use the parent's index law: a direct product without a table of its
+    own multiplies through its factors' tables.  Normality is tested on the
+    parent's generators only: conjugation is a bijection, so s^-1 N s
+    within N gives s^-1 N s = N, and the elements fixing N form a subgroup.
     """
     law = parent._index_law()
     mul = law.mul
@@ -655,32 +662,18 @@ def quotient(parent: PGroup, normal_indices) -> PGroup:
     n = len(law.inv)
     if n % len(nidx):
         raise ParameterError("subgroup size does not divide the group order")
+    if closure([law.e], _greedy_generators(sorted(nidx), {law.e}, mul), mul) != nidx:
+        raise ParameterError("not a subgroup: N is not closed under the group law")
     coset_id = [-1] * n
     reps: list[int] = []
     for g in range(n):  # n products in all; an orbit `closure` under N takes n |N|
-        if coset_id[g] >= 0:
-            continue
-        members = {mul(g, h) for h in nidx}
-        if len(members) != len(nidx):
-            raise ParameterError("coset size mismatch: not a subgroup")
-        for x in members:
-            if coset_id[x] >= 0:
-                raise ParameterError("cosets overlap: not a subgroup")
-            coset_id[x] = len(reps)
-        reps.append(g)
+        if coset_id[g] < 0:
+            for h in nidx:  # the coset gN, |N| distinct elements
+                coset_id[mul(g, h)] = len(reps)
+            reps.append(g)
     if any(mul(mul(law.inv[s], h), s) not in nidx for s in law.gens for h in nidx):
         raise ParameterError("subgroup is not normal")
-    label, prow, at = coset_id.__getitem__, law.row, _gather(reps)
-    # coset c times coset d is the coset of rep(c) rep(d)
-    return _IndexGroup(
-        parent.p,
-        f"quotient(order={len(reps)}) of {parent.descriptor()}",
-        coset_id[law.e],
-        (coset_id[s] for s in law.gens),
-        lambda a, b: coset_id[mul(reps[a], reps[b])],
-        lambda a: list(map(label, at(prow(reps[a])))),
-        list(map(label, at(law.inv))),
-    )
+    return _relabelled(parent, law, "quotient", reps, coset_id.__getitem__, law.gens)
 
 
 @cache

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ramforge import astower
 from ramforge.astower import ASExtension, as_reduce_F, as_reduce_F_mod_O, as_reduce_K
-from ramforge.errors import InsufficientPrecisionError, ParameterError
+from ramforge.errors import InsufficientPrecisionError, InternalCheckError, ParameterError
 from ramforge.forge import P3Parameters
 from ramforge.laurent import INF, LaurentSeries, monomial, wp, zero
 
@@ -458,3 +459,39 @@ class TestReduceFModO:
             res = as_reduce_F_mod_O(delta)
         assert res.outcome.break_value == 2 * 2 + p * 5
         assert max(len(res.witness.principal_wp().terms), len(res.reduced.terms)) <= 8
+
+
+class TestProgressRule:
+    """A step that does not raise the leading valuation is refused at once,
+    not after a step budget."""
+
+    @pytest.mark.parametrize("reduce", [as_reduce_F, as_reduce_F_mod_O])
+    def test_F_step_with_wrong_coefficient(self, monkeypatch, reduce):
+        real, steps = astower._witness_monomial, []
+
+        def wrong(ext, j, c):
+            i_new, j_new, c_new = real(ext, j, c)
+            steps.append(j)
+            return i_new, j_new, (c_new + 1) % ext.p
+
+        _, delta = tower_datum(3, 4, 7)
+        monkeypatch.setattr(astower, "_witness_monomial", wrong)
+        with within(1, f"{reduce.__name__} with a wrong witness"):
+            with pytest.raises(InternalCheckError, match="failed to make progress"):
+                reduce(delta)
+        assert len(steps) == 1
+
+    def test_K_step_with_wrong_coefficient(self, monkeypatch):
+        real, steps = astower._from_dense, []
+
+        def wrong(p, val, coeffs, prec):
+            if coeffs:  # the step c*pi^(v/p)
+                steps.append(val)
+                coeffs = ((coeffs[0] + 1) % p,)
+            return real(p, val, coeffs, prec)
+
+        monkeypatch.setattr(astower, "_from_dense", wrong)
+        with within(1, "as_reduce_K with a wrong step"):
+            with pytest.raises(InternalCheckError, match="failed to make progress"):
+                as_reduce_K(monomial(3, 1, -27, 40))
+        assert len(steps) == 1

@@ -728,6 +728,8 @@ LEFTOVER = {
     "--limit=243 before group": ["--limit=243", "group", "classify", H11],
     "--limit after --precision": ["--precision", "64", "--limit", "243", "group", "classify", H11],
     "--p after group make": ["group", "make", "--p", "5", H11],
+    # not an abbreviation of --precision, which group would not read
+    "--p before group make": ["--p", "5", "group", "make", H11],
 }
 
 
@@ -756,11 +758,15 @@ def test_dash_value_not_read_as_an_option(argv, why):
     assert (code, out) == (EXIT_USAGE, "") and why in err and "unrecognized" not in err, err
 
 
-def test_abbreviated_option_is_defined():
-    """argparse reads --prec as --precision, so it is not refused."""
+def test_abbreviated_option_is_refused():
+    """An option is read by its full name only: --prec is not --precision,
+    nor --beta --beta-unit, and the usage error names the abbreviation."""
     argv = ["p3", "--p", "3", "--b", "1", "--a", "4"]
-    want = run(["--precision", "64"] + argv)
-    assert run(["--prec", "64"] + argv) == want and want[0] == EXIT_OK
+    assert run(["--precision", "64"] + argv)[0] == EXIT_OK
+    for args, option in ((["--prec", "64"] + argv, "--prec"), (argv + ["--beta", "0:1"], "--beta")):
+        code, out, err = run(args)
+        assert (code, out) == (EXIT_USAGE, "") and "usage:" in err
+        assert err.splitlines()[-1].endswith(f"error: unrecognized option: {option}"), err
 
 
 def test_help_wins_over_a_leftover_option():

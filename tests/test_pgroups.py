@@ -1038,6 +1038,10 @@ class TestQuotientDeterminism:
             quotient(G, [x, x2, y])
         with pytest.raises(ParameterError, match="divide"):
             quotient(G, [e, x])
+        # {0, 1, 2} tiles C9 by translates and commutes with every element,
+        # so only closure tells it from a subgroup
+        with pytest.raises(ParameterError, match="not a subgroup"):
+            quotient(CyclicPGroup(3, 2), [0, 1, 2])
 
     @pytest.mark.parametrize("build", [quotient, subgroup])
     @pytest.mark.parametrize("bad", [1.0, "1", (0, 1), -1, 27], ids=repr)
